@@ -16,7 +16,6 @@ from chaingraph.graph import SimpleGraph
 from chaingraph.metrics import (
     ExactnessPolicy,
     average_local_clustering,
-    bfs_distances,
     distance_summary,
     largest_component,
 )
@@ -106,23 +105,20 @@ def trial_seed(seed: int, trial: int) -> int:
 
 
 def small_world_report(subject: SimpleGraph, trials: int, seed: int,
-                       policy: ExactnessPolicy = ExactnessPolicy(),
-                       workers: int = 1) -> SmallWorldReport:
+                       policy: ExactnessPolicy = ExactnessPolicy()) -> SmallWorldReport:
     """Compare a connected subject graph against `trials` G(n,m) instances.
 
     cc_RG averages local clustering over the instances; L_RG averages the
     instance largest-component distance (G(n,m) at these densities may be
     disconnected). Per-trial seeds derive from (seed, trial index), so
-    trials can run in any order or in parallel without changing output.
+    trials can run in any order without changing output.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if subject.n == 0:
         raise ValueError("subject graph is empty")
-    if -1 in bfs_distances(subject, 0):
-        raise ValueError("subject graph must be connected (pass a largest component)")
 
-    summary = distance_summary(subject, policy, workers=workers)
+    summary = distance_summary(subject, policy)
     cc = average_local_clustering(subject)
 
     cc_total = 0.0
@@ -131,7 +127,7 @@ def small_world_report(subject: SimpleGraph, trials: int, seed: int,
         instance = gnm_random_graph(GnmParams(subject.n, subject.m, trial_seed(seed, i)))
         cc_total += average_local_clustering(instance)
         main = largest_component(instance)
-        l_total += distance_summary(main, policy, workers=workers).average_distance
+        l_total += distance_summary(main, policy).average_distance
     cc_rg = cc_total / trials
     l_rg = l_total / trials
 

@@ -56,7 +56,6 @@ class RunConfig:
     trials: int = 5
     exact_threshold: int = 50_000
     sample_sources: int = 1_000
-    workers: int = 1
     fmt: str = "csv"
     offline: bool = False
     pretty: bool = False
@@ -176,7 +175,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 lambda sink: export_pajek(g, sink), comment="%")
 
     if main.n > 0 and main.m > 0:
-        summary = distance_summary(main, cfg.policy(), workers=cfg.workers)
+        summary = distance_summary(main, cfg.policy())
         dist_row = [
             main.n, summary.average_distance, summary.diameter, summary.l_method,
             summary.diameter_method,
@@ -205,8 +204,7 @@ def cmd_smallworld(cfg: RunConfig) -> int:
     if main.n == 0:
         print("error: empty graph, nothing to compare", file=sys.stderr)
         return 1
-    report = small_world_report(main, cfg.trials, cfg.seed, cfg.policy(),
-                                workers=cfg.workers)
+    report = small_world_report(main, cfg.trials, cfg.seed, cfg.policy())
     columns = ["blocks", "nodes", "edges", "cc", "L", "cc_RG", "L_RG", "sigma",
                "trials", "seed"]
     row = [spec.count, report.n, report.m, report.cc, report.avg_distance,
@@ -233,7 +231,7 @@ def cmd_snapshots(cfg: RunConfig) -> int:
             comps = connected_components(simple)
             main = largest_component(simple, comps)
             if main.n > 0 and main.m > 0:
-                avg = distance_summary(main, cfg.policy(), workers=cfg.workers).average_distance
+                avg = distance_summary(main, cfg.policy()).average_distance
             else:
                 avg = 0.0
             rows.append([spec.start_block, spec.count, g.n, main.n, g.m, main.m,
@@ -309,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=5)
         p.add_argument("--exact-threshold", type=int, default=50_000)
         p.add_argument("--sample-sources", type=int, default=1_000)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out-dir", default=".")
         p.add_argument("--format", choices=["csv", "pajek", "pretty"], default="csv")
         p.add_argument("--pretty", action="store_true")
@@ -335,7 +332,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         trials=args.trials,
         exact_threshold=args.exact_threshold,
         sample_sources=args.sample_sources,
-        workers=args.workers,
         fmt=args.format,
         offline=args.offline,
         pretty=args.pretty,

@@ -2,8 +2,9 @@
 
 Everything runs on the undirected projection; weighted degrees pull edge
 weights and loop counts from the TransactionGraph. Traversals break ties
-by ascending node index so repeated runs (at any worker count) produce
-identical output.
+by ascending node index so repeated runs produce identical output.
+Distances come from a bit-parallel multi-source BFS over batches of
+sources.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -20,6 +20,11 @@ from chaingraph.graph import SimpleGraph, TransactionGraph, project_simple
 EXACT = "exact"
 SAMPLED = "sampled"
 LOWER_BOUND = "lower_bound"
+
+# Sources per multi-source BFS batch. Each node holds up to three bitsets
+# of this many bits (seen, frontier, next level), so a batch needs about
+# 3 * n * _MSBFS_BATCH / 8 bytes.
+_MSBFS_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -204,31 +209,45 @@ def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
     return dist
 
 
-def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int],
-                              workers: int = 1) -> tuple[int, int]:
+def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int]) -> tuple[int, int]:
     """Total distance and eccentricity max over BFS runs from `sources`.
 
-    Work may be sharded across threads; shards are combined in a fixed
-    order so the result is identical for any worker count.
+    Bit-parallel multi-source BFS (Then et al., PVLDB 2014): bit i of
+    seen[v] means batch source i has reached v, and one level ORs each
+    frontier node's bits into its neighbours. Raises ValueError unless
+    every source reaches every node.
     """
-
-    def run(chunk: list[int]) -> tuple[int, int]:
-        total = 0
-        longest = 0
-        for s in chunk:
-            dist = bfs_distances(g, s)
-            total += sum(dist)
-            longest = max(longest, max(dist))
-        return total, longest
-
-    if workers <= 1 or len(sources) < 2 * workers:
-        return run(sources)
-    size = math.ceil(len(sources) / workers)
-    chunks = [sources[i:i + size] for i in range(0, len(sources), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, chunks))
-    total = sum(p[0] for p in parts)
-    longest = max(p[1] for p in parts)
+    adj = g.adj
+    total = 0
+    longest = 0
+    reached = 0
+    for start in range(0, len(sources), _MSBFS_BATCH):
+        seen = [0] * g.n
+        frontier: dict[int, int] = {}
+        for i, s in enumerate(sources[start:start + _MSBFS_BATCH]):
+            seen[s] |= 1 << i
+            frontier[s] = seen[s]
+        level = 0
+        while frontier:
+            level += 1
+            touched: dict[int, int] = {}
+            for v, bits in frontier.items():
+                for u in adj[v]:
+                    touched[u] = touched.get(u, 0) | bits
+            frontier = {}
+            added = 0
+            for u, bits in touched.items():
+                new = bits & ~seen[u]
+                if new:
+                    seen[u] |= new
+                    frontier[u] = new
+                    added += new.bit_count()
+            if added:
+                total += level * added
+                reached += added
+                longest = max(longest, level)
+    if reached != len(sources) * (g.n - 1):
+        raise ValueError("distance_summary requires a connected graph")
     return total, longest
 
 
@@ -240,8 +259,8 @@ def _double_sweep_lower_bound(g: SimpleGraph) -> int:
     return max(bfs_distances(g, far))
 
 
-def distance_summary(g: SimpleGraph, policy: ExactnessPolicy = ExactnessPolicy(),
-                     workers: int = 1) -> DistanceSummary:
+def distance_summary(g: SimpleGraph,
+                     policy: ExactnessPolicy = ExactnessPolicy()) -> DistanceSummary:
     """Average shortest-path length and diameter of a connected graph.
 
     Below policy.exact_threshold both come from all-pairs BFS. Above it,
@@ -252,17 +271,15 @@ def distance_summary(g: SimpleGraph, policy: ExactnessPolicy = ExactnessPolicy()
         raise ValueError("distance_summary needs a non-empty graph")
     if g.n == 1:
         return DistanceSummary(0.0, 0, EXACT, EXACT)
-    if -1 in bfs_distances(g, 0):
-        raise ValueError("distance_summary requires a connected graph")
 
     if g.n <= policy.exact_threshold:
-        total, longest = _sum_and_max_from_sources(g, list(range(g.n)), workers)
+        total, longest = _sum_and_max_from_sources(g, list(range(g.n)))
         return DistanceSummary(total / (g.n * (g.n - 1)), longest, EXACT, EXACT)
 
     rng = random.Random(policy.seed)
     k = min(policy.sample_sources, g.n)
     sources = sorted(rng.sample(range(g.n), k))
-    total, _ = _sum_and_max_from_sources(g, sources, workers)
+    total, _ = _sum_and_max_from_sources(g, sources)
     avg = total / (k * (g.n - 1))
     return DistanceSummary(avg, _double_sweep_lower_bound(g), SAMPLED, LOWER_BOUND,
                            sample_sources=k, seed=policy.seed)

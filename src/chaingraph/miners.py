@@ -25,18 +25,21 @@ class MinerHistogram:
 
 def miner_distribution(blocks: Iterable[BlockRecord]) -> MinerHistogram:
     """Count blocks per beneficiary address and invert into
-    blocks-mined -> number-of-miners."""
+    blocks-mined -> number-of-miners. The range is set only when the
+    blocks are exactly one contiguous run, each number once."""
     per_miner: dict[str, int] = {}
-    lo: Optional[int] = None
-    total = 0
+    numbers: list[int] = []
     for block in blocks:
         per_miner[block.miner] = per_miner.get(block.miner, 0) + 1
-        lo = block.number if lo is None else min(lo, block.number)
-        total += 1
+        numbers.append(block.number)
     distribution: dict[int, int] = {}
     for count in per_miner.values():
         distribution[count] = distribution.get(count, 0) + 1
-    covered = SnapshotSpec(lo, total) if total else None
+    covered = None
+    if numbers:
+        lo = min(numbers)
+        if sorted(numbers) == list(range(lo, lo + len(numbers))):
+            covered = SnapshotSpec(lo, len(numbers))
     return MinerHistogram(per_miner=per_miner, distribution=distribution, range=covered)
 
 

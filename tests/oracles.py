@@ -5,7 +5,24 @@ flood-fill over an edge set, clustering via exhaustive triple/pair scans,
 distances via a level-by-level frontier walk.
 """
 
+import random
 from itertools import combinations
+
+from chaingraph.baseline import GnmParams
+
+
+def oracle_fixtures():
+    """Seeded G(n,m) parameters for the fast-path vs oracle comparisons:
+    48 random sizes up to 120 nodes, then two 200-node graphs."""
+    rng = random.Random(123)
+    fixtures = []
+    for i in range(48):
+        n = rng.randrange(5, 121)
+        m = rng.randrange(0, min(3 * n, n * (n - 1) // 2) + 1)
+        fixtures.append(GnmParams(n, m, seed=1000 + i))
+    fixtures.append(GnmParams(200, 400, seed=2000))
+    fixtures.append(GnmParams(200, 150, seed=2001))
+    return fixtures
 
 
 def edge_set(g):

@@ -48,6 +48,7 @@ from oracles import (
     brute_average_local_clustering,
     brute_transitivity,
     flood_fill_components,
+    oracle_fixtures,
 )
 
 
@@ -94,21 +95,9 @@ def test_criterion_2_baseline_anchor():
               f"L_RG={l_mean:.3f}, runtime={elapsed:.2f}s")
 
 
-def _oracle_fixtures():
-    rng = random.Random(123)
-    fixtures = []
-    for i in range(48):
-        n = rng.randrange(5, 121)
-        m = rng.randrange(0, min(3 * n, n * (n - 1) // 2) + 1)
-        fixtures.append(GnmParams(n, m, seed=1000 + i))
-    fixtures.append(GnmParams(200, 400, seed=2000))
-    fixtures.append(GnmParams(200, 150, seed=2001))
-    return fixtures
-
-
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
-    for params in _oracle_fixtures():
+    for params in oracle_fixtures():
         g = gnm_random_graph(params)
         assert transitivity(g) == pytest.approx(brute_transitivity(g), abs=1e-12)
         assert average_local_clustering(g) == pytest.approx(
@@ -145,7 +134,7 @@ def test_criterion_4_handshake_and_bookkeeping():
         assert weighted.degree_sum() == 2 * total_weight + sum(g.loops.values())
         assert hist.total_nodes() == g.n
         checked += 1
-    for params in _oracle_fixtures():
+    for params in oracle_fixtures():
         g = gnm_random_graph(params)
         comps = connected_components(g)
         assert sum(nodes for nodes, _ in comps.sizes.values()) == g.n
@@ -212,10 +201,10 @@ def test_criterion_8_pajek_round_trip():
 def test_criterion_9_determinism(tmp_path):
     seed_cache(tmp_path / "cache", pairs_to_raw_blocks(forest_pairs(), start=1))
     outputs = {}
-    for tag, workers in [("a", "1"), ("b", "3"), ("c", "1")]:
+    for tag in "abc":
         for cmd in ("analyze", "smallworld"):
             argv = [cmd, "--start-block", "1", "--num-blocks", "3",
-                    "--seed", "5", "--trials", "5", "--workers", workers,
+                    "--seed", "5", "--trials", "5",
                     "--cache-dir", str(tmp_path / "cache"),
                     "--out-dir", str(tmp_path / f"{cmd}_{tag}"), "--offline"]
             assert main(argv) == 0
@@ -225,7 +214,7 @@ def test_criterion_9_determinism(tmp_path):
         for name in files:
             blobs = {(tmp_path / f"{cmd}_{t}" / name).read_bytes() for t in "abc"}
             assert len(blobs) == 1, f"{cmd}/{name} differed across runs"
-    report(9, "analyze+smallworld byte-identical across reruns and worker counts")
+    report(9, "analyze+smallworld byte-identical across three reruns")
 
 
 @pytest.mark.network

@@ -160,12 +160,6 @@ class TestSmallWorldReport:
         b = small_world_report(subject, trials=4, seed=9)
         assert a == b
 
-    def test_worker_count_irrelevant(self):
-        subject = largest_component(gnm_random_graph(GnmParams(120, 200, seed=4)))
-        a = small_world_report(subject, trials=4, seed=9, workers=1)
-        b = small_world_report(subject, trials=4, seed=9, workers=3)
-        assert a == b
-
     def test_disconnected_subject_rejected(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):

@@ -135,14 +135,6 @@ class TestSmallworld:
         assert (star_cache / "o1" / "smallworld.csv").read_bytes() == \
                (star_cache / "o2" / "smallworld.csv").read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, star_cache):
-        base = ["smallworld", "--start-block", "1", "--num-blocks", "1",
-                "--trials", "5", "--seed", "7"]
-        assert run(base + ["--workers", "1"], star_cache, out="w1") == 0
-        assert run(base + ["--workers", "3"], star_cache, out="w3") == 0
-        assert (star_cache / "w1" / "smallworld.csv").read_bytes() == \
-               (star_cache / "w3" / "smallworld.csv").read_bytes()
-
 
 class TestSnapshots:
     def test_two_snapshots_two_rows(self, forest_cache):

@@ -1,10 +1,12 @@
 import io
 import math
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaingraph import metrics
 from chaingraph.baseline import GnmParams, gnm_random_graph
 from chaingraph.graph import SimpleGraph, build_graph
 from chaingraph.metrics import (
@@ -25,9 +27,12 @@ from chaingraph.metrics import (
 
 from conftest import addr, forest_blocks, make_block, star_blocks
 from oracles import (
+    all_pairs_average_and_diameter,
     brute_average_local_clustering,
     brute_transitivity,
     flood_fill_components,
+    frontier_distances,
+    oracle_fixtures,
 )
 
 
@@ -206,16 +211,48 @@ class TestDistance:
         without = simple(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert distance_summary(without).average_distance >= base
 
-    def test_worker_count_does_not_change_result(self):
-        g = largest_component(gnm_random_graph(GnmParams(200, 400, seed=9)))
-        one = distance_summary(g, workers=1)
-        four = distance_summary(g, workers=4)
-        assert one == four
-
     def test_single_node(self):
         summary = distance_summary(simple(1, []))
         assert summary.average_distance == 0.0
         assert summary.diameter == 0
+
+
+class TestMultiSourceBatches:
+    """Sources split into batches of 3 bits, so every graph spans many
+    batches and most batches end part-full."""
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_MSBFS_BATCH", 3)
+
+    def test_exact_matches_oracle(self):
+        params = oracle_fixtures() + [GnmParams(300, 450, seed=s) for s in range(3)]
+        for p in params:
+            main = largest_component(gnm_random_graph(p))
+            if main.n < 2:
+                continue
+            summary = distance_summary(main)
+            assert (summary.average_distance, summary.diameter) == \
+                all_pairs_average_and_diameter(main)
+
+    def test_sampled_matches_per_source_sum(self):
+        main = largest_component(gnm_random_graph(GnmParams(300, 600, seed=2)))
+        k = 40
+        summary = distance_summary(
+            main, ExactnessPolicy(exact_threshold=10, sample_sources=k, seed=7))
+        sources = sorted(random.Random(7).sample(range(main.n), k))
+        total = sum(sum(frontier_distances(main, s)) for s in sources)
+        assert summary.l_method == SAMPLED
+        assert summary.average_distance == total / (k * (main.n - 1))
+
+    @pytest.mark.parametrize("policy", [
+        ExactnessPolicy(),
+        ExactnessPolicy(exact_threshold=1, sample_sources=5, seed=1),
+    ])
+    def test_disconnected_rejected(self, policy):
+        g = simple(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8)])
+        with pytest.raises(ValueError, match="connected"):
+            distance_summary(g, policy)
 
 
 class TestGeneralMetrics:
