@@ -20,7 +20,12 @@ from conftest import forest_blocks  # fixture builders live with the tests
 
 from chaingraph.baseline import small_world_report
 from chaingraph.graph import build_graph, project_simple
-from chaingraph.metrics import distance_summary, general_metrics, largest_component
+from chaingraph.metrics import (
+    connected_components,
+    distance_summary,
+    general_metrics,
+    largest_component,
+)
 
 
 def main() -> int:
@@ -29,15 +34,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    g = build_graph(forest_blocks())
-    report = general_metrics(g)
+    simple = project_simple(build_graph(forest_blocks()))
+    components = connected_components(simple)
+    report = general_metrics(simple, components)
     print("General metrics (fixture vs. published 1-block row):")
     print(f"  nodes={report.n} (55)  edges={report.m} (40)  "
           f"avg_clus={report.avg_clustering} (0)  components={report.num_components} (15)")
     print(f"  largest component: {report.largest_component_nodes}/"
           f"{report.largest_component_edges} nodes/edges (19/18)")
 
-    main_comp = largest_component(project_simple(g))
+    main_comp = largest_component(simple, components)
     dist = distance_summary(main_comp)
     print(f"\nMain-component distances: L={dist.average_distance:.4f} (1.89)  "
           f"diameter={dist.diameter} (2)")

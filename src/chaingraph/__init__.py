@@ -16,7 +16,6 @@ from chaingraph.ingest import (
     parse_block_json,
 )
 from chaingraph.graph import (
-    EdgeData,
     SimpleGraph,
     TransactionGraph,
     build_graph,
@@ -55,7 +54,6 @@ __all__ = [
     "ComponentSet",
     "DegreeHistogram",
     "DistanceSummary",
-    "EdgeData",
     "ExactnessPolicy",
     "GnmParams",
     "JsonRpcEndpoint",

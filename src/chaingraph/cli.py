@@ -151,9 +151,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     spec = cfg.snapshots[0]
     blocks = _load_blocks(cfg, spec)
     g = build_graph(blocks)
-    report = general_metrics(g)
     simple = project_simple(g)
-    main = largest_component(simple)
+    comps = connected_components(simple)
+    report = general_metrics(simple, comps)
+    main = largest_component(simple, comps)
 
     metrics_cols = [
         "blocks", "nodes", "edges", "avg_clus_coeff", "transitivity",
@@ -191,7 +192,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         [dist_row],
     )
 
-    if cfg.pretty or cfg.fmt == "pretty":
+    if cfg.pretty:
         _print_table(metrics_cols, [metrics_row])
     return 0
 
@@ -199,8 +200,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_smallworld(cfg: RunConfig) -> int:
     spec = cfg.snapshots[0]
     blocks = _load_blocks(cfg, spec)
-    g = build_graph(blocks)
-    main = largest_component(project_simple(g))
+    simple = project_simple(build_graph(blocks))
+    main = largest_component(simple, connected_components(simple))
     if main.n == 0:
         print("error: empty graph, nothing to compare", file=sys.stderr)
         return 1
@@ -210,7 +211,7 @@ def cmd_smallworld(cfg: RunConfig) -> int:
     row = [spec.count, report.n, report.m, report.cc, report.avg_distance,
            report.cc_rg, report.l_rg, report.sigma, report.trials, report.seed]
     _write_csv(cfg.out_dir / "smallworld.csv", cfg, columns, [row])
-    if cfg.pretty or cfg.fmt == "pretty":
+    if cfg.pretty:
         _print_table(columns, [row])
     return 0
 
@@ -240,7 +241,7 @@ def cmd_snapshots(cfg: RunConfig) -> int:
             failures += 1
             print(f"snapshot {spec.label()} failed: {exc}", file=sys.stderr)
     _write_csv(cfg.out_dir / "snapshots.csv", cfg, columns, rows)
-    if cfg.pretty or cfg.fmt == "pretty":
+    if cfg.pretty:
         _print_table(columns, rows)
     return 0 if rows else 1
 
@@ -252,7 +253,7 @@ def cmd_miners(cfg: RunConfig) -> int:
                 lambda sink: write_miner_csv(hist, sink))
     _write_file(cfg.out_dir / "miner_histogram.csv", cfg.header_lines(),
                 lambda sink: write_distribution_csv(hist, sink))
-    if cfg.pretty or cfg.fmt == "pretty":
+    if cfg.pretty:
         rows = [[k, hist.distribution[k]] for k in sorted(hist.distribution)]
         _print_table(["blocks_mined", "num_miners"], rows)
     return 0
@@ -286,42 +287,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ethereum transaction networks: ingestion and complex-network metrics",
     )
     parser.add_argument("--version", action="version", version=f"chaingraph {__version__}")
+
+    # Flag groups; each command takes only the groups it reads.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--rpc-url", default=os.environ.get(RPC_URL_ENV),
+                        help=f"JSON-RPC endpoint (or ${RPC_URL_ENV})")
+    common.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
+    common.add_argument("--out-dir", default=".")
+    common.add_argument("--offline", action="store_true",
+                        help="never touch the network; cache misses are errors")
+    common.add_argument("--seed", type=int, default=0, help="recorded in every output header")
+    block_range = argparse.ArgumentParser(add_help=False)
+    block_range.add_argument("--start-block", type=int)
+    block_range.add_argument("--num-blocks", type=int)
+    distances = argparse.ArgumentParser(add_help=False)
+    distances.add_argument("--exact-threshold", type=int, default=RunConfig.exact_threshold)
+    distances.add_argument("--sample-sources", type=int, default=RunConfig.sample_sources)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="also print a table on stdout")
+
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("fetch", "populate the block cache for a range"),
-        ("analyze", "metrics, degree histograms, distances, Pajek export"),
-        ("smallworld", "small-world sigma vs. G(n,m) baselines"),
-        ("snapshots", "per-snapshot series over multiple block ranges"),
-        ("miners", "blocks-mined-per-miner distribution"),
-        ("export", "write the graph as Pajek or edge-list CSV"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--rpc-url", default=os.environ.get(RPC_URL_ENV),
-                       help=f"JSON-RPC endpoint (or ${RPC_URL_ENV})")
-        p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-        p.add_argument("--start-block", type=int)
-        p.add_argument("--num-blocks", type=int)
-        p.add_argument("--snapshot", action="append", default=[],
-                       metavar="START:COUNT", help="repeatable snapshot spec")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=5)
-        p.add_argument("--exact-threshold", type=int, default=50_000)
-        p.add_argument("--sample-sources", type=int, default=1_000)
-        p.add_argument("--out-dir", default=".")
-        p.add_argument("--format", choices=["csv", "pajek", "pretty"], default="csv")
-        p.add_argument("--pretty", action="store_true")
-        p.add_argument("--offline", action="store_true",
-                       help="never touch the network; cache misses are errors")
+    sub.add_parser("fetch", help="populate the block cache for a range",
+                   parents=[common, block_range])
+    sub.add_parser("analyze", help="metrics, degree histograms, distances, Pajek export",
+                   parents=[common, block_range, distances, pretty])
+    p = sub.add_parser("smallworld", help="small-world sigma vs. G(n,m) baselines",
+                       parents=[common, block_range, distances, pretty])
+    p.add_argument("--trials", type=int, default=RunConfig.trials)
+    p = sub.add_parser("snapshots", help="per-snapshot series over multiple block ranges",
+                       parents=[common, distances, pretty])
+    p.add_argument("--snapshot", action="append", default=[],
+                   metavar="START:COUNT", help="repeatable snapshot spec")
+    sub.add_parser("miners", help="blocks-mined-per-miner distribution",
+                   parents=[common, block_range, pretty])
+    p = sub.add_parser("export", help="write the graph as Pajek or edge-list CSV",
+                       parents=[common, block_range])
+    p.add_argument("--format", dest="fmt", choices=["csv", "pajek"], default=RunConfig.fmt)
     return parser
 
 
+# RunConfig fields set by flags that only some commands have; a command
+# without the flag keeps the field's default, so its header is unchanged.
+_PER_COMMAND_FIELDS = ("trials", "exact_threshold", "sample_sources", "fmt", "pretty")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    snapshots = [SnapshotSpec.parse(s) for s in args.snapshot]
-    if args.start_block is not None:
+    if args.command == "snapshots":
+        snapshots = [SnapshotSpec.parse(s) for s in args.snapshot]
+        if not snapshots:
+            raise ValueError("no block range given: use --snapshot START:COUNT")
+    elif args.start_block is not None:
         count = args.num_blocks if args.num_blocks is not None else 1
-        snapshots.insert(0, SnapshotSpec(args.start_block, count))
-    if not snapshots:
-        raise ValueError("no block range given: use --start-block/--num-blocks or --snapshot")
+        snapshots = [SnapshotSpec(args.start_block, count)]
+    else:
+        raise ValueError("no block range given: use --start-block/--num-blocks")
+    per_command = {name: getattr(args, name) for name in _PER_COMMAND_FIELDS
+                   if hasattr(args, name)}
     return RunConfig(
         command=args.command,
         rpc_url=args.rpc_url,
@@ -329,12 +350,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out_dir=Path(args.out_dir),
         snapshots=snapshots,
         seed=args.seed,
-        trials=args.trials,
-        exact_threshold=args.exact_threshold,
-        sample_sources=args.sample_sources,
-        fmt=args.format,
         offline=args.offline,
-        pretty=args.pretty,
+        **per_command,
     )
 
 

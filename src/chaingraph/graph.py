@@ -1,9 +1,9 @@
 """Weighted account-interaction graph and its Pajek / edge-list forms.
 
 Accounts are nodes; every transaction between a pair of accounts adds one
-to the weight of their link. Direction is kept only as a diagnostic
-(forward/reverse counts); all metrics run on the undirected projection.
-Self-transfers are tracked as loops, separately from pair edges.
+to the weight of their link, whichever way it went; all metrics run on
+the undirected projection. Self-transfers are tracked as loops,
+separately from pair edges.
 """
 
 from __future__ import annotations
@@ -21,30 +21,17 @@ class PajekError(ValueError):
     """Malformed Pajek input."""
 
 
-@dataclass
-class EdgeData:
-    """Pooled transaction count between an unordered account pair.
-
-    forward_count counts transactions from the lexicographically smaller
-    endpoint to the larger one; reverse_count the other direction.
-    """
-
-    weight: int
-    forward_count: int
-    reverse_count: int
-
-
 class TransactionGraph:
     """Undirected weighted multigraph collapsed to weighted edges + loops.
 
-    Nodes carry dense integer indices in insertion order; edges are keyed
-    by the sorted label pair.
+    Nodes carry dense integer indices in insertion order; edges map the
+    sorted label pair to its pooled transaction count.
     """
 
     def __init__(self):
         self.labels: list[str] = []
         self._index: dict[str, int] = {}
-        self.edges: dict[tuple[str, str], EdgeData] = {}
+        self.edges: dict[tuple[str, str], int] = {}
         self.loops: dict[str, int] = {}
 
     @property
@@ -66,35 +53,25 @@ class TransactionGraph:
             self.labels.append(label)
         return idx
 
-    def add_interaction(self, sender: str, recipient: str, count: int = 1,
-                        forward: Optional[int] = None) -> None:
+    def add_interaction(self, sender: str, recipient: str, count: int = 1) -> None:
         """Record `count` transactions from sender to recipient."""
         self.add_node(sender)
         self.add_node(recipient)
         if sender == recipient:
             self.loops[sender] = self.loops.get(sender, 0) + count
             return
-        lo, hi = (sender, recipient) if sender < recipient else (recipient, sender)
-        fwd = count if sender == lo else 0
-        if forward is not None:
-            fwd = forward
-        data = self.edges.get((lo, hi))
-        if data is None:
-            self.edges[(lo, hi)] = EdgeData(count, fwd, count - fwd)
-        else:
-            data.weight += count
-            data.forward_count += fwd
-            data.reverse_count += count - fwd
+        key = (sender, recipient) if sender < recipient else (recipient, sender)
+        self.edges[key] = self.edges.get(key, 0) + count
 
     def total_transactions(self) -> int:
-        return sum(e.weight for e in self.edges.values()) + sum(self.loops.values())
+        return sum(self.edges.values()) + sum(self.loops.values())
 
     def canonical_form(self):
         """(sorted node labels, sorted weighted edges, sorted loops) --
         equality up to node reindexing."""
         return (
             tuple(sorted(self.labels)),
-            tuple(sorted((u, v, d.weight) for (u, v), d in self.edges.items())),
+            tuple(sorted((u, v, w) for (u, v), w in self.edges.items())),
             tuple(sorted(self.loops.items())),
         )
 
@@ -181,8 +158,8 @@ def export_pajek(g: TransactionGraph, sink: TextIO) -> None:
     for i, label in enumerate(g.labels, start=1):
         sink.write(f'{i} "{label}"\n')
     sink.write("*Edges\n")
-    for (u, v), data in g.edges.items():
-        sink.write(f"{g.index_of(u) + 1} {g.index_of(v) + 1} {data.weight}\n")
+    for (u, v), weight in g.edges.items():
+        sink.write(f"{g.index_of(u) + 1} {g.index_of(v) + 1} {weight}\n")
     for label, count in g.loops.items():
         i = g.index_of(label) + 1
         sink.write(f"{i} {i} {count}\n")
@@ -253,7 +230,7 @@ def import_pajek(source: TextIO) -> TransactionGraph:
 def export_edge_csv(g: TransactionGraph, sink: TextIO) -> None:
     """Edge-list CSV `src,dst,weight`; loops appear with src == dst."""
     sink.write("src,dst,weight\n")
-    for (u, v), data in g.edges.items():
-        sink.write(f"{u},{v},{data.weight}\n")
+    for (u, v), weight in g.edges.items():
+        sink.write(f"{u},{v},{weight}\n")
     for label, count in g.loops.items():
         sink.write(f"{label},{label},{count}\n")

@@ -311,17 +311,19 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
     """Yield the blocks of a snapshot in ascending order.
 
     Cached blocks are served without network access; missing blocks are
-    fetched (up to ``max_inflight`` concurrently) and persisted before
-    being yielded. ``on_block(number, from_cache)`` is invoked once per
-    block as it is scheduled. With ``offline=True`` a cache miss raises
-    instead of fetching.
+    fetched (up to ``max_inflight`` concurrently), parsed, and persisted
+    before being yielded; a block that fails to parse is never cached.
+    ``on_block(number, from_cache)`` is invoked once per block as it is
+    scheduled. With ``offline=True`` a cache miss raises instead of
+    fetching.
     """
     numbers = list(spec.numbers())
 
     def fetch_and_store(number: int) -> BlockRecord:
         result = _fetch_block_result(endpoint, number, retries, backoff)
+        block = parse_block_json(result)
         cache.store(number, result)
-        return parse_block_json(result)
+        return block
 
     lookahead = max(2 * max_inflight, 8)
     pending: dict[int, BlockRecord | Future] = {}

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
-from chaingraph.graph import SimpleGraph, TransactionGraph, project_simple
+from chaingraph.graph import SimpleGraph, TransactionGraph
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -89,8 +89,8 @@ def degree_distribution(g: TransactionGraph, weighted: bool = False) -> DegreeHi
     node has any loop. Weighted: sum of incident edge weights plus the
     node's loop count."""
     degrees = {label: 0 for label in g.labels}
-    for (u, v), data in g.edges.items():
-        inc = data.weight if weighted else 1
+    for (u, v), weight in g.edges.items():
+        inc = weight if weighted else 1
         degrees[u] += inc
         degrees[v] += inc
     for label, count in g.loops.items():
@@ -145,47 +145,44 @@ def largest_component(g: SimpleGraph,
     return g.subgraph(members)
 
 
-def _triangles_and_triplets(g: SimpleGraph) -> tuple[int, int]:
+def _neighbour_links(g: SimpleGraph) -> list[int]:
+    """Edges among each node's neighbours, i.e. triangles through it.
+
+    Edge iterator (Schank and Wagner, WEA 2005): each edge u < v adds its
+    common-neighbour count to both endpoints, which counts every edge
+    among a node's neighbours twice.
+    """
     adj_sets = [set(neigh) for neigh in g.adj]
-    triplets = sum(len(neigh) * (len(neigh) - 1) // 2 for neigh in g.adj)
-    # Each triangle is seen once per edge from its lowest-index corner side;
-    # counting common neighbors over edges (u < v) counts it 3 times.
-    tri3 = 0
-    for u in range(g.n):
-        for v in g.adj[u]:
+    counts = [0] * g.n
+    for u, neigh in enumerate(g.adj):
+        for v in neigh:
             if u < v:
-                tri3 += len(adj_sets[u] & adj_sets[v])
-    return tri3 // 3, triplets
+                common = len(adj_sets[u] & adj_sets[v])
+                counts[u] += common
+                counts[v] += common
+    return [c // 2 for c in counts]
 
 
 def transitivity(g: SimpleGraph) -> float:
     """Global clustering: 3 * triangles / connected triplets; 0 when the
     graph has no connected triplet."""
-    triangles, triplets = _triangles_and_triplets(g)
+    triplets = sum(len(neigh) * (len(neigh) - 1) // 2 for neigh in g.adj)
     if triplets == 0:
         return 0.0
+    # Each triangle is counted once at each of its three corners.
+    triangles = sum(_neighbour_links(g)) // 3
     return 3.0 * triangles / triplets
 
 
-def local_clustering(g: SimpleGraph, node: int) -> float:
-    """Fraction of this node's neighbor pairs that are linked; 0 when the
-    node has fewer than two neighbors."""
-    neigh = g.adj[node]
-    d = len(neigh)
-    if d < 2:
-        return 0.0
-    neigh_set = set(neigh)
-    links = sum(len(neigh_set.intersection(g.adj[u])) for u in neigh) // 2
-    return links / (d * (d - 1) / 2)
-
-
 def average_local_clustering(g: SimpleGraph, count_low_degree: bool = True) -> float:
-    """Mean local clustering over nodes. Degree-<2 nodes count as zero by
-    default; with count_low_degree=False they are excluded from the mean
-    (the unbiased estimator of neighbor-pair closure probability)."""
+    """Mean over nodes of the fraction of neighbor pairs that are linked.
+    Degree-<2 nodes count as zero by default; with count_low_degree=False
+    they are excluded from the mean (the unbiased estimator of
+    neighbor-pair closure probability)."""
     if g.n == 0:
         return 0.0
-    values = [local_clustering(g, v) for v in range(g.n)]
+    values = [links / (d * (d - 1) / 2) if d >= 2 else 0.0
+              for links, d in zip(_neighbour_links(g), map(len, g.adj))]
     if count_low_degree:
         return sum(values) / g.n
     kept = [val for val, neigh in zip(values, g.adj) if len(neigh) >= 2]
@@ -285,20 +282,20 @@ def distance_summary(g: SimpleGraph,
                            sample_sources=k, seed=policy.seed)
 
 
-def general_metrics(g: TransactionGraph) -> MetricsReport:
-    """The one-row summary: counts, both clustering variants, components."""
-    simple = project_simple(g)
-    comps = connected_components(simple)
-    if comps.num_components == 0:
+def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsReport:
+    """The one-row summary: counts, both clustering variants, components.
+    `components` is connected_components(simple); the projection has the
+    n and m of the TransactionGraph it came from."""
+    if components.num_components == 0:
         largest_nodes, largest_edges = 0, 0
     else:
-        largest_nodes, largest_edges = comps.sizes[comps.largest_id]
+        largest_nodes, largest_edges = components.sizes[components.largest_id]
     return MetricsReport(
-        n=g.n,
-        m=g.m,
+        n=simple.n,
+        m=simple.m,
         avg_clustering=average_local_clustering(simple),
         transitivity=transitivity(simple),
-        num_components=comps.num_components,
+        num_components=components.num_components,
         largest_component_nodes=largest_nodes,
         largest_component_edges=largest_edges,
     )

@@ -130,7 +130,7 @@ def test_criterion_4_handshake_and_bookkeeping():
         hist = degree_distribution(g)
         assert hist.degree_sum() == 2 * g.m + len(g.loops)
         weighted = degree_distribution(g, weighted=True)
-        total_weight = sum(e.weight for e in g.edges.values())
+        total_weight = sum(g.edges.values())
         assert weighted.degree_sum() == 2 * total_weight + sum(g.loops.values())
         assert hist.total_nodes() == g.n
         checked += 1
@@ -203,10 +203,11 @@ def test_criterion_9_determinism(tmp_path):
     outputs = {}
     for tag in "abc":
         for cmd in ("analyze", "smallworld"):
-            argv = [cmd, "--start-block", "1", "--num-blocks", "3",
-                    "--seed", "5", "--trials", "5",
+            argv = [cmd, "--start-block", "1", "--num-blocks", "3", "--seed", "5",
                     "--cache-dir", str(tmp_path / "cache"),
                     "--out-dir", str(tmp_path / f"{cmd}_{tag}"), "--offline"]
+            if cmd == "smallworld":
+                argv += ["--trials", "5"]
             assert main(argv) == 0
     for cmd, files in [("analyze", ["metrics.csv", "degree.csv", "degree_loglog.csv",
                                     "distances.csv", "graph.net"]),

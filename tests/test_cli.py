@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from chaingraph.cli import main
+from chaingraph.cli import _config_from_args, build_parser, main
 
 from conftest import (
     MockEndpoint,
@@ -181,3 +186,46 @@ class TestExport:
         body = strip_header(star_cache / "out" / "edges.csv")
         assert body[0] == "src,dst,weight"
         assert len(body) == 19
+
+
+class TestCliSurface:
+    # Every output header carries the config hash, so a change to the
+    # parser must leave these values as they are.
+    @pytest.mark.parametrize("argv,expected", [
+        (["analyze", "--start-block", "1", "--num-blocks", "3"], "ba38b995e72fca0a"),
+        (["analyze", "--start-block", "1", "--num-blocks", "3", "--seed", "5"],
+         "14c0a325759e477d"),
+        (["smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "20",
+          "--seed", "1"], "50c50940497c3e3d"),
+        (["smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "5",
+          "--seed", "7"], "4aee953e73642864"),
+        (["snapshots", "--snapshot", "1:1", "--snapshot", "2:2"], "f067348dad63df3d"),
+        (["snapshots", "--snapshot", "1:3", "--snapshot", "900:1"], "a73bfaad7dbb7251"),
+    ])
+    def test_config_hash_pinned(self, argv, expected):
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert cfg.config_hash() == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--start-block", "1", "--trials", "3"],
+        ["miners", "--start-block", "1", "--exact-threshold", "5"],
+        ["analyze", "--start-block", "1", "--format", "pretty"],
+        ["export", "--start-block", "1", "--format", "pretty"],
+        ["snapshots", "--start-block", "1"],
+    ])
+    def test_flag_of_another_command_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "error:" in capsys.readouterr().err
+
+
+def test_paper_anchors_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "paper_anchors.py"), "--trials", "2"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "nodes=55 (55)" in proc.stdout

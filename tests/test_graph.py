@@ -32,15 +32,12 @@ class TestBuildGraph:
         a, b = addr(1), addr(2)
         g = graph_from_pairs([(a, b), (b, a)])
         assert (g.n, g.m) == (2, 1)
-        edge = g.edges[(a, b)]
-        assert edge.weight == 2
-        assert edge.forward_count == 1
-        assert edge.reverse_count == 1
+        assert g.edges[(a, b)] == 2
 
     def test_repeat_transactions_increment_weight(self):
         a, b = addr(1), addr(2)
         g = graph_from_pairs([(a, b)] * 5)
-        assert g.edges[(a, b)].weight == 5
+        assert g.edges[(a, b)] == 5
 
     def test_loop(self):
         a = addr(1)
@@ -137,7 +134,7 @@ class TestPajek:
     def test_import_arcs_section(self):
         text = '*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2 4\n'
         g = import_pajek(io.StringIO(text))
-        assert g.edges[("a", "b")].weight == 4
+        assert g.edges[("a", "b")] == 4
 
     def test_import_loop_line(self):
         text = '*Vertices 1\n1 "a"\n*Edges\n1 1 2\n'

@@ -195,6 +195,14 @@ class TestFetchRange:
         assert [b.number for b in blocks] == [100, 101, 102]
         assert ep.block_calls() == [101]
 
+    def test_malformed_block_not_cached(self, tmp_path):
+        raw = raw_block(100, [])
+        del raw["miner"]
+        cache = BlockCache(tmp_path)
+        with pytest.raises(BlockParseError, match="miner"):
+            list(fetch_range(MockEndpoint({100: raw}), SnapshotSpec(100, 1), cache))
+        assert not cache.path(100).exists()
+
     def test_offline_miss_raises(self, tmp_path):
         cache = BlockCache(tmp_path)
         with pytest.raises(OfflineMissError):

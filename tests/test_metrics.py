@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaingraph import metrics
 from chaingraph.baseline import GnmParams, gnm_random_graph
-from chaingraph.graph import SimpleGraph, build_graph
+from chaingraph.graph import SimpleGraph, build_graph, project_simple
 from chaingraph.metrics import (
     EXACT,
     LOWER_BOUND,
@@ -86,7 +86,7 @@ class TestDegreeDistribution:
         unweighted = degree_distribution(g)
         assert unweighted.degree_sum() == 2 * g.m + len(g.loops)
         weighted = degree_distribution(g, weighted=True)
-        total_weight = sum(e.weight for e in g.edges.values())
+        total_weight = sum(g.edges.values())
         assert weighted.degree_sum() == 2 * total_weight + sum(g.loops.values())
         assert unweighted.total_nodes() == g.n == weighted.total_nodes()
 
@@ -255,15 +255,20 @@ class TestMultiSourceBatches:
             distance_summary(g, policy)
 
 
+def general_metrics_of(g):
+    projected = project_simple(g)
+    return general_metrics(projected, connected_components(projected))
+
+
 class TestGeneralMetrics:
     def test_empty_graph_all_zero(self):
-        report = general_metrics(build_graph([]))
+        report = general_metrics_of(build_graph([]))
         assert (report.n, report.m, report.num_components) == (0, 0, 0)
         assert report.avg_clustering == 0.0
         assert report.largest_component_nodes == 0
 
     def test_forest_fixture_reproduces_published_row(self):
-        report = general_metrics(build_graph(forest_blocks()))
+        report = general_metrics_of(build_graph(forest_blocks()))
         assert report.n == 55
         assert report.m == 40
         assert report.avg_clustering == 0.0
@@ -273,7 +278,7 @@ class TestGeneralMetrics:
 
     def test_node_count_consistent_with_histogram(self):
         g = build_graph(star_blocks())
-        assert general_metrics(g).n == degree_distribution(g).total_nodes()
+        assert general_metrics_of(g).n == degree_distribution(g).total_nodes()
 
 
 class TestCsvWriters:
