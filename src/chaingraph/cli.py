@@ -50,8 +50,8 @@ class RunConfig:
     command: str
     rpc_url: Optional[str]
     cache_dir: Path
-    out_dir: Path
     snapshots: list[SnapshotSpec]
+    out_dir: Path = Path(".")
     seed: int = 0
     trials: int = 5
     exact_threshold: int = 50_000
@@ -293,10 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rpc-url", default=os.environ.get(RPC_URL_ENV),
                         help=f"JSON-RPC endpoint (or ${RPC_URL_ENV})")
     common.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    common.add_argument("--out-dir", default=".")
     common.add_argument("--offline", action="store_true",
                         help="never touch the network; cache misses are errors")
-    common.add_argument("--seed", type=int, default=0, help="recorded in every output header")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out-dir", type=Path, default=RunConfig.out_dir)
+    outputs.add_argument("--seed", type=int, default=RunConfig.seed,
+                         help="recorded in every output header")
     block_range = argparse.ArgumentParser(add_help=False)
     block_range.add_argument("--start-block", type=int)
     block_range.add_argument("--num-blocks", type=int)
@@ -310,25 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fetch", help="populate the block cache for a range",
                    parents=[common, block_range])
     sub.add_parser("analyze", help="metrics, degree histograms, distances, Pajek export",
-                   parents=[common, block_range, distances, pretty])
+                   parents=[common, outputs, block_range, distances, pretty])
     p = sub.add_parser("smallworld", help="small-world sigma vs. G(n,m) baselines",
-                       parents=[common, block_range, distances, pretty])
+                       parents=[common, outputs, block_range, distances, pretty])
     p.add_argument("--trials", type=int, default=RunConfig.trials)
     p = sub.add_parser("snapshots", help="per-snapshot series over multiple block ranges",
-                       parents=[common, distances, pretty])
+                       parents=[common, outputs, distances, pretty])
     p.add_argument("--snapshot", action="append", default=[],
                    metavar="START:COUNT", help="repeatable snapshot spec")
     sub.add_parser("miners", help="blocks-mined-per-miner distribution",
-                   parents=[common, block_range, pretty])
+                   parents=[common, outputs, block_range, pretty])
     p = sub.add_parser("export", help="write the graph as Pajek or edge-list CSV",
-                       parents=[common, block_range])
+                       parents=[common, outputs, block_range])
     p.add_argument("--format", dest="fmt", choices=["csv", "pajek"], default=RunConfig.fmt)
     return parser
 
 
 # RunConfig fields set by flags that only some commands have; a command
 # without the flag keeps the field's default, so its header is unchanged.
-_PER_COMMAND_FIELDS = ("trials", "exact_threshold", "sample_sources", "fmt", "pretty")
+_PER_COMMAND_FIELDS = ("out_dir", "seed", "trials", "exact_threshold", "sample_sources",
+                       "fmt", "pretty")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -347,9 +350,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         rpc_url=args.rpc_url,
         cache_dir=Path(args.cache_dir),
-        out_dir=Path(args.out_dir),
         snapshots=snapshots,
-        seed=args.seed,
         offline=args.offline,
         **per_command,
     )

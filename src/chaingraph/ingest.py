@@ -2,8 +2,10 @@
 
 Blocks are fetched with ``eth_getBlockByNumber(<hex>, true)`` so the full
 transaction objects come back in one call; receipts are never requested.
-Every fetched block is persisted to the cache before being handed to the
-caller, so re-runs and interrupted runs are served offline.
+Every fetched block is validated and persisted to the cache before being
+handed to the caller, so re-runs and interrupted runs are served offline.
+The cache keeps only the fields of ``BlockRecord``, in a compact text
+format that is checked field by field on every load.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ HASH32_RE = re.compile(r"^0x[0-9a-fA-F]{64}$")
 QUANTITY_RE = re.compile(r"^0x[0-9a-fA-F]+$")
 
 MAX_UINT256 = 2**256 - 1
+
+# Cache entry format 2: a header line naming the format and the sha256 of
+# the body, then the body: "number hash timestamp miner", then one
+# "tx_hash from to|- value" line per transaction. Integers are decimal,
+# the value is hex without prefix; all hex is lowercase. BODY_RE accepts
+# exactly the bodies that _encode writes for a valid block, so it enforces
+# on load what parse_block_json enforces on write: 32-byte hashes, 20-byte
+# addresses, "-" for a creation, and a value below 2**256.
+CACHE_FORMAT = b"chaingraph-block/2"
+_DECIMAL = rb"(?:0|[1-9][0-9]*)"
+_HASH = rb"0x[0-9a-f]{64}"
+_ADDRESS = rb"0x[0-9a-f]{40}"
+BODY_RE = re.compile(
+    _DECIMAL + b" " + _HASH + b" " + _DECIMAL + b" " + _ADDRESS + b"\n"
+    + b"(?:" + _HASH + b" " + _ADDRESS + b" (?:" + _ADDRESS + b"|-)"
+    + rb" (?:0|[1-9a-f][0-9a-f]{0,63})\n)*"
+)
 
 DEFAULT_MAX_INFLIGHT = 4
 DEFAULT_RETRIES = 3
@@ -60,7 +79,7 @@ class BlockParseError(IngestError):
 
 
 class CacheCorruptError(IngestError):
-    """Cache file checksum mismatch."""
+    """Cache file fails its checksum or format check; names the file."""
 
 
 class OfflineMissError(IngestError):
@@ -121,7 +140,9 @@ class SnapshotSpec:
 
 def parse_quantity(value, field: str) -> int:
     """Decode a JSON-RPC hex quantity ('0x10' -> 16)."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
+        if value < 0:
+            raise BlockParseError(field, f"negative quantity: {value!r}")
         return value
     if not isinstance(value, str) or not QUANTITY_RE.match(value):
         raise BlockParseError(field, f"not a hex quantity: {value!r}")
@@ -257,12 +278,36 @@ def fetch_block(endpoint, number: int,
     return parse_block_json(_fetch_block_result(endpoint, number, retries, backoff))
 
 
+def _encode(block: BlockRecord) -> bytes:
+    lines = [f"{block.number} {block.hash} {block.timestamp} {block.miner}"]
+    lines += [
+        f"{tx.tx_hash} {tx.sender} {'-' if tx.recipient is None else tx.recipient} {tx.value:x}"
+        for tx in block.transactions
+    ]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _decode(body: bytes) -> BlockRecord:
+    # Only for bodies that BODY_RE has accepted: four header fields, then
+    # four fields per transaction.
+    fields = body.decode("ascii").split()
+    rest = iter(fields[4:])
+    txs = tuple([TxRecord(tx_hash, sender, None if recipient == "-" else recipient,
+                          int(value, 16))
+                 for tx_hash, sender, recipient, value in zip(rest, rest, rest, rest)])
+    return BlockRecord(int(fields[0]), fields[1], int(fields[2]), fields[3], txs)
+
+
 class BlockCache:
     """One file per block, named by zero-padded decimal height.
 
-    Each file holds a sha256 checksum line followed by the block's JSON-RPC
-    result (canonical serialization), so partial runs resume and replays
-    never hit the network. Writes are atomic (write-then-rename).
+    Each file holds a header line (format name and the body's sha256) and
+    the block's validated fields (see ``CACHE_FORMAT``), so partial runs
+    resume and replays never hit the network. Entries are validated before
+    they are written and checked field by field when read. Writes are
+    atomic (write-then-rename). An entry in the older format, a sha256 line
+    followed by the full JSON-RPC result, is verified, parsed and rewritten
+    in the current format on first load.
     """
 
     def __init__(self, directory):
@@ -272,33 +317,60 @@ class BlockCache:
     def path(self, number: int) -> Path:
         return self.directory / f"{number:012d}.json"
 
-    def store(self, number: int, result: dict) -> None:
-        text = json.dumps(result, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        tmp = self.path(number).with_suffix(".tmp")
-        tmp.write_text(f"sha256:{digest}\n{text}\n", encoding="utf-8")
-        tmp.replace(self.path(number))
+    def store(self, number: int, result: dict) -> BlockRecord:
+        """Validate a JSON-RPC block result, cache it and return its record.
+
+        A malformed result, or one for another block, raises
+        BlockParseError and writes nothing."""
+        block = parse_block_json(result)
+        if block.number != number:
+            raise BlockParseError("number", f"expected block {number}, got {block.number}")
+        self._write(block)
+        return block
+
+    def _write(self, block: BlockRecord) -> None:
+        body = _encode(block)
+        header = CACHE_FORMAT + b" sha256:" + hashlib.sha256(body).hexdigest().encode("ascii")
+        path = self.path(block.number)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_bytes(header + b"\n" + body)
+        tmp.replace(path)
 
     def load(self, number: int) -> BlockRecord:
-        """Load and verify a cached block; raises on miss or corruption."""
+        """Load and verify a cached block; raises FileNotFoundError on a
+        miss and CacheCorruptError on a corrupt entry."""
         path = self.path(number)
-        content = path.read_text(encoding="utf-8")
-        header, _, text = content.partition("\n")
-        text = text.rstrip("\n")
-        if not header.startswith("sha256:"):
-            raise CacheCorruptError(f"{path}: missing checksum line")
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if header != f"sha256:{digest}":
-            raise CacheCorruptError(f"{path}: checksum mismatch")
-        return parse_block_json(text)
+        header, _, body = path.read_bytes().partition(b"\n")
+        legacy = header.startswith(b"sha256:")
+        if legacy:
+            body = body.rstrip(b"\n")
+        expected = b"sha256:" if legacy else CACHE_FORMAT + b" sha256:"
+        if header != expected + hashlib.sha256(body).hexdigest().encode("ascii"):
+            raise CacheCorruptError(f"{path}: unknown format or checksum mismatch")
+        if legacy:
+            try:
+                block = parse_block_json(body)
+            except (BlockParseError, UnicodeDecodeError) as exc:
+                raise CacheCorruptError(f"{path}: {exc}") from exc
+        elif BODY_RE.fullmatch(body) is None:
+            raise CacheCorruptError(f"{path}: malformed block fields")
+        else:
+            block = _decode(body)
+        if block.number != number:
+            raise CacheCorruptError(f"{path}: holds block {block.number}, not {number}")
+        if legacy:
+            try:
+                self._write(block)
+            except OSError:
+                pass  # a read-only cache keeps serving the old entry
+        return block
 
     def get(self, number: int) -> Optional[BlockRecord]:
-        """Like load(), but a miss or corrupt entry returns None."""
+        """Like load(), but a miss returns None; a corrupt entry still
+        raises CacheCorruptError."""
         try:
             return self.load(number)
         except FileNotFoundError:
-            return None
-        except (CacheCorruptError, BlockParseError):
             return None
 
 
@@ -310,20 +382,18 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
                 on_block: Optional[Callable[[int, bool], None]] = None) -> Iterator[BlockRecord]:
     """Yield the blocks of a snapshot in ascending order.
 
-    Cached blocks are served without network access; missing blocks are
-    fetched (up to ``max_inflight`` concurrently), parsed, and persisted
-    before being yielded; a block that fails to parse is never cached.
-    ``on_block(number, from_cache)`` is invoked once per block as it is
-    scheduled. With ``offline=True`` a cache miss raises instead of
-    fetching.
+    Cached blocks are served without network access; missing and corrupt
+    entries are fetched (up to ``max_inflight`` concurrently), validated,
+    and persisted before being yielded; a block that fails to parse is
+    never cached. ``on_block(number, from_cache)`` is invoked once per
+    block as it is scheduled. With ``offline=True`` a cache miss raises
+    OfflineMissError and a corrupt entry raises CacheCorruptError instead
+    of fetching.
     """
     numbers = list(spec.numbers())
 
     def fetch_and_store(number: int) -> BlockRecord:
-        result = _fetch_block_result(endpoint, number, retries, backoff)
-        block = parse_block_json(result)
-        cache.store(number, result)
-        return block
+        return cache.store(number, _fetch_block_result(endpoint, number, retries, backoff))
 
     lookahead = max(2 * max_inflight, 8)
     pending: dict[int, BlockRecord | Future] = {}
@@ -332,7 +402,12 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
         for i, number in enumerate(numbers):
             while scheduled < len(numbers) and scheduled < i + lookahead:
                 k = numbers[scheduled]
-                cached = cache.get(k)
+                try:
+                    cached = cache.get(k)
+                except CacheCorruptError:
+                    if offline or endpoint is None:
+                        raise
+                    cached = None
                 if cached is not None:
                     pending[k] = cached
                 elif offline or endpoint is None:

@@ -163,15 +163,33 @@ def _neighbour_links(g: SimpleGraph) -> list[int]:
     return [c // 2 for c in counts]
 
 
-def transitivity(g: SimpleGraph) -> float:
-    """Global clustering: 3 * triangles / connected triplets; 0 when the
-    graph has no connected triplet."""
+def _transitivity(g: SimpleGraph, links: list[int]) -> float:
     triplets = sum(len(neigh) * (len(neigh) - 1) // 2 for neigh in g.adj)
     if triplets == 0:
         return 0.0
     # Each triangle is counted once at each of its three corners.
-    triangles = sum(_neighbour_links(g)) // 3
+    triangles = sum(links) // 3
     return 3.0 * triangles / triplets
+
+
+def transitivity(g: SimpleGraph) -> float:
+    """Global clustering: 3 * triangles / connected triplets; 0 when the
+    graph has no connected triplet."""
+    return _transitivity(g, _neighbour_links(g))
+
+
+def _average_local_clustering(g: SimpleGraph, links: list[int],
+                              count_low_degree: bool = True) -> float:
+    if g.n == 0:
+        return 0.0
+    values = [count / (d * (d - 1) / 2) if d >= 2 else 0.0
+              for count, d in zip(links, map(len, g.adj))]
+    if count_low_degree:
+        return sum(values) / g.n
+    kept = [val for val, neigh in zip(values, g.adj) if len(neigh) >= 2]
+    if not kept:
+        return 0.0
+    return sum(kept) / len(kept)
 
 
 def average_local_clustering(g: SimpleGraph, count_low_degree: bool = True) -> float:
@@ -179,16 +197,7 @@ def average_local_clustering(g: SimpleGraph, count_low_degree: bool = True) -> f
     Degree-<2 nodes count as zero by default; with count_low_degree=False
     they are excluded from the mean (the unbiased estimator of
     neighbor-pair closure probability)."""
-    if g.n == 0:
-        return 0.0
-    values = [links / (d * (d - 1) / 2) if d >= 2 else 0.0
-              for links, d in zip(_neighbour_links(g), map(len, g.adj))]
-    if count_low_degree:
-        return sum(values) / g.n
-    kept = [val for val, neigh in zip(values, g.adj) if len(neigh) >= 2]
-    if not kept:
-        return 0.0
-    return sum(kept) / len(kept)
+    return _average_local_clustering(g, _neighbour_links(g), count_low_degree)
 
 
 def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
@@ -290,11 +299,12 @@ def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsRep
         largest_nodes, largest_edges = 0, 0
     else:
         largest_nodes, largest_edges = components.sizes[components.largest_id]
+    links = _neighbour_links(simple)
     return MetricsReport(
         n=simple.n,
         m=simple.m,
-        avg_clustering=average_local_clustering(simple),
-        transitivity=transitivity(simple),
+        avg_clustering=_average_local_clustering(simple, links),
+        transitivity=_transitivity(simple, links),
         num_components=components.num_components,
         largest_component_nodes=largest_nodes,
         largest_component_edges=largest_edges,

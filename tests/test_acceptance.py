@@ -228,10 +228,9 @@ def test_criterion_10_live_smoke(tmp_path):
     head = chain_head(endpoint)
     start = head - 12  # small margin behind the tip
     common = ["--start-block", str(start), "--num-blocks", "10",
-              "--cache-dir", str(tmp_path / "cache"),
-              "--out-dir", str(tmp_path / "out")]
+              "--cache-dir", str(tmp_path / "cache")]
     assert main(["fetch"] + common) == 0
-    assert main(["analyze"] + common + ["--offline"]) == 0
+    assert main(["analyze"] + common + ["--out-dir", str(tmp_path / "out"), "--offline"]) == 0
     degree_lines = [
         ln for ln in (tmp_path / "out" / "degree.csv").read_text().splitlines()
         if ln and not ln.startswith("#") and not ln.startswith("degree")

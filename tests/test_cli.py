@@ -26,11 +26,9 @@ def strip_header(path, comment="#"):
 
 
 def run(args, tmp_path, cache="cache", out="out", extra=()):
-    argv = list(args) + [
-        "--cache-dir", str(tmp_path / cache),
-        "--out-dir", str(tmp_path / out),
-        "--offline",
-    ] + list(extra)
+    argv = list(args) + ["--cache-dir", str(tmp_path / cache), "--offline"] + list(extra)
+    if args[0] != "fetch":
+        argv += ["--out-dir", str(tmp_path / out)]
     return main(argv)
 
 
@@ -56,7 +54,7 @@ class TestFetch:
         endpoint = MockEndpoint(blocks)
         monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
         argv = ["fetch", "--start-block", "10", "--num-blocks", "10",
-                "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path)]
+                "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         assert "10 fetched, 0 cache hits" in capsys.readouterr().out
 
@@ -66,7 +64,7 @@ class TestFetch:
         endpoint = MockEndpoint(blocks)
         monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
         argv = ["fetch", "--start-block", "10", "--num-blocks", "3",
-                "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path)]
+                "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         assert sorted(endpoint.block_calls()) == [10, 12]
         assert "2 fetched, 1 cache hits" in capsys.readouterr().out
@@ -74,6 +72,13 @@ class TestFetch:
     def test_offline_miss_fails(self, tmp_path, capsys):
         assert run(["fetch", "--start-block", "5", "--num-blocks", "1"], tmp_path) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_offline_corrupt_entry_named(self, forest_cache, capsys):
+        path = forest_cache / "cache" / "000000000002.json"
+        path.write_bytes(path.read_bytes()[:-2] + b"\n")
+        assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "not in cache" not in err
 
 
 class TestAnalyze:
@@ -212,6 +217,7 @@ class TestCliSurface:
         ["analyze", "--start-block", "1", "--format", "pretty"],
         ["export", "--start-block", "1", "--format", "pretty"],
         ["snapshots", "--start-block", "1"],
+        ["fetch", "--start-block", "1", "--out-dir", "x"],
     ])
     def test_flag_of_another_command_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):

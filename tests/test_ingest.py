@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 
@@ -79,6 +80,13 @@ class TestParseBlockJson:
         with pytest.raises(BlockParseError, match="value"):
             parse_block_json(bad)
 
+    @pytest.mark.parametrize("value", [-1, True])
+    def test_negative_or_bool_quantity_rejected(self, value):
+        bad = raw_block(1, [raw_tx(1, addr(1), addr(2))])
+        bad["transactions"][0]["value"] = value
+        with pytest.raises(BlockParseError, match="value"):
+            parse_block_json(bad)
+
     @given(st.integers(min_value=0, max_value=2**256 - 1))
     def test_quantity_round_trip(self, value):
         assert parse_quantity(hex(value), "x") == value
@@ -137,6 +145,24 @@ class TestFetchBlock:
         assert chain_head(MockEndpoint({41: raw_block(41, [])})) == 41
 
 
+def write_entry(path, body: bytes, header: bytes = b"chaingraph-block/2") -> None:
+    """Write a cache entry whose checksum matches ``body``."""
+    digest = hashlib.sha256(body).hexdigest().encode()
+    path.write_bytes(header + b" sha256:" + digest + b"\n" + body)
+
+
+def write_legacy_entry(path, result: dict) -> None:
+    """Write an entry in the older format: checksum line, then RPC JSON."""
+    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    path.write_text(f"sha256:{digest}\n{text}\n")
+
+
+VALID_BODY = ("12 0x" + "ab" * 32 + " 1500000000 0x" + "cd" * 20 + "\n"
+              "0x" + "01" * 32 + " 0x" + "02" * 20 + " 0x" + "03" * 20 + " ff\n"
+              "0x" + "04" * 32 + " 0x" + "05" * 20 + " - 0\n")
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = BlockCache(tmp_path)
@@ -144,14 +170,112 @@ class TestCache:
         cache.store(12, result)
         assert cache.load(12) == parse_block_json(result)
 
+    @given(txs=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=2**160 - 1),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**160 - 1)),
+        st.integers(min_value=0, max_value=2**256 - 1),
+        st.booleans()), max_size=6),
+        number=st.integers(min_value=0, max_value=10**9),
+        timestamp=st.integers(min_value=0, max_value=2**40))
+    def test_store_load_round_trip(self, txs, number, timestamp):
+        raw_txs = []
+        for i, (sender, recipient, value, upper) in enumerate(txs):
+            case = str.upper if upper else str.lower
+            raw_txs.append(raw_tx(i, "0x" + case(format(sender, "040x")),
+                                  None if recipient is None
+                                  else "0x" + case(format(recipient, "040x")),
+                                  value=value))
+        raw = raw_block(number, raw_txs, timestamp=timestamp)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = BlockCache(tmp)
+            stored = cache.store(number, raw)
+            assert stored == parse_block_json(raw)
+            assert cache.load(number) == stored
+
     def test_corruption_detected(self, tmp_path):
         cache = BlockCache(tmp_path)
         cache.store(12, raw_block(12, []))
         path = cache.path(12)
-        path.write_text(path.read_text().replace('"0xc"', '"0xd"'))
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 5] ^= 0x01
+        path.write_bytes(bytes(data))
         with pytest.raises(CacheCorruptError):
             cache.load(12)
-        assert cache.get(12) is None
+        with pytest.raises(CacheCorruptError, match=str(path)):
+            cache.get(12)
+
+    def test_valid_body_accepted(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), VALID_BODY.encode())
+        block = cache.load(12)
+        assert block.transactions[0].value == 255
+        assert block.transactions[1].recipient is None
+
+    @pytest.mark.parametrize("old,new", [
+        (" 0x" + "02" * 20, " 0x" + "02" * 19 + "0"),       # 39-digit address
+        (" ff\n", " 1" + "0" * 64 + "\n"),                 # 65-digit value
+        (" ff\n", " 0ff\n"),                               # leading zero
+        (" ff\n", " FF\n"),                                # uppercase hex
+        (" 0x" + "03" * 20, " 0x" + "03" * 19 + "0"),       # short recipient
+        ("0x" + "ab" * 32, "0x" + "ab" * 31),               # short block hash
+        (" 1500000000 ", " 01500000000 "),                  # padded decimal
+        (" - 0\n", " - 0"),                                 # missing newline
+        (" - 0\n", " - 0 extra\n"),                        # extra field
+    ])
+    def test_malformed_field_with_valid_checksum(self, tmp_path, old, new):
+        assert VALID_BODY.count(old) == 1
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), VALID_BODY.replace(old, new).encode())
+        with pytest.raises(CacheCorruptError, match="malformed"):
+            cache.load(12)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), VALID_BODY.encode(), header=b"chaingraph-block/3")
+        with pytest.raises(CacheCorruptError):
+            cache.load(12)
+
+    def test_entry_of_another_block_refused(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        cache.store(12, raw_block(12, [raw_tx(1, addr(1), addr(2))]))
+        cache.path(13).write_bytes(cache.path(12).read_bytes())
+        with pytest.raises(CacheCorruptError, match="holds block 12, not 13"):
+            cache.load(13)
+
+    def test_store_refuses_another_block(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        with pytest.raises(BlockParseError, match="number"):
+            cache.store(13, raw_block(12, []))
+        assert not cache.path(13).exists()
+
+    def test_legacy_entry_migrated(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        raw = raw_block(12, [raw_tx(1, "0xAbC" + "0" * 37, None, value=2**256 - 1)])
+        write_legacy_entry(cache.path(12), raw)
+        assert cache.load(12) == parse_block_json(raw)
+        assert cache.path(12).read_bytes().startswith(b"chaingraph-block/2 sha256:")
+        assert cache.load(12) == parse_block_json(raw)
+
+    def test_legacy_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
+        cache = BlockCache(tmp_path)
+        raw = raw_block(12, [raw_tx(1, addr(1), addr(2))])
+        write_legacy_entry(cache.path(12), raw)
+        before = cache.path(12).read_bytes()
+
+        def refuse(block):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(cache, "_write", refuse)
+        assert cache.load(12) == parse_block_json(raw)
+        assert cache.path(12).read_bytes() == before
+
+    def test_corrupt_legacy_entry_rejected(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        raw = raw_block(12, [])
+        raw["miner"] = "0x1234"
+        write_legacy_entry(cache.path(12), raw)
+        with pytest.raises(CacheCorruptError, match="miner"):
+            cache.load(12)
 
 
 class TestFetchRange:
@@ -194,6 +318,18 @@ class TestFetchRange:
         blocks = list(fetch_range(ep, SnapshotSpec(100, 3), cache))
         assert [b.number for b in blocks] == [100, 101, 102]
         assert ep.block_calls() == [101]
+        assert cache.load(101) == blocks[1]
+
+    def test_corrupt_entry_offline_reported(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        for n in (100, 101, 102):
+            cache.store(n, raw_block(n, []))
+        path = cache.path(101)
+        path.write_bytes(path.read_bytes().replace(b" 1500000000 ", b" 1500000001 "))
+        ep = MockEndpoint(self.make([101]))
+        with pytest.raises(CacheCorruptError, match=str(path)):
+            list(fetch_range(ep, SnapshotSpec(100, 3), cache, offline=True))
+        assert ep.calls == []
 
     def test_malformed_block_not_cached(self, tmp_path):
         raw = raw_block(100, [])
