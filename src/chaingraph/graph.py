@@ -55,8 +55,15 @@ class TransactionGraph:
 
     def add_interaction(self, sender: str, recipient: str, count: int = 1) -> None:
         """Record `count` transactions from sender to recipient."""
-        self.add_node(sender)
-        self.add_node(recipient)
+        # Interns both endpoints as add_node does, without the two calls:
+        # build_graph runs this once per transaction.
+        index = self._index
+        if sender not in index:
+            index[sender] = len(self.labels)
+            self.labels.append(sender)
+        if recipient not in index:
+            index[recipient] = len(self.labels)
+            self.labels.append(recipient)
         if sender == recipient:
             self.loops[sender] = self.loops.get(sender, 0) + count
             return
@@ -112,17 +119,17 @@ class SimpleGraph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def subgraph(self, node_indices: list[int]) -> "SimpleGraph":
-        """Induced subgraph, nodes reindexed in the given order."""
-        remap = {old: new for new, old in enumerate(node_indices)}
-        edges = [
-            (remap[u], remap[v])
-            for u in node_indices
-            for v in self.adj[u]
-            if u < v and v in remap
-        ]
-        return SimpleGraph.from_edges(
-            len(node_indices), edges, labels=[self.labels[i] for i in node_indices]
-        )
+        """Induced subgraph on distinct nodes, reindexed in the given order."""
+        remap = [-1] * self.n  # old index -> new index, -1 outside the subgraph
+        for new, old in enumerate(node_indices):
+            remap[old] = new
+        adj = []
+        for u in node_indices:
+            neigh = [remap[v] for v in self.adj[u] if remap[v] >= 0]
+            neigh.sort()
+            adj.append(neigh)
+        return SimpleGraph(labels=[self.labels[i] for i in node_indices], adj=adj,
+                           m=sum(map(len, adj)) // 2)
 
 
 def node_for_recipient(tx: TxRecord) -> str:
@@ -137,32 +144,39 @@ def build_graph(blocks: Iterable[BlockRecord]) -> TransactionGraph:
     """One node per account seen as sender or resolved recipient; every
     transaction adds 1 to its pair's weight (or to the loop count)."""
     g = TransactionGraph()
+    add = g.add_interaction
     for block in blocks:
         for tx in block.transactions:
-            g.add_interaction(tx.sender, node_for_recipient(tx))
+            add(tx.sender, node_for_recipient(tx))
     return g
 
 
 def project_simple(g: TransactionGraph) -> SimpleGraph:
     """Drop weights and loops; same node set."""
-    idx = g.index_of
-    return SimpleGraph.from_edges(
-        g.n, ((idx(u), idx(v)) for (u, v) in g.edges), labels=list(g.labels)
-    )
+    # Edge keys are distinct label pairs without loops, so the adjacency
+    # lists need no de-duplication, and m is the number of keys.
+    index = g._index
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        adj[i].append(j)
+        adj[j].append(i)
+    for neigh in adj:
+        neigh.sort()
+    return SimpleGraph(labels=list(g.labels), adj=adj, m=len(g.edges))
 
 
 def export_pajek(g: TransactionGraph, sink: TextIO) -> None:
     """Write the Pajek .net form: 1-based vertex indices in insertion
     order, weighted *Edges* lines, loops as `u u count`."""
+    index = g._index
     sink.write(f"*Vertices {g.n}\n")
-    for i, label in enumerate(g.labels, start=1):
-        sink.write(f'{i} "{label}"\n')
+    sink.writelines([f'{i} "{label}"\n' for i, label in enumerate(g.labels, start=1)])
     sink.write("*Edges\n")
-    for (u, v), weight in g.edges.items():
-        sink.write(f"{g.index_of(u) + 1} {g.index_of(v) + 1} {weight}\n")
-    for label, count in g.loops.items():
-        i = g.index_of(label) + 1
-        sink.write(f"{i} {i} {count}\n")
+    sink.writelines([f"{index[u] + 1} {index[v] + 1} {weight}\n"
+                     for (u, v), weight in g.edges.items()])
+    sink.writelines([f"{index[label] + 1} {index[label] + 1} {count}\n"
+                     for label, count in g.loops.items()])
 
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')

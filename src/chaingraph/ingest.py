@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import requests
 
@@ -86,12 +87,14 @@ class OfflineMissError(IngestError):
     """Cache miss while running in offline mode."""
 
 
-@dataclass(frozen=True)
-class TxRecord:
+class TxRecord(NamedTuple):
     """One transaction as recorded in a block body.
 
     ``recipient`` is None for contract creations. ``value`` is in wei and
     may need the full 256-bit range (Python ints are arbitrary precision).
+    Records are immutable named tuples: a warm load builds one per cached
+    transaction, and a tuple costs less to build and hold than an object
+    with a ``__dict__``.
     """
 
     tx_hash: str
@@ -100,8 +103,7 @@ class TxRecord:
     value: int
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(NamedTuple):
     number: int
     hash: str
     timestamp: int
@@ -232,10 +234,18 @@ class JsonRpcEndpoint:
             body = resp.json()
         except (requests.RequestException, ValueError) as exc:
             raise TransportError(f"{method} failed: {exc}") from exc
-        if "error" in body and body["error"] is not None:
-            err = body["error"]
+        # A reply that is not a JSON-RPC response object (an error page, a
+        # proxy's JSON, a bare value) is a transport fault, not a result.
+        if not isinstance(body, dict):
+            raise TransportError(f"{method} failed: reply is not a JSON object: {body!r:.80}")
+        err = body.get("error")
+        if err is not None:
+            if not isinstance(err, dict):
+                raise TransportError(f"{method} failed: error is not an object: {err!r:.80}")
             raise RpcError(err.get("code", -1), err.get("message", "unknown error"))
-        return body.get("result")
+        if "result" not in body:
+            raise TransportError(f"{method} failed: reply has neither result nor error")
+        return body["result"]
 
 
 def _call_with_retries(endpoint, method: str, params: list,
@@ -305,9 +315,10 @@ class BlockCache:
     the block's validated fields (see ``CACHE_FORMAT``), so partial runs
     resume and replays never hit the network. Entries are validated before
     they are written and checked field by field when read. Writes are
-    atomic (write-then-rename). An entry in the older format, a sha256 line
-    followed by the full JSON-RPC result, is verified, parsed and rewritten
-    in the current format on first load.
+    atomic: each writer writes a temp file of its own, then renames it. An
+    entry in the older format, a sha256 line followed by the full JSON-RPC
+    result, is verified, parsed and rewritten in the current format on
+    first load.
     """
 
     def __init__(self, directory):
@@ -332,9 +343,18 @@ class BlockCache:
         body = _encode(block)
         header = CACHE_FORMAT + b" sha256:" + hashlib.sha256(body).hexdigest().encode("ascii")
         path = self.path(block.number)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(header + b"\n" + body)
-        tmp.replace(path)
+        # A temp name of this writer's own ("x" refuses an existing file),
+        # so concurrent writers of one block never rename each other's
+        # half-written file into place.
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        f = open(tmp, "xb")
+        try:
+            with f:
+                f.write(header + b"\n" + body)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load(self, number: int) -> BlockRecord:
         """Load and verify a cached block; raises FileNotFoundError on a

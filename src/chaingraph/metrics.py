@@ -150,16 +150,22 @@ def _neighbour_links(g: SimpleGraph) -> list[int]:
 
     Edge iterator (Schank and Wagner, WEA 2005): each edge u < v adds its
     common-neighbour count to both endpoints, which counts every edge
-    among a node's neighbours twice.
+    among a node's neighbours twice. A leaf closes no triangle, so leaves
+    get no set and edges with a leaf endpoint are skipped.
     """
-    adj_sets = [set(neigh) for neigh in g.adj]
+    adj = g.adj
+    adj_sets = [set(neigh) if len(neigh) >= 2 else None for neigh in adj]
     counts = [0] * g.n
-    for u, neigh in enumerate(g.adj):
-        for v in neigh:
+    for u, set_u in enumerate(adj_sets):
+        if set_u is None:
+            continue
+        for v in adj[u]:
             if u < v:
-                common = len(adj_sets[u] & adj_sets[v])
-                counts[u] += common
-                counts[v] += common
+                set_v = adj_sets[v]
+                if set_v is not None:
+                    common = len(set_u & set_v)
+                    counts[u] += common
+                    counts[v] += common
     return [c // 2 for c in counts]
 
 

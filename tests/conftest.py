@@ -4,6 +4,7 @@ import pytest
 
 from chaingraph.ingest import (
     BlockRecord,
+    JsonRpcEndpoint,
     RpcError,
     TransportError,
     TxRecord,
@@ -79,6 +80,30 @@ class MockEndpoint:
 
     def block_calls(self) -> list[int]:
         return [int(p[0], 16) for m, p in self.calls if m == "eth_getBlockByNumber"]
+
+
+class StubSession:
+    """Stands in for ``requests.Session``: every POST replies with ``body``."""
+
+    def __init__(self, body):
+        self.body = body
+        self.posts = []
+
+    def post(self, url, json, timeout):
+        self.posts.append(json)
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.body
+
+
+def stub_endpoint(body) -> JsonRpcEndpoint:
+    endpoint = JsonRpcEndpoint("http://localhost:1")
+    endpoint._session = StubSession(body)
+    return endpoint
 
 
 def star_pairs(leaves: int = 18) -> list[tuple[str, str]]:

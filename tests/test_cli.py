@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from conftest import (
     raw_tx,
     seed_cache,
     star_pairs,
+    stub_endpoint,
 )
 
 
@@ -72,6 +74,15 @@ class TestFetch:
     def test_offline_miss_fails(self, tmp_path, capsys):
         assert run(["fetch", "--start-block", "5", "--num-blocks", "1"], tmp_path) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_object_reply_reported(self, tmp_path, capsys, monkeypatch):
+        endpoint = stub_endpoint("<html>502 Bad Gateway</html>")
+        monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
+        monkeypatch.setattr("chaingraph.ingest.time.sleep", lambda seconds: None)
+        argv = ["fetch", "--start-block", "1", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eth_getBlockByNumber failed") and "Traceback" not in err
 
     def test_offline_corrupt_entry_named(self, forest_cache, capsys):
         path = forest_cache / "cache" / "000000000002.json"
@@ -235,3 +246,157 @@ def test_paper_anchors_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "nodes=55 (55)" in proc.stdout
+
+
+class TestPinnedOutputs:
+    # sha256 of every output file, headers included. Code that claims to
+    # keep the outputs must keep these; they were recorded before the
+    # records, projection, subgraph and triangle kernel were rewritten for
+    # speed, on the plain set-based versions.
+    NUM_BLOCKS = {"star": 1, "forest": 3, "mixed": 3}
+    SNAPSHOTS = {"star": ["1:1", "1:1"], "forest": ["1:1", "1:3"], "mixed": ["1:1", "1:3"]}
+    COMMANDS = {
+        "analyze-exact": ["analyze"],
+        "analyze-sampled": ["analyze", "--exact-threshold", "10", "--sample-sources", "5",
+                            "--seed", "3"],
+        "smallworld": ["smallworld", "--trials", "3", "--seed", "2"],
+        "miners": ["miners"],
+        "export-csv": ["export", "--format", "csv"],
+        "export-pajek": ["export", "--format", "pajek"],
+    }
+    EXPECTED = {
+        "star": {
+            "analyze-exact/degree.csv":
+                "0ffd4ac00e82f4dd487d3b999eaf5cb243d2e9175d9025ca2f23e18b46ac7f63",
+            "analyze-exact/degree_loglog.csv":
+                "a8fb35b9df5ece977408867e91aa75fa171e8059f883a6215e296179b8f0e1f0",
+            "analyze-exact/distances.csv":
+                "5066d0b8f945cefc828c0ccd8bab1f24fe3a032897ccafdad3abfb054936dbdf",
+            "analyze-exact/graph.net":
+                "7ce2badfd2dfdcb9e091a19ce9b72ada7b1809d86ba9a19431240b158b22c4f2",
+            "analyze-exact/metrics.csv":
+                "b1e4a1a9abf864811d1cf19236072035c600247deb4e90781ce476c657119fc9",
+            "analyze-sampled/degree.csv":
+                "3a39fd2fd21a91cb5e7ae06d614b2fac266a74dae731d0ff45d01e7ccb5b4071",
+            "analyze-sampled/degree_loglog.csv":
+                "46d3ebe02b1cdea9acb447a9312cc17239de06317d5bb18bd03d50b9d28829e6",
+            "analyze-sampled/distances.csv":
+                "71e5605cc93c5863fc960d55e8352e02bf2405af2eb225772022764e15b39da3",
+            "analyze-sampled/graph.net":
+                "e863b9f26a1474763f401dee80a219e42f735a1fc010dacd6265105f0d2c1657",
+            "analyze-sampled/metrics.csv":
+                "6049c815d211b3ee8a52912103e5f7514602679848d1af5e34105bf993d0d4d9",
+            "smallworld/smallworld.csv":
+                "ac8a59c855cacb397361b3ecd51a5e012b83661c5ea1d95f5554412b8c8c8591",
+            "miners/miner_histogram.csv":
+                "ce714fe8b81ffb46b86231e2f2559ab57bee9682deafee9e3c69cda4fca8a9ab",
+            "miners/miners.csv":
+                "c2a85e9a6b2ca14e5d470f6c14753cfbbc16c01926ca08c1d1336bcdabbdf200",
+            "export-csv/edges.csv":
+                "b37ee3e5df87d5c37e576dab0a0ed366395ae7dd1c0abae063892bbd440ff472",
+            "export-pajek/graph.net":
+                "cdee791c58d27fe640e13461d2722616c4cf2fa4d3408a08c07fdd1dc529e703",
+            "snapshots/snapshots.csv":
+                "ea7f0826678f5e3dc084c059dd152ff997a39d698fae16521eed563a52e6dd2a",
+        },
+        "forest": {
+            "analyze-exact/degree.csv":
+                "173ebe232e4eaef06ef104db6228c0c0b65a9fcff8e2d9f3d06820843ef3c9fc",
+            "analyze-exact/degree_loglog.csv":
+                "d713c56ff8f097b94bc2d81abc13e444a122a91957120897aa22e6b31fa93ed8",
+            "analyze-exact/distances.csv":
+                "242ff62ca24cef9334461a1b4ba5680643e604264c9330fc4a3b180b14307043",
+            "analyze-exact/graph.net":
+                "be37168c87cfdc4c3cb4bc260e4ad913dd15eb1b8b3a07cc1c31d3c7eae87e97",
+            "analyze-exact/metrics.csv":
+                "f6089e7c3b8ded0647d50a761a141bf5407571c0d708a8bffcba04960ca11d37",
+            "analyze-sampled/degree.csv":
+                "4819845ac12f65d238eec86182f937a0671a3336d30b5c92bb00860f706c5627",
+            "analyze-sampled/degree_loglog.csv":
+                "cd71c39847d19f8e0a1dffc9d7c9ec5e8b3c83a48d1c02401997a4204c539247",
+            "analyze-sampled/distances.csv":
+                "26c008763d3816e77965320bf60905e542fc6855eeb35c91d0bcc9ec81800610",
+            "analyze-sampled/graph.net":
+                "f98f807ee0eea8c8ff9b56ae5e6bc8c0e6f61214dd58cc840f2e1acb2a5639fc",
+            "analyze-sampled/metrics.csv":
+                "5756d64bb397ab9156518a2f3b28a947f2b660f1ff063ee76c457e48e8d6bb97",
+            "smallworld/smallworld.csv":
+                "bbe56edb3564c7922c31cadb2df08d025ce02fa40c92764996b07947bc56302c",
+            "miners/miner_histogram.csv":
+                "4c90888fb41a8945c677b28dd45e643b23bd06ea9b2013a3b3ae59d413fcd9b9",
+            "miners/miners.csv":
+                "8df8b9402855d55a76390e9b4a6f2ec3e0b834708a3151367a035c9413565395",
+            "export-csv/edges.csv":
+                "2f1c70ccd80c84d4509412001882140724d89d4f8d74d845213ab1fed6aa431b",
+            "export-pajek/graph.net":
+                "745235acf38da008123697ae29d0b346618d4171fb20887067a88efafe2a3281",
+            "snapshots/snapshots.csv":
+                "f77e7aee2456ea5446778a8cd208849559b6db23a28cfb1d15b8004e9df35396",
+        },
+        "mixed": {
+            "analyze-exact/degree.csv":
+                "932457acb1b5700e162945f442c857b3c8c005372a34519d40ad4024e8ea9e27",
+            "analyze-exact/degree_loglog.csv":
+                "af6239397528fa1b9113d56feef0a203519aed449fab11749acc76d7e73f0d83",
+            "analyze-exact/distances.csv":
+                "8608cbc80aece54f620ce148f26383ec9cd733e45be41a76e2c8b7b116e43567",
+            "analyze-exact/graph.net":
+                "2a9289687b56500b437ad048fbdb3beefa46aa6aeb0373471f7d5a882e984086",
+            "analyze-exact/metrics.csv":
+                "e91e4899a9c439e25f7a2b4be2c1bf199d0a7154d7d9132274d5e18ab4c011de",
+            "analyze-sampled/degree.csv":
+                "5eaaa0e59e4a11754ec00789f7fa53416f96fec7d660feec2406a6d46d4e9bce",
+            "analyze-sampled/degree_loglog.csv":
+                "ba41fbecfcad42cae56958bed0ea4a69da9980f4b05d5b1f909cbfc66996140a",
+            "analyze-sampled/distances.csv":
+                "a98a05ca589bfaa7aa5568baac2400cd1d12048bdaea65238d8a0eb7c4126701",
+            "analyze-sampled/graph.net":
+                "93e9538301a75aae1f1190bc12b5e6548c943ec59c6c786dff972ab2708b0ab1",
+            "analyze-sampled/metrics.csv":
+                "57c529a2b2e92b8cc25d1e0e2123be38a6f17a48582b0d4c60f8dcf2839b507c",
+            "smallworld/smallworld.csv":
+                "cae7877743b054ccef34b9bc12a4a24b1a1576dd5d2b0e3f1f77fde32d69fd16",
+            "miners/miner_histogram.csv":
+                "4c90888fb41a8945c677b28dd45e643b23bd06ea9b2013a3b3ae59d413fcd9b9",
+            "miners/miners.csv":
+                "8df8b9402855d55a76390e9b4a6f2ec3e0b834708a3151367a035c9413565395",
+            "export-csv/edges.csv":
+                "e64cd42c838958ccf2f42b0e472ab790af17a1d3b3c6e4aea259f15cacdaa661",
+            "export-pajek/graph.net":
+                "d495aa9b67f4652b9d5d9098efcaf3058e6e0b213f74972ba4c1b1ba09192812",
+            "snapshots/snapshots.csv":
+                "5360481ad0eac89394d2fa8165161a646875202bde81277677a1d469d656f2a8",
+        },
+    }
+
+    @staticmethod
+    def mixed_pairs():
+        """Triangles next to leaves: a hub joined to a 5-clique, pendant
+        leaves and a pendant path, repeats both ways, loops, creations, and
+        a second component holding one triangle."""
+        hub, clique = addr(0xA0), [addr(0xB0 + i) for i in range(5)]
+        pairs = [(hub, c) for c in clique]
+        pairs += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+        pairs += [(hub, addr(0xC0 + i)) for i in range(6)]
+        pairs += [(clique[0], addr(0xD0)), (addr(0xD0), addr(0xD1)), (addr(0xD2), addr(0xD1))]
+        pairs += [(clique[1], hub), (clique[1], hub), (hub, hub), (addr(0xC0), None)]
+        tri = [addr(0xE0 + i) for i in range(3)]
+        pairs += [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]), (tri[2], addr(0xE3))]
+        return pairs
+
+    @pytest.mark.parametrize("fixture", ["star", "forest", "mixed"])
+    def test_output_digests(self, fixture, tmp_path):
+        pairs = {"star": star_pairs, "forest": forest_pairs,
+                 "mixed": self.mixed_pairs}[fixture]()
+        count = self.NUM_BLOCKS[fixture]
+        seed_cache(tmp_path / "cache", pairs_to_raw_blocks(pairs, start=1, num_blocks=count))
+        runs = {name: argv + ["--start-block", "1", "--num-blocks", str(count)]
+                for name, argv in self.COMMANDS.items()}
+        runs["snapshots"] = ["snapshots"] + [
+            arg for spec in self.SNAPSHOTS[fixture] for arg in ("--snapshot", spec)]
+        digests = {}
+        for name, argv in runs.items():
+            assert run(argv, tmp_path, out=name) == 0, name
+            for path in sorted((tmp_path / name).iterdir()):
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.EXPECTED[fixture]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaingraph.graph import (
     PajekError,
+    SimpleGraph,
     TransactionGraph,
     build_graph,
     export_edge_csv,
@@ -99,6 +100,17 @@ class TestProjectSimple:
     def test_edge_count_preserved(self):
         g = build_graph(forest_blocks())
         assert project_simple(g).m == g.m
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 3)),
+                    max_size=60))
+    def test_matches_from_edges(self, raw):
+        # Repeats, both directions and loops, folded by from_edges.
+        g = TransactionGraph()
+        for u, v, count in raw:
+            g.add_interaction(f"n{u}", f"n{v}", count=count)
+        pairs = [(g.index_of(f"n{u}"), g.index_of(f"n{v}")) for u, v, _ in raw]
+        assert project_simple(g) == SimpleGraph.from_edges(g.n, pairs, labels=list(g.labels))
 
 
 def random_graph_pairs(rng, n_nodes, n_txs):

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chaingraph.ingest import (
     BlockCache,
+    BlockRecord,
     BlockNotFoundError,
     BlockParseError,
     CacheCorruptError,
@@ -14,6 +17,7 @@ from chaingraph.ingest import (
     RpcError,
     SnapshotSpec,
     TransportError,
+    TxRecord,
     fetch_block,
     fetch_range,
     chain_head,
@@ -22,7 +26,7 @@ from chaingraph.ingest import (
     canonical_address,
 )
 
-from conftest import MockEndpoint, addr, raw_block, raw_tx
+from conftest import MockEndpoint, addr, raw_block, raw_tx, stub_endpoint
 
 
 class TestParseBlockJson:
@@ -42,6 +46,20 @@ class TestParseBlockJson:
         assert rec.transactions[1].recipient is None
         assert rec.transactions[2].value == 10**18
         assert rec.transactions[0].sender == "0x32be343b94f860124dc4fee278fdcbd38c102d88"
+
+    def test_records_immutable_and_hashable(self, fixture_a_record):
+        rec = fixture_a_record
+        tx = rec.transactions[0]
+        for obj, field in ((rec, "number"), (tx, "value"), (tx, "not_a_field")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 1)
+        copy = BlockRecord(number=rec.number, hash=rec.hash, timestamp=rec.timestamp,
+                           miner=rec.miner, transactions=tuple(
+                               TxRecord(tx_hash=t.tx_hash, sender=t.sender,
+                                        recipient=t.recipient, value=t.value)
+                               for t in rec.transactions))
+        assert copy == rec and hash(copy) == hash(rec)
+        assert len({rec, copy, tx}) == 2
 
     def test_hex_quantity(self):
         assert parse_quantity("0x10", "number") == 16
@@ -145,6 +163,38 @@ class TestFetchBlock:
         assert chain_head(MockEndpoint({41: raw_block(41, [])})) == 41
 
 
+class TestJsonRpcEndpoint:
+    @pytest.mark.parametrize("body", [
+        [1, 2], None, "an error page", 7,
+        {"error": "text"}, {"error": ["x"]},
+        {"jsonrpc": "2.0", "id": 1},
+    ])
+    def test_malformed_reply_is_transport_error(self, body):
+        with pytest.raises(TransportError, match="eth_getBlockByNumber"):
+            stub_endpoint(body).call("eth_getBlockByNumber", ["0x1", True])
+
+    def test_null_result_is_none(self):
+        assert stub_endpoint({"jsonrpc": "2.0", "id": 1, "result": None}).call(
+            "eth_getBlockByNumber", ["0x1", True]) is None
+
+    def test_result_returned(self):
+        endpoint = stub_endpoint({"jsonrpc": "2.0", "id": 1, "result": "0x29"})
+        assert endpoint.call("eth_blockNumber", []) == "0x29"
+        assert endpoint._session.posts[0]["method"] == "eth_blockNumber"
+
+    def test_error_object_is_rpc_error(self):
+        body = {"error": {"code": -32000, "message": "boom"}, "result": None}
+        with pytest.raises(RpcError) as exc:
+            stub_endpoint(body).call("eth_blockNumber", [])
+        assert (exc.value.code, exc.value.message) == (-32000, "boom")
+
+    def test_non_object_reply_retried_then_raised(self):
+        endpoint = stub_endpoint(["not", "a", "response"])
+        with pytest.raises(TransportError):
+            fetch_block(endpoint, 1, backoff=0.0)
+        assert len(endpoint._session.posts) == 3
+
+
 def write_entry(path, body: bytes, header: bytes = b"chaingraph-block/2") -> None:
     """Write a cache entry whose checksum matches ``body``."""
     digest = hashlib.sha256(body).hexdigest().encode()
@@ -241,6 +291,53 @@ class TestCache:
         cache.path(13).write_bytes(cache.path(12).read_bytes())
         with pytest.raises(CacheCorruptError, match="holds block 12, not 13"):
             cache.load(13)
+
+    def test_store_leaves_other_writers_temp_file(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        other = cache.path(12).with_suffix(".tmp")
+        other.write_bytes(b"half-written by another writer")
+        raw = raw_block(12, [raw_tx(1, addr(1), addr(2))])
+        cache.store(12, raw)
+        assert other.read_bytes() == b"half-written by another writer"
+        assert cache.load(12) == parse_block_json(raw)
+
+    def test_concurrent_stores_of_one_block(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        raw = raw_block(12, [raw_tx(i, addr(i), addr(i + 1)) for i in range(50)])
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(20):
+                    cache.store(12, raw)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == [cache.path(12).name]
+        assert cache.load(12) == parse_block_json(raw)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = BlockCache(tmp_path)
+
+        def refuse(self, target):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(type(tmp_path), "replace", refuse)
+        with pytest.raises(PermissionError):
+            cache.store(12, raw_block(12, []))
+        assert list(tmp_path.iterdir()) == []
 
     def test_store_refuses_another_block(self, tmp_path):
         cache = BlockCache(tmp_path)

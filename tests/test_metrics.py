@@ -127,6 +127,22 @@ class TestComponents:
         main = largest_component(g)
         assert main.n == 3 and main.m == 2
 
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_subgraph_matches_from_edges(self, data):
+        # Any order of distinct nodes, closed under adjacency or not.
+        n = data.draw(st.integers(0, 14))
+        node = st.integers(0, max(n - 1, 0))
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=40)) if n else []
+        g = SimpleGraph.from_edges(n, edges, labels=[f"v{i}" for i in range(n)])
+        nodes = data.draw(st.lists(node, unique=True, max_size=n)) if n else []
+        remap = {old: new for new, old in enumerate(nodes)}
+        expected = SimpleGraph.from_edges(
+            len(nodes),
+            [(remap[u], remap[v]) for u, v in g.edge_list() if u in remap and v in remap],
+            labels=[g.labels[i] for i in nodes])
+        assert g.subgraph(nodes) == expected
+
 
 class TestClustering:
     def test_triangle_transitivity_one(self):
@@ -156,6 +172,33 @@ class TestClustering:
         g = complete_graph(6)
         assert transitivity(g) == 1.0
         assert average_local_clustering(g) == 1.0
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_leaf_heavy_matches_brute_force(self, data):
+        # A small random core with star leaves and pendant paths hung on it:
+        # most nodes are leaves, which the triangle kernel skips.
+        core = data.draw(st.integers(3, 10))
+        node = st.integers(0, core - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=30))
+        n = core
+        for anchor, leaves, path in data.draw(st.lists(
+                st.tuples(node, st.integers(0, 6), st.integers(0, 3)), max_size=5)):
+            for _ in range(leaves):
+                edges.append((anchor, n))
+                n += 1
+            tail = anchor
+            for _ in range(path):
+                edges.append((tail, n))
+                tail, n = n, n + 1
+        g = simple(n, edges)
+        adj_sets = [set(neigh) for neigh in g.adj]
+        assert metrics._neighbour_links(g) == [
+            sum(1 for a, b in combinations(g.adj[v], 2) if b in adj_sets[a])
+            for v in range(g.n)]
+        assert transitivity(g) == pytest.approx(brute_transitivity(g), abs=1e-12)
+        assert average_local_clustering(g) == pytest.approx(
+            brute_average_local_clustering(g), abs=1e-12)
 
 
 class TestDistance:
