@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 from chaingraph import __version__
 from chaingraph.baseline import UNDEFINED, small_world_report
@@ -129,11 +129,11 @@ def _endpoint(cfg: RunConfig) -> Optional[JsonRpcEndpoint]:
 
 
 def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
-                 on_block: Optional[Callable[[int, bool], None]] = None) -> list[BlockRecord]:
+                 on_block: Optional[Callable[[int, bool], None]] = None) -> Iterator[BlockRecord]:
+    """The snapshot's blocks in order, streamed: each command reads them
+    once, so none holds the whole range in memory."""
     cache = BlockCache(cfg.cache_dir)
-    return list(
-        fetch_range(_endpoint(cfg), spec, cache, offline=cfg.offline, on_block=on_block)
-    )
+    return fetch_range(_endpoint(cfg), spec, cache, offline=cfg.offline, on_block=on_block)
 
 
 def cmd_fetch(cfg: RunConfig) -> int:
@@ -142,15 +142,15 @@ def cmd_fetch(cfg: RunConfig) -> int:
     def on_block(_number: int, from_cache: bool) -> None:
         stats["hits" if from_cache else "fetched"] += 1
 
-    _load_blocks(cfg, cfg.snapshots[0], on_block=on_block)
+    for _ in _load_blocks(cfg, cfg.snapshots[0], on_block=on_block):
+        pass
     print(f"{stats['fetched']} fetched, {stats['hits']} cache hits")
     return 0
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
     spec = cfg.snapshots[0]
-    blocks = _load_blocks(cfg, spec)
-    g = build_graph(blocks)
+    g = build_graph(_load_blocks(cfg, spec))
     simple = project_simple(g)
     comps = connected_components(simple)
     report = general_metrics(simple, comps)
@@ -199,8 +199,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_smallworld(cfg: RunConfig) -> int:
     spec = cfg.snapshots[0]
-    blocks = _load_blocks(cfg, spec)
-    simple = project_simple(build_graph(blocks))
+    simple = project_simple(build_graph(_load_blocks(cfg, spec)))
     main = largest_component(simple, connected_components(simple))
     if main.n == 0:
         print("error: empty graph, nothing to compare", file=sys.stderr)
@@ -226,8 +225,7 @@ def cmd_snapshots(cfg: RunConfig) -> int:
     failures = 0
     for spec in cfg.snapshots:
         try:
-            blocks = _load_blocks(cfg, spec)
-            g = build_graph(blocks)
+            g = build_graph(_load_blocks(cfg, spec))
             simple = project_simple(g)
             comps = connected_components(simple)
             main = largest_component(simple, comps)
@@ -247,8 +245,7 @@ def cmd_snapshots(cfg: RunConfig) -> int:
 
 
 def cmd_miners(cfg: RunConfig) -> int:
-    blocks = _load_blocks(cfg, cfg.snapshots[0])
-    hist = miner_distribution(blocks)
+    hist = miner_distribution(_load_blocks(cfg, cfg.snapshots[0]))
     _write_file(cfg.out_dir / "miners.csv", cfg.header_lines(),
                 lambda sink: write_miner_csv(hist, sink))
     _write_file(cfg.out_dir / "miner_histogram.csv", cfg.header_lines(),
@@ -260,8 +257,7 @@ def cmd_miners(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    blocks = _load_blocks(cfg, cfg.snapshots[0])
-    g = build_graph(blocks)
+    g = build_graph(_load_blocks(cfg, cfg.snapshots[0]))
     if cfg.fmt == "pajek":
         _write_file(cfg.out_dir / "graph.net", cfg.header_lines(),
                     lambda sink: export_pajek(g, sink), comment="%")

@@ -42,9 +42,6 @@ class TransactionGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def index_of(self, label: str) -> int:
-        return self._index[label]
-
     def add_node(self, label: str) -> int:
         idx = self._index.get(label)
         if idx is None:
@@ -69,18 +66,6 @@ class TransactionGraph:
             return
         key = (sender, recipient) if sender < recipient else (recipient, sender)
         self.edges[key] = self.edges.get(key, 0) + count
-
-    def total_transactions(self) -> int:
-        return sum(self.edges.values()) + sum(self.loops.values())
-
-    def canonical_form(self):
-        """(sorted node labels, sorted weighted edges, sorted loops) --
-        equality up to node reindexing."""
-        return (
-            tuple(sorted(self.labels)),
-            tuple(sorted((u, v, w) for (u, v), w in self.edges.items())),
-            tuple(sorted(self.loops.items())),
-        )
 
 
 @dataclass
@@ -114,9 +99,6 @@ class SimpleGraph:
                 adj[v].add(u)
                 m += 1
         return cls(labels=labels, adj=[sorted(s) for s in adj], m=m)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def subgraph(self, node_indices: list[int]) -> "SimpleGraph":
         """Induced subgraph on distinct nodes, reindexed in the given order."""

@@ -264,12 +264,6 @@ def _call_with_retries(endpoint, method: str, params: list,
     raise last  # type: ignore[misc]
 
 
-def chain_head(endpoint, retries: int = DEFAULT_RETRIES, backoff: float = DEFAULT_BACKOFF) -> int:
-    """Current chain head height via eth_blockNumber."""
-    result = _call_with_retries(endpoint, "eth_blockNumber", [], retries, backoff)
-    return parse_quantity(result, "eth_blockNumber")
-
-
 def _fetch_block_result(endpoint, number: int, retries: int, backoff: float) -> dict:
     result = _call_with_retries(
         endpoint, "eth_getBlockByNumber", [hex(number), True], retries, backoff

