@@ -152,6 +152,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
     spec = cfg.snapshots[0]
     g = build_graph(_load_blocks(cfg, spec))
     simple = project_simple(g)
+    # Only these outputs read the weighted graph; write them first and drop
+    # it, so it is not held through components, clustering and distances.
+    hist = degree_distribution(g, weighted=False)
+    _write_file(cfg.out_dir / "degree.csv", cfg.header_lines(),
+                lambda sink: write_degree_csv(hist, sink))
+    _write_file(cfg.out_dir / "degree_loglog.csv", cfg.header_lines(),
+                lambda sink: write_degree_loglog_csv(hist, sink))
+    _write_file(cfg.out_dir / "graph.net", cfg.header_lines(),
+                lambda sink: export_pajek(g, sink), comment="%")
+    del g
+
     comps = connected_components(simple)
     report = general_metrics(simple, comps)
     main = largest_component(simple, comps)
@@ -166,14 +177,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
         report.largest_component_edges,
     ]
     _write_csv(cfg.out_dir / "metrics.csv", cfg, metrics_cols, [metrics_row])
-
-    hist = degree_distribution(g, weighted=False)
-    _write_file(cfg.out_dir / "degree.csv", cfg.header_lines(),
-                lambda sink: write_degree_csv(hist, sink))
-    _write_file(cfg.out_dir / "degree_loglog.csv", cfg.header_lines(),
-                lambda sink: write_degree_loglog_csv(hist, sink))
-    _write_file(cfg.out_dir / "graph.net", cfg.header_lines(),
-                lambda sink: export_pajek(g, sink), comment="%")
 
     if main.n > 0 and main.m > 0:
         summary = distance_summary(main, cfg.policy())
@@ -225,15 +228,14 @@ def cmd_snapshots(cfg: RunConfig) -> int:
     failures = 0
     for spec in cfg.snapshots:
         try:
-            g = build_graph(_load_blocks(cfg, spec))
-            simple = project_simple(g)
+            simple = project_simple(build_graph(_load_blocks(cfg, spec)))
             comps = connected_components(simple)
             main = largest_component(simple, comps)
             if main.n > 0 and main.m > 0:
                 avg = distance_summary(main, cfg.policy()).average_distance
             else:
                 avg = 0.0
-            rows.append([spec.start_block, spec.count, g.n, main.n, g.m, main.m,
+            rows.append([spec.start_block, spec.count, simple.n, main.n, simple.m, main.m,
                          comps.num_components, avg])
         except (IngestError, ValueError, OSError) as exc:
             failures += 1

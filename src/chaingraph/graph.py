@@ -153,12 +153,14 @@ def export_pajek(g: TransactionGraph, sink: TextIO) -> None:
     order, weighted *Edges* lines, loops as `u u count`."""
     index = g._index
     sink.write(f"*Vertices {g.n}\n")
-    sink.writelines([f'{i} "{label}"\n' for i, label in enumerate(g.labels, start=1)])
+    # Generators, not lists: the lines are streamed to the sink, never all
+    # held at once next to the graph.
+    sink.writelines(f'{i} "{label}"\n' for i, label in enumerate(g.labels, start=1))
     sink.write("*Edges\n")
-    sink.writelines([f"{index[u] + 1} {index[v] + 1} {weight}\n"
-                     for (u, v), weight in g.edges.items()])
-    sink.writelines([f"{index[label] + 1} {index[label] + 1} {count}\n"
-                     for label, count in g.loops.items()])
+    sink.writelines(f"{index[u] + 1} {index[v] + 1} {weight}\n"
+                    for (u, v), weight in g.edges.items())
+    sink.writelines(f"{index[label] + 1} {index[label] + 1} {count}\n"
+                    for label, count in g.loops.items())
 
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')

@@ -17,10 +17,9 @@ import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
-
-import requests
 
 ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 HASH32_RE = re.compile(r"^0x[0-9a-fA-F]{64}$")
@@ -217,15 +216,23 @@ def parse_block_json(raw) -> BlockRecord:
 
 
 class JsonRpcEndpoint:
-    """Thin JSON-RPC 2.0 client over HTTP POST."""
+    """Thin JSON-RPC 2.0 client over HTTP POST.
+
+    ``requests`` is imported here, not with the module: only fetching
+    needs an HTTP stack, and offline runs never build an endpoint.
+    """
 
     def __init__(self, url: str, timeout: float = 30.0):
+        import requests
+
         self.url = url
         self.timeout = timeout
         self._session = requests.Session()
         self._id = 0
 
     def call(self, method: str, params: list):
+        import requests  # loaded by __init__; this only binds the name
+
         self._id += 1
         payload = {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
         try:
@@ -291,14 +298,20 @@ def _encode(block: BlockRecord) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+_CREATION = {"-": None}
+
+
 def _decode(body: bytes) -> BlockRecord:
     # Only for bodies that BODY_RE has accepted: four header fields, then
-    # four fields per transaction.
+    # four fields per transaction. The records are built column-wise by
+    # builtins, with no Python-level call per transaction: "-" maps to
+    # None through dict.get(r, r), and tuple.__new__ skips the named
+    # tuple's own constructor (BODY_RE already fixed each record's arity).
     fields = body.decode("ascii").split()
-    rest = iter(fields[4:])
-    txs = tuple([TxRecord(tx_hash, sender, None if recipient == "-" else recipient,
-                          int(value, 16))
-                 for tx_hash, sender, recipient, value in zip(rest, rest, rest, rest)])
+    recipients = fields[6::4]
+    columns = zip(fields[4::4], fields[5::4], map(_CREATION.get, recipients, recipients),
+                  map(int, fields[7::4], repeat(16)))
+    txs = tuple(map(tuple.__new__, repeat(TxRecord), columns))
     return BlockRecord(int(fields[0]), fields[1], int(fields[2]), fields[3], txs)
 
 

@@ -7,7 +7,9 @@ Distances come from a bit-parallel multi-source BFS over batches of
 sources. The BFS folds leaves: a degree-1 node lies on no shortest path
 between two other nodes, so it is never visited. A leaf is counted one
 level after its neighbour is reached, and a leaf source starts at its
-neighbour one level in. Account networks are mostly such leaves.
+neighbour one level in. Account networks are mostly such leaves. The
+fold is computed once per distance_summary and serves both the
+multi-source BFS and the double sweep behind the sampled diameter.
 """
 
 from __future__ import annotations
@@ -221,7 +223,10 @@ def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
     return dist
 
 
-def _fold_leaves(g: SimpleGraph) -> tuple[list[int], list[int], list[list[int]]]:
+_Fold = tuple[list[int], list[int], list[list[int]]]
+
+
+def _fold_leaves(g: SimpleGraph) -> _Fold:
     """(hub, leaves, core_adj) for leaf-folded BFS.
 
     A leaf is a degree-1 node whose neighbour, its hub, has degree >= 2;
@@ -243,20 +248,21 @@ def _fold_leaves(g: SimpleGraph) -> tuple[list[int], list[int], list[list[int]]]
     return hub, leaves, core_adj
 
 
-def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int]) -> tuple[int, int]:
+def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int],
+                              fold: _Fold) -> tuple[int, int]:
     """Total distance and eccentricity max over BFS runs from `sources`.
 
     Bit-parallel multi-source BFS (Then et al., PVLDB 2014): bit i of
     seen[v] means batch source i has reached v, and one level ORs each
     frontier node's bits into its neighbours. The BFS runs over core
-    nodes only (see _fold_leaves): a core node that gains bits `new` at
-    level l puts its leaves at level l + 1 for each of those sources,
-    and a leaf source starts at its hub at level 1. Each node is still
-    counted once per source that reaches it, so the reach count is an
-    exact connectivity check: raises ValueError unless every source
-    reaches every node.
+    nodes only (``fold`` is _fold_leaves(g)): a core node that gains
+    bits `new` at level l puts its leaves at level l + 1 for each of
+    those sources, and a leaf source starts at its hub at level 1. Each
+    node is still counted once per source that reaches it, so the reach
+    count is an exact connectivity check: raises ValueError unless every
+    source reaches every node.
     """
-    hub, leaves, core_adj = _fold_leaves(g)
+    hub, leaves, core_adj = fold
     total = 0
     longest = 0
     reached = 0
@@ -305,12 +311,33 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int]) -> tuple[int, 
     return total, longest
 
 
-def _double_sweep_lower_bound(g: SimpleGraph) -> int:
-    # BFS from node 0 to its farthest node, then BFS again from there;
-    # the second eccentricity lower-bounds the diameter.
-    dist = bfs_distances(g, 0)
-    far = max(range(g.n), key=lambda i: (dist[i], -i))
-    return max(bfs_distances(g, far))
+def _folded_distances(fold: _Fold, source: int) -> list[int]:
+    """bfs_distances(g, source) on a connected graph, from a BFS over
+    core nodes only: a leaf is one hop past its hub, and a leaf source
+    starts at its hub at distance 1."""
+    hub, _, core_adj = fold
+    dist = [-1] * len(hub)
+    start = source if hub[source] < 0 else hub[source]
+    dist[start] = 0 if start == source else 1
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        dv = dist[v] + 1
+        for u in core_adj[v]:
+            if dist[u] == -1:
+                dist[u] = dv
+                queue.append(u)
+    dist = [d if p < 0 else dist[p] + 1 for p, d in zip(hub, dist)]
+    dist[source] = 0
+    return dist
+
+
+def _double_sweep_lower_bound(fold: _Fold) -> int:
+    # BFS from node 0 to its farthest node (the smallest index among the
+    # farthest), then BFS again from there; the second eccentricity
+    # lower-bounds the diameter.
+    dist = _folded_distances(fold, 0)
+    return max(_folded_distances(fold, dist.index(max(dist))))
 
 
 def distance_summary(g: SimpleGraph,
@@ -326,16 +353,17 @@ def distance_summary(g: SimpleGraph,
     if g.n == 1:
         return DistanceSummary(0.0, 0, EXACT, EXACT)
 
+    fold = _fold_leaves(g)
     if g.n <= policy.exact_threshold:
-        total, longest = _sum_and_max_from_sources(g, list(range(g.n)))
+        total, longest = _sum_and_max_from_sources(g, list(range(g.n)), fold)
         return DistanceSummary(total / (g.n * (g.n - 1)), longest, EXACT, EXACT)
 
     rng = random.Random(policy.seed)
     k = min(policy.sample_sources, g.n)
     sources = sorted(rng.sample(range(g.n), k))
-    total, _ = _sum_and_max_from_sources(g, sources)
+    total, _ = _sum_and_max_from_sources(g, sources, fold)
     avg = total / (k * (g.n - 1))
-    return DistanceSummary(avg, _double_sweep_lower_bound(g), SAMPLED, LOWER_BOUND,
+    return DistanceSummary(avg, _double_sweep_lower_bound(fold), SAMPLED, LOWER_BOUND,
                            sample_sources=k, seed=policy.seed)
 
 

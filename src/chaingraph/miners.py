@@ -14,10 +14,6 @@ class MinerHistogram:
     distribution: dict[int, int]
     range: Optional[SnapshotSpec]
 
-    @property
-    def total_blocks(self) -> int:
-        return sum(self.per_miner.values())
-
 
 def miner_distribution(blocks: Iterable[BlockRecord]) -> MinerHistogram:
     """Count blocks per beneficiary address and invert into

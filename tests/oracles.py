@@ -33,6 +33,11 @@ def total_transactions(g):
     return sum(g.edges.values()) + sum(g.loops.values())
 
 
+def total_blocks(hist):
+    """Blocks counted in a MinerHistogram: the sum over its miners."""
+    return sum(hist.per_miner.values())
+
+
 def index_of(g, label):
     """A TransactionGraph node's index, by its position in g.labels."""
     return g.labels.index(label)
@@ -132,6 +137,15 @@ def frontier_distances(g, source):
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def double_sweep_lower_bound(g):
+    """Diameter lower bound of a connected graph from two full BFS: from
+    node 0 to its farthest node (ties to the smallest index), then the
+    eccentricity of that node."""
+    dist = frontier_distances(g, 0)
+    far = max(range(g.n), key=lambda i: (dist[i], -i))
+    return max(frontier_distances(g, far))
 
 
 def all_pairs_average_and_diameter(g):

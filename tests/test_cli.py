@@ -2,11 +2,15 @@ import hashlib
 import os
 import subprocess
 import sys
+import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
 
+from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
+from chaingraph.ingest import JsonRpcEndpoint
 
 from conftest import (
     MockEndpoint,
@@ -70,6 +74,14 @@ class TestFetch:
         assert main(argv) == 0
         assert sorted(endpoint.block_calls()) == [10, 12]
         assert "2 fetched, 1 cache hits" in capsys.readouterr().out
+
+    def test_rpc_url_builds_endpoint(self):
+        argv = ["fetch", "--start-block", "1", "--rpc-url", "http://localhost:1"]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        endpoint = cli._endpoint(cfg)
+        assert isinstance(endpoint, JsonRpcEndpoint) and endpoint.url == "http://localhost:1"
+        cfg.offline = True
+        assert cli._endpoint(cfg) is None
 
     def test_offline_miss_fails(self, tmp_path, capsys):
         assert run(["fetch", "--start-block", "5", "--num-blocks", "1"], tmp_path) == 1
@@ -202,6 +214,69 @@ class TestExport:
         body = strip_header(star_cache / "out" / "edges.csv")
         assert body[0] == "src,dst,weight"
         assert len(body) == 19
+
+
+class TestGraphReleased:
+    """The weighted TransactionGraph is dropped before distances run: only
+    the degree and Pajek outputs read it."""
+
+    @pytest.fixture
+    def alive_at_distances(self, monkeypatch):
+        graphs = []
+        alive = []
+        build_graph, distance_summary = cli.build_graph, cli.distance_summary
+
+        def watched_build_graph(blocks):
+            g = build_graph(blocks)
+            graphs.append(weakref.ref(g))
+            return g
+
+        def watched_distance_summary(g, policy):
+            alive.append([ref() is not None for ref in graphs])
+            return distance_summary(g, policy)
+
+        monkeypatch.setattr(cli, "build_graph", watched_build_graph)
+        monkeypatch.setattr(cli, "distance_summary", watched_distance_summary)
+        return alive
+
+    def test_analyze(self, forest_cache, alive_at_distances):
+        assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 0
+        assert alive_at_distances == [[False]]
+
+    def test_snapshots(self, forest_cache, alive_at_distances):
+        args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:2"]
+        assert run(args, forest_cache) == 0
+        assert alive_at_distances == [[False], [False, False]]
+
+
+def test_offline_commands_never_load_http_stack(forest_cache):
+    # A fresh interpreter: the test process itself has imported requests.
+    script = textwrap.dedent("""
+        import sys
+        import chaingraph
+        import chaingraph.cli
+
+        cache, out = sys.argv[1], sys.argv[2]
+        blocks = ["--start-block", "1", "--num-blocks", "3"]
+        for argv in (["analyze", *blocks], ["smallworld", *blocks, "--trials", "2"],
+                     ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
+                     ["miners", *blocks], ["export", *blocks],
+                     ["export", *blocks, "--format", "pajek"]):
+            argv += ["--cache-dir", cache, "--offline", "--out-dir", out]
+            assert chaingraph.cli.main(argv) == 0, argv
+        print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+        chaingraph.JsonRpcEndpoint("http://localhost:1")
+        print("requests" in sys.modules)
+    """)
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(forest_cache / "cache"), str(forest_cache / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 class TestCliSurface:

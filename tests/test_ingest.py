@@ -5,6 +5,7 @@ import tempfile
 import threading
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from chaingraph.ingest import (
@@ -25,7 +26,7 @@ from chaingraph.ingest import (
     canonical_address,
 )
 
-from conftest import MockEndpoint, addr, raw_block, raw_tx, stub_endpoint
+from conftest import MockEndpoint, StubSession, addr, raw_block, raw_tx, stub_endpoint
 from oracles import chain_head
 
 
@@ -194,6 +195,44 @@ class TestJsonRpcEndpoint:
             fetch_block(endpoint, 1, backoff=0.0)
         assert len(endpoint._session.posts) == 3
 
+    @pytest.mark.parametrize("error", [
+        requests.ConnectionError("connection refused"),
+        requests.Timeout("read timed out"),
+    ], ids=["connection", "timeout"])
+    def test_http_failure_retried_then_raised(self, error):
+        endpoint = stub_endpoint(None)
+        endpoint._session = FailingSession(error)
+        with pytest.raises(TransportError, match="eth_getBlockByNumber failed") as exc:
+            fetch_block(endpoint, 1, backoff=0.0)
+        assert exc.value.__cause__ is error
+        assert len(endpoint._session.posts) == 3
+
+    def test_body_not_json_retried_then_raised(self):
+        endpoint = stub_endpoint(None)
+        endpoint._session = NotJsonSession(None)
+        with pytest.raises(TransportError, match="Expecting value"):
+            fetch_block(endpoint, 1, backoff=0.0)
+        assert len(endpoint._session.posts) == 3
+
+
+class FailingSession(StubSession):
+    """Every POST raises ``error``, as requests does on a network fault."""
+
+    def __init__(self, error):
+        super().__init__(None)
+        self.error = error
+
+    def post(self, url, json, timeout):
+        self.posts.append(json)
+        raise self.error
+
+
+class NotJsonSession(StubSession):
+    """Every POST succeeds, but the body does not parse as JSON."""
+
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
 
 def write_entry(path, body: bytes, header: bytes = b"chaingraph-block/2") -> None:
     """Write a cache entry whose checksum matches ``body``."""
@@ -218,7 +257,15 @@ class TestCache:
         cache = BlockCache(tmp_path)
         result = raw_block(12, [raw_tx(1, addr(1), addr(2), value=3)])
         cache.store(12, result)
-        assert cache.load(12) == parse_block_json(result)
+        block = cache.load(12)
+        assert block == parse_block_json(result)
+        # Equal tuples are not enough: loads build TxRecord named tuples.
+        tx = block.transactions[0]
+        assert type(tx) is TxRecord and type(block) is BlockRecord
+        assert (tx.sender, tx.recipient, tx.value) == (addr(1), addr(2), 3)
+        assert hash(block) == hash(parse_block_json(result))
+        with pytest.raises(AttributeError):
+            tx.value = 4
 
     @given(txs=st.lists(st.tuples(
         st.integers(min_value=0, max_value=2**160 - 1),
@@ -240,7 +287,9 @@ class TestCache:
             cache = BlockCache(tmp)
             stored = cache.store(number, raw)
             assert stored == parse_block_json(raw)
-            assert cache.load(number) == stored
+            loaded = cache.load(number)
+            assert loaded == stored
+            assert all(type(tx) is TxRecord for tx in loaded.transactions)
 
     def test_corruption_detected(self, tmp_path):
         cache = BlockCache(tmp_path)

@@ -15,6 +15,7 @@ from chaingraph.metrics import (
     SAMPLED,
     ExactnessPolicy,
     average_local_clustering,
+    bfs_distances,
     connected_components,
     degree_distribution,
     distance_summary,
@@ -30,6 +31,7 @@ from oracles import (
     all_pairs_average_and_diameter,
     brute_average_local_clustering,
     brute_transitivity,
+    double_sweep_lower_bound,
     edge_list,
     flood_fill_components,
     frontier_distances,
@@ -82,6 +84,10 @@ def trees_with_chords(draw, max_nodes=40):
     node = st.integers(0, n - 1)
     edges += draw(st.lists(st.tuples(node, node), max_size=5))
     return simple(n, edges)
+
+
+def sum_and_max_from_sources(g, sources):
+    return metrics._sum_and_max_from_sources(g, sources, metrics._fold_leaves(g))
 
 
 def per_source_sum_and_max(g, sources):
@@ -376,7 +382,7 @@ class TestMultiSourceBatches:
     ])
     def test_chosen_sources_match_per_source_sums(self, sources):
         g = hub_clique_graph()
-        assert metrics._sum_and_max_from_sources(g, sources) == \
+        assert sum_and_max_from_sources(g, sources) == \
             per_source_sum_and_max(g, sources)
 
     @settings(max_examples=150, deadline=None)
@@ -384,7 +390,7 @@ class TestMultiSourceBatches:
     def test_random_sources_match_per_source_sums(self, data):
         g = data.draw(trees_with_chords())
         sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
-        assert metrics._sum_and_max_from_sources(g, sources) == \
+        assert sum_and_max_from_sources(g, sources) == \
             per_source_sum_and_max(g, sources)
 
     def test_sampled_with_leaf_sources_matches_per_source_sum(self):
@@ -415,7 +421,54 @@ class TestMultiSourceBatches:
                 distance_summary(g, policy)
         for s in range(g.n):
             with pytest.raises(ValueError, match="connected"):
-                metrics._sum_and_max_from_sources(g, [s])
+                sum_and_max_from_sources(g, [s])
+
+
+LEAF_HEAVY = [
+    path_graph(2), path_graph(3), path_graph(6), complete_graph(3),
+    star_graph(1), star_graph(3), star_graph(18),
+    caterpillar([2, 0, 3]), caterpillar([0, 0, 4]), caterpillar([3, 0, 2, 4, 1]),
+    simple(6, [(5, 0), (0, 1), (1, 2), (2, 3), (3, 4)]),
+    hub_clique_graph(),
+]
+LEAF_HEAVY_IDS = ["n2", "n3-path", "path6", "n3-triangle", "star1", "star3", "star18",
+                  "caterpillar-203", "caterpillar-004", "caterpillar-30241",
+                  "leaf-0-on-path", "hub-clique"]
+
+
+class TestDoubleSweep:
+    """The sampled-mode diameter: the sweep over core nodes gives the bound
+    of two plain BFS over every node."""
+
+    @pytest.mark.parametrize("g", LEAF_HEAVY, ids=LEAF_HEAVY_IDS)
+    def test_matches_two_bfs_oracle(self, g):
+        fold = metrics._fold_leaves(g)
+        assert metrics._double_sweep_lower_bound(fold) == double_sweep_lower_bound(g)
+        for s in range(g.n):
+            assert metrics._folded_distances(fold, s) == bfs_distances(g, s)
+
+    def test_far_node_is_a_leaf(self):
+        g = caterpillar([0, 0, 4])
+        fold = metrics._fold_leaves(g)
+        hub = fold[0]
+        dist = bfs_distances(g, 0)
+        # Node 0 is a leaf too, and the sweep turns round at another leaf.
+        assert hub[0] >= 0 and hub[dist.index(max(dist))] >= 0
+        assert metrics._double_sweep_lower_bound(fold) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_chords())
+    def test_matches_two_bfs_oracle_on_trees_with_chords(self, g):
+        fold = metrics._fold_leaves(g)
+        assert metrics._double_sweep_lower_bound(fold) == double_sweep_lower_bound(g)
+        for s in (0, g.n - 1, g.n // 2):
+            assert metrics._folded_distances(fold, s) == bfs_distances(g, s)
+
+    def test_sampled_diameter_uses_the_sweep(self):
+        g = caterpillar([3, 0, 2, 4, 1])
+        summary = distance_summary(g, ExactnessPolicy(exact_threshold=1, sample_sources=3))
+        assert summary.diameter_method == LOWER_BOUND
+        assert summary.diameter == double_sweep_lower_bound(g) == 6
 
 
 def general_metrics_of(g):

@@ -6,6 +6,7 @@ from chaingraph.ingest import SnapshotSpec
 from chaingraph.miners import miner_distribution, write_distribution_csv, write_miner_csv
 
 from conftest import addr, make_block
+from oracles import total_blocks
 
 
 def blocks_by_miners(miners):
@@ -45,7 +46,7 @@ def test_inversion_identities(miner_ids):
     hist = miner_distribution(blocks_by_miners([addr(i) for i in miner_ids]))
     assert sum(k * v for k, v in hist.distribution.items()) == len(miner_ids)
     assert sum(hist.distribution.values()) == len(set(miner_ids))
-    assert hist.total_blocks == len(miner_ids)
+    assert total_blocks(hist) == len(miner_ids)
 
 
 @given(st.lists(st.integers(0, 6), max_size=40), st.randoms(use_true_random=False))
