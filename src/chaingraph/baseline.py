@@ -7,7 +7,7 @@ small world when it is well above 1.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -20,8 +20,10 @@ from chaingraph.metrics import (
     largest_component,
 )
 
-# Above this many possible pairs, rejection sampling replaces enumerating
-# every pair (memory); both draw uniformly without replacement.
+# Up to this many possible pairs, edges are drawn as indices into the
+# lexicographic list of pairs; above it, by rejection sampling. Both draw
+# uniformly without replacement and neither builds the pair list; the
+# limit fixes which draw, and so which graph, each (n, m, seed) gives.
 _ENUMERATE_LIMIT = 500_000
 
 _TRIAL_SEED_STRIDE = 1_000_003
@@ -67,6 +69,15 @@ class SmallWorldReport:
     l_method: str
 
 
+def _pair_at(k: int, n: int) -> tuple[int, int]:
+    """The k-th pair (u, v), u < v, of itertools.combinations(range(n), 2)."""
+    # Counted from the end, the row of u = n - 2 - t holds t + 1 pairs and
+    # the rows before it t * (t + 1) / 2.
+    r = n * (n - 1) // 2 - 1 - k
+    t = (math.isqrt(8 * r + 1) - 1) // 2
+    return n - 2 - t, n - 1 - (r - t * (t + 1) // 2)
+
+
 def gnm_random_graph(params: GnmParams) -> SimpleGraph:
     """Uniform G(n,m): exactly m distinct loop-free edges; same seed,
     same graph."""
@@ -74,7 +85,9 @@ def gnm_random_graph(params: GnmParams) -> SimpleGraph:
     n, m = params.n, params.m
     max_edges = n * (n - 1) // 2
     if max_edges <= _ENUMERATE_LIMIT:
-        edges = rng.sample(list(itertools.combinations(range(n), 2)), m)
+        # random.sample draws from the population's length alone, so these
+        # are the pairs that sampling the enumerated pair list would give.
+        edges = [_pair_at(k, n) for k in rng.sample(range(max_edges), m)]
     else:
         chosen: set[tuple[int, int]] = set()
         while len(chosen) < m:

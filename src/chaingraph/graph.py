@@ -4,6 +4,13 @@ Accounts are nodes; every transaction between a pair of accounts adds one
 to the weight of their link, whichever way it went; all metrics run on
 the undirected projection. Self-transfers are tracked as loops,
 separately from pair edges.
+
+Edges and loops are keyed by node index, not by address: a key holds
+two ints that the node index already owns, not copies of the
+transaction's address strings, and projection, degrees and the Pajek
+writer use the indices without a label lookup. An edge's endpoints are in
+label order (the smaller address first), so each Pajek and edge-CSV line
+names them in the same order whichever account sent first.
 """
 
 from __future__ import annotations
@@ -24,15 +31,16 @@ class PajekError(ValueError):
 class TransactionGraph:
     """Undirected weighted multigraph collapsed to weighted edges + loops.
 
-    Nodes carry dense integer indices in insertion order; edges map the
-    sorted label pair to its pooled transaction count.
+    Nodes carry dense integer indices in insertion order. ``edges`` maps
+    an index pair (i, j) with ``labels[i] < labels[j]`` to its pooled
+    transaction count; ``loops`` maps a node index to its self-transfers.
     """
 
     def __init__(self):
         self.labels: list[str] = []
         self._index: dict[str, int] = {}
-        self.edges: dict[tuple[str, str], int] = {}
-        self.loops: dict[str, int] = {}
+        self.edges: dict[tuple[int, int], int] = {}
+        self.loops: dict[int, int] = {}
 
     @property
     def n(self) -> int:
@@ -55,16 +63,19 @@ class TransactionGraph:
         # Interns both endpoints as add_node does, without the two calls:
         # build_graph runs this once per transaction.
         index = self._index
-        if sender not in index:
-            index[sender] = len(self.labels)
-            self.labels.append(sender)
-        if recipient not in index:
-            index[recipient] = len(self.labels)
-            self.labels.append(recipient)
-        if sender == recipient:
-            self.loops[sender] = self.loops.get(sender, 0) + count
+        labels = self.labels
+        i = index.get(sender)
+        if i is None:
+            i = index[sender] = len(labels)
+            labels.append(sender)
+        j = index.get(recipient)
+        if j is None:
+            j = index[recipient] = len(labels)
+            labels.append(recipient)
+        if i == j:
+            self.loops[i] = self.loops.get(i, 0) + count
             return
-        key = (sender, recipient) if sender < recipient else (recipient, sender)
+        key = (i, j) if sender < recipient else (j, i)
         self.edges[key] = self.edges.get(key, 0) + count
 
 
@@ -135,12 +146,10 @@ def build_graph(blocks: Iterable[BlockRecord]) -> TransactionGraph:
 
 def project_simple(g: TransactionGraph) -> SimpleGraph:
     """Drop weights and loops; same node set."""
-    # Edge keys are distinct label pairs without loops, so the adjacency
+    # Edge keys are distinct index pairs without loops, so the adjacency
     # lists need no de-duplication, and m is the number of keys.
-    index = g._index
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        i, j = index[u], index[v]
+    for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
     for neigh in adj:
@@ -151,16 +160,13 @@ def project_simple(g: TransactionGraph) -> SimpleGraph:
 def export_pajek(g: TransactionGraph, sink: TextIO) -> None:
     """Write the Pajek .net form: 1-based vertex indices in insertion
     order, weighted *Edges* lines, loops as `u u count`."""
-    index = g._index
     sink.write(f"*Vertices {g.n}\n")
     # Generators, not lists: the lines are streamed to the sink, never all
     # held at once next to the graph.
     sink.writelines(f'{i} "{label}"\n' for i, label in enumerate(g.labels, start=1))
     sink.write("*Edges\n")
-    sink.writelines(f"{index[u] + 1} {index[v] + 1} {weight}\n"
-                    for (u, v), weight in g.edges.items())
-    sink.writelines(f"{index[label] + 1} {index[label] + 1} {count}\n"
-                    for label, count in g.loops.items())
+    sink.writelines(f"{i + 1} {j + 1} {weight}\n" for (i, j), weight in g.edges.items())
+    sink.writelines(f"{i + 1} {i + 1} {count}\n" for i, count in g.loops.items())
 
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
@@ -227,8 +233,10 @@ def import_pajek(source: TextIO) -> TransactionGraph:
 
 def export_edge_csv(g: TransactionGraph, sink: TextIO) -> None:
     """Edge-list CSV `src,dst,weight`; loops appear with src == dst."""
+    labels = g.labels
     sink.write("src,dst,weight\n")
-    for (u, v), weight in g.edges.items():
-        sink.write(f"{u},{v},{weight}\n")
-    for label, count in g.loops.items():
+    for (i, j), weight in g.edges.items():
+        sink.write(f"{labels[i]},{labels[j]},{weight}\n")
+    for i, count in g.loops.items():
+        label = labels[i]
         sink.write(f"{label},{label},{count}\n")

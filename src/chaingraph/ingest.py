@@ -14,12 +14,15 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 HASH32_RE = re.compile(r"^0x[0-9a-fA-F]{64}$")
@@ -218,23 +221,29 @@ def parse_block_json(raw) -> BlockRecord:
 class JsonRpcEndpoint:
     """Thin JSON-RPC 2.0 client over HTTP POST.
 
-    ``requests`` is imported here, not with the module: only fetching
-    needs an HTTP stack, and offline runs never build an endpoint.
+    ``requests`` is imported, and the session opened, on the first call:
+    only fetching needs an HTTP stack, and a run whose blocks are all
+    cached never makes a call.
     """
 
     def __init__(self, url: str, timeout: float = 30.0):
-        import requests
-
         self.url = url
         self.timeout = timeout
-        self._session = requests.Session()
+        self._session = None
+        # fetch_range calls from pool threads: the first call opens the
+        # session, and each call takes its own id.
+        self._session_lock = threading.Lock()
         self._id = 0
 
     def call(self, method: str, params: list):
-        import requests  # loaded by __init__; this only binds the name
+        import requests
 
-        self._id += 1
-        payload = {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
+        with self._session_lock:
+            if self._session is None:
+                self._session = requests.Session()
+            self._id += 1
+            request_id = self._id
+        payload = {"jsonrpc": "2.0", "id": request_id, "method": method, "params": params}
         try:
             resp = self._session.post(self.url, json=payload, timeout=self.timeout)
             resp.raise_for_status()
@@ -424,7 +433,10 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
 
     lookahead = max(2 * max_inflight, 8)
     pending: dict[int, BlockRecord | Future] = {}
-    with ThreadPoolExecutor(max_workers=max_inflight) as pool:
+    # The pool, and concurrent.futures with the logging it imports, start
+    # on the first miss: a warm range needs neither.
+    pool = None
+    try:
         scheduled = 0
         for i, number in enumerate(numbers):
             while scheduled < len(numbers) and scheduled < i + lookahead:
@@ -440,9 +452,19 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
                 elif offline or endpoint is None:
                     raise OfflineMissError(f"block {k} not in cache and offline mode is on")
                 else:
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor
+
+                        pool = ThreadPoolExecutor(max_workers=max_inflight)
                     pending[k] = pool.submit(fetch_and_store, k)
                 if on_block is not None:
                     on_block(k, cached is not None)
                 scheduled += 1
             item = pending.pop(number)
-            yield item.result() if isinstance(item, Future) else item
+            yield item if isinstance(item, BlockRecord) else item.result()
+    finally:
+        # Also runs when the consumer stops early and the generator is
+        # closed; waits for the fetches already submitted, so their blocks
+        # are still cached.
+        if pool is not None:
+            pool.shutdown()

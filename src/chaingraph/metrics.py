@@ -90,15 +90,15 @@ def degree_distribution(g: TransactionGraph, weighted: bool = False) -> DegreeHi
     """Histogram of degrees. Unweighted: distinct neighbors, +1 if the
     node has any loop. Weighted: sum of incident edge weights plus the
     node's loop count."""
-    degrees = {label: 0 for label in g.labels}
-    for (u, v), weight in g.edges.items():
+    degrees = [0] * g.n  # by node index
+    for (i, j), weight in g.edges.items():
         inc = weight if weighted else 1
-        degrees[u] += inc
-        degrees[v] += inc
-    for label, count in g.loops.items():
-        degrees[label] += count if weighted else 1
+        degrees[i] += inc
+        degrees[j] += inc
+    for i, count in g.loops.items():
+        degrees[i] += count if weighted else 1
     entries: dict[int, int] = {}
-    for deg in degrees.values():
+    for deg in degrees:
         entries[deg] = entries.get(deg, 0) + 1
     return DegreeHistogram(entries=entries, weighted=weighted, n=g.n)
 

@@ -18,14 +18,75 @@ def chain_head(endpoint):
     return parse_quantity(endpoint.call("eth_blockNumber", []), "eth_blockNumber")
 
 
+def labelled_edges(g):
+    """A TransactionGraph's edges keyed by label pair, in insertion order."""
+    labels = g.labels
+    return {(labels[i], labels[j]): w for (i, j), w in g.edges.items()}
+
+
+def labelled_loops(g):
+    """A TransactionGraph's loops keyed by label, in insertion order."""
+    return {g.labels[i]: count for i, count in g.loops.items()}
+
+
 def canonical_form(g):
     """(sorted node labels, sorted weighted edges, sorted loops) of a
-    TransactionGraph: equality up to node reindexing."""
+    TransactionGraph, by label: equality up to node reindexing."""
     return (
         tuple(sorted(g.labels)),
-        tuple(sorted((u, v, w) for (u, v), w in g.edges.items())),
-        tuple(sorted(g.loops.items())),
+        tuple(sorted((u, v, w) for (u, v), w in labelled_edges(g).items())),
+        tuple(sorted(labelled_loops(g).items())),
     )
+
+
+class LabelKeyedGraph:
+    """Reference TransactionGraph that keys edges by the sorted label pair
+    and loops by label, with the degree histogram and the Pajek and
+    edge-CSV writers that read it."""
+
+    def __init__(self):
+        self.labels = []
+        self._index = {}
+        self.edges = {}
+        self.loops = {}
+
+    def add_interaction(self, sender, recipient, count=1):
+        for label in (sender, recipient):
+            if label not in self._index:
+                self._index[label] = len(self.labels)
+                self.labels.append(label)
+        if sender == recipient:
+            self.loops[sender] = self.loops.get(sender, 0) + count
+            return
+        key = (sender, recipient) if sender < recipient else (recipient, sender)
+        self.edges[key] = self.edges.get(key, 0) + count
+
+    def degree_entries(self, weighted):
+        degrees = {label: 0 for label in self.labels}
+        for (u, v), weight in self.edges.items():
+            degrees[u] += weight if weighted else 1
+            degrees[v] += weight if weighted else 1
+        for label, count in self.loops.items():
+            degrees[label] += count if weighted else 1
+        entries = {}
+        for deg in degrees.values():
+            entries[deg] = entries.get(deg, 0) + 1
+        return entries
+
+    def pajek(self):
+        index = self._index
+        lines = [f"*Vertices {len(self.labels)}"]
+        lines += [f'{i} "{label}"' for i, label in enumerate(self.labels, start=1)]
+        lines.append("*Edges")
+        lines += [f"{index[u] + 1} {index[v] + 1} {w}" for (u, v), w in self.edges.items()]
+        lines += [f"{index[a] + 1} {index[a] + 1} {c}" for a, c in self.loops.items()]
+        return "".join(line + "\n" for line in lines)
+
+    def edge_csv(self):
+        lines = ["src,dst,weight"]
+        lines += [f"{u},{v},{w}" for (u, v), w in self.edges.items()]
+        lines += [f"{a},{a},{c}" for a, c in self.loops.items()]
+        return "".join(line + "\n" for line in lines)
 
 
 def total_transactions(g):

@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingraph.baseline import (
+    _ENUMERATE_LIMIT,
     UNDEFINED,
     GnmParams,
     gnm_random_graph,
@@ -35,8 +37,6 @@ def star_graph(leaves):
 def ring_lattice_rewired(n, k, rewire_every, seed):
     """Watts-Strogatz-style fixture: ring lattice with every
     `rewire_every`-th edge re-pointed at a pseudo-random node."""
-    import random
-
     rng = random.Random(seed)
     edges = []
     for i in range(n):
@@ -77,6 +77,29 @@ class TestGnm:
         a = gnm_random_graph(GnmParams(50, 200, seed=1))
         b = gnm_random_graph(GnmParams(50, 200, seed=2))
         assert a.adj != b.adj
+
+    # G(1000, m) has 499,500 possible pairs, just within the limit;
+    # G(1001, m) has 500,500, just above it. (100, 4000) takes the branch of
+    # random.sample that copies the whole population.
+    @pytest.mark.parametrize("n,m,seed", [
+        (2, 1, 0), (3, 2, 5), (5, 10, 1), (17, 0, 1), (17, 136, 2), (100, 250, 3),
+        (100, 4000, 4), (999, 1600, 5), (1000, 1600, 6), (1000, 30_000, 7),
+    ])
+    def test_same_draw_as_sampling_enumerated_pairs(self, n, m, seed):
+        assert n * (n - 1) // 2 <= _ENUMERATE_LIMIT
+        pairs = random.Random(seed).sample(list(combinations(range(n), 2)), m)
+        assert gnm_random_graph(GnmParams(n, m, seed)) == SimpleGraph.from_edges(n, pairs)
+
+    @pytest.mark.parametrize("n,m,seed", [(1001, 1600, 6), (1500, 3000, 8)])
+    def test_rejection_draw_above_limit(self, n, m, seed):
+        assert n * (n - 1) // 2 > _ENUMERATE_LIMIT
+        rng = random.Random(seed)
+        chosen = set()
+        while len(chosen) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                chosen.add((min(u, v), max(u, v)))
+        assert gnm_random_graph(GnmParams(n, m, seed)) == SimpleGraph.from_edges(n, chosen)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10**6), frac=st.floats(0, 1))

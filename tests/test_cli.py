@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -251,12 +252,16 @@ class TestGraphReleased:
 
 def test_offline_commands_never_load_http_stack(forest_cache):
     # A fresh interpreter: the test process itself has imported requests.
+    # Offline runs and a warm online run load neither the HTTP stack nor
+    # the fetch pool; a miss, served by a local JSON-RPC server, loads both.
     script = textwrap.dedent("""
+        import json
         import sys
         import chaingraph
         import chaingraph.cli
 
-        cache, out = sys.argv[1], sys.argv[2]
+        cache, out, missing = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+        lazy = ("concurrent.futures", "requests", "urllib3")
         blocks = ["--start-block", "1", "--num-blocks", "3"]
         for argv in (["analyze", *blocks], ["smallworld", *blocks, "--trials", "2"],
                      ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
@@ -264,19 +269,50 @@ def test_offline_commands_never_load_http_stack(forest_cache):
                      ["export", *blocks, "--format", "pajek"]):
             argv += ["--cache-dir", cache, "--offline", "--out-dir", out]
             assert chaingraph.cli.main(argv) == 0, argv
-        print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+        print(sorted(name for name in lazy if name in sys.modules))
+        argv = ["miners", *blocks, "--cache-dir", cache, "--out-dir", out,
+                "--rpc-url", "http://localhost:1"]
+        assert chaingraph.cli.main(argv) == 0
         chaingraph.JsonRpcEndpoint("http://localhost:1")
-        print("requests" in sys.modules)
+        print(sorted(name for name in lazy if name in sys.modules))
+
+        import threading
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+
+        class Rpc(BaseHTTPRequestHandler):
+            def do_POST(self):
+                request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                body = json.dumps({"jsonrpc": "2.0", "id": request["id"],
+                                   "result": missing}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Rpc)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        argv = ["fetch", "--start-block", "1", "--num-blocks", "4", "--cache-dir", cache,
+                "--rpc-url", f"http://127.0.0.1:{server.server_port}"]
+        assert chaingraph.cli.main(argv) == 0
+        server.shutdown()
+        print(sorted(name for name in lazy if name in sys.modules))
     """)
     root = Path(__file__).resolve().parent.parent
+    missing = raw_block(4, [raw_tx(4000, addr(1), addr(2))])
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(forest_cache / "cache"), str(forest_cache / "out")],
+        [sys.executable, "-c", script, str(forest_cache / "cache"), str(forest_cache / "out"),
+         json.dumps(missing)],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env=dict(os.environ, NO_PROXY="*", PYTHONPATH=os.pathsep.join(
             filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == [
+        "[]", "[]", "1 fetched, 3 cache hits", "['concurrent.futures', 'requests', 'urllib3']"]
 
 
 class TestCliSurface:

@@ -16,9 +16,17 @@ from chaingraph.graph import (
     project_simple,
 )
 from chaingraph.ingest import TxRecord
+from chaingraph.metrics import degree_distribution
 
 from conftest import addr, forest_blocks, make_block, tx_hash
-from oracles import canonical_form, index_of, total_transactions
+from oracles import (
+    LabelKeyedGraph,
+    canonical_form,
+    index_of,
+    labelled_edges,
+    labelled_loops,
+    total_transactions,
+)
 
 
 def graph_from_pairs(pairs):
@@ -34,18 +42,18 @@ class TestBuildGraph:
         a, b = addr(1), addr(2)
         g = graph_from_pairs([(a, b), (b, a)])
         assert (g.n, g.m) == (2, 1)
-        assert g.edges[(a, b)] == 2
+        assert labelled_edges(g)[(a, b)] == 2
 
     def test_repeat_transactions_increment_weight(self):
         a, b = addr(1), addr(2)
         g = graph_from_pairs([(a, b)] * 5)
-        assert g.edges[(a, b)] == 5
+        assert labelled_edges(g)[(a, b)] == 5
 
     def test_loop(self):
         a = addr(1)
         g = graph_from_pairs([(a, a)])
         assert (g.n, g.m) == (1, 0)
-        assert g.loops[a] == 1
+        assert labelled_loops(g)[a] == 1
 
     def test_forest_fixture_counts(self):
         g = build_graph(forest_blocks())
@@ -147,12 +155,12 @@ class TestPajek:
     def test_import_arcs_section(self):
         text = '*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2 4\n'
         g = import_pajek(io.StringIO(text))
-        assert g.edges[("a", "b")] == 4
+        assert labelled_edges(g)[("a", "b")] == 4
 
     def test_import_loop_line(self):
         text = '*Vertices 1\n1 "a"\n*Edges\n1 1 2\n'
         g = import_pajek(io.StringIO(text))
-        assert g.loops["a"] == 2
+        assert labelled_loops(g)["a"] == 2
 
     def test_malformed_header(self):
         with pytest.raises(PajekError):
@@ -205,3 +213,27 @@ def test_property_weight_sum_and_order_insensitivity(raw_pairs, rng):
     shuffled = list(pairs)
     rng.shuffle(shuffled)
     assert canonical_form(graph_from_pairs(shuffled)) == canonical_form(g)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.integers(0, 9), st.one_of(st.none(), st.integers(0, 9))),
+                max_size=80))
+def test_property_index_keys_match_label_keyed_reference(raw_pairs):
+    # None is a contract creation; small ranges give self-transfers and
+    # both directions of a pair, in insertion orders unlike label order.
+    pairs = [(addr(u), None if v is None else addr(v)) for u, v in raw_pairs]
+    blocks = [make_block(1, pairs)]
+    g = build_graph(blocks)
+    ref = LabelKeyedGraph()
+    for tx in blocks[0].transactions:
+        ref.add_interaction(tx.sender, node_for_recipient(tx))
+    assert g.labels == ref.labels
+    assert list(labelled_edges(g).items()) == list(ref.edges.items())
+    assert list(labelled_loops(g).items()) == list(ref.loops.items())
+    for weighted in (False, True):
+        assert degree_distribution(g, weighted=weighted).entries == ref.degree_entries(weighted)
+    pajek, csv = io.StringIO(), io.StringIO()
+    export_pajek(g, pajek)
+    export_edge_csv(g, csv)
+    assert pajek.getvalue() == ref.pajek()
+    assert csv.getvalue() == ref.edge_csv()

@@ -490,6 +490,38 @@ class TestFetchRange:
         with pytest.raises(OfflineMissError):
             list(fetch_range(None, SnapshotSpec(5, 1), cache, offline=True))
 
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every fetch pool that fetch_range starts, in order."""
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        return started
+
+    def test_warm_range_starts_no_pool(self, tmp_path, pools):
+        cache = BlockCache(tmp_path)
+        for n in (100, 101):
+            cache.store(n, raw_block(n, []))
+        assert len(list(fetch_range(MockEndpoint({}), SnapshotSpec(100, 2), cache))) == 2
+        assert pools == []
+
+    def test_closed_early_shuts_pool_down(self, tmp_path, pools):
+        ep = MockEndpoint(self.make(range(100, 110)))
+        stream = fetch_range(ep, SnapshotSpec(100, 10), BlockCache(tmp_path))
+        assert next(stream).number == 100
+        assert len(pools) == 1
+        pools[0].submit(int).result()  # still running
+        stream.close()
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pools[0].submit(int)
+
     def test_empty_range_invalid(self):
         with pytest.raises(ValueError):
             SnapshotSpec(100, 0)
