@@ -16,11 +16,12 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 from chaingraph import __version__
 from chaingraph.baseline import UNDEFINED, small_world_report
-from chaingraph.graph import build_graph, export_edge_csv, export_pajek, project_simple
+from chaingraph.graph import (SimpleGraph, TransactionGraph, build_graph, export_edge_csv,
+                              export_pajek, project_simple)
 from chaingraph.ingest import (
     BlockCache,
     BlockRecord,
@@ -30,6 +31,9 @@ from chaingraph.ingest import (
     fetch_range,
 )
 from chaingraph.metrics import (
+    EXACT,
+    ComponentSet,
+    DistanceSummary,
     ExactnessPolicy,
     connected_components,
     degree_distribution,
@@ -92,27 +96,29 @@ class RunConfig:
 def _fmt(value) -> str:
     if value is UNDEFINED:
         return "undefined"
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _write_file(path: Path, header_lines: list[str], body: Callable[[TextIO], None],
+def _write_file(cfg: RunConfig, name: str, body: Callable[[TextIO], None],
                 comment: str = "#") -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        for line in header_lines:
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    with open(cfg.out_dir / name, "w", encoding="utf-8", newline="\n") as sink:
+        for line in cfg.header_lines():
             sink.write(f"{comment} {line}\n")
         body(sink)
 
 
-def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
+def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[list]) -> None:
     def body(sink: TextIO) -> None:
         sink.write(",".join(columns) + "\n")
         for row in rows:
             sink.write(",".join(_fmt(v) for v in row) + "\n")
 
-    _write_file(path, cfg.header_lines(), body)
+    _write_file(cfg, name, body)
 
 
 def _print_table(columns: list[str], rows: list[list]) -> None:
@@ -132,8 +138,34 @@ def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
                  on_block: Optional[Callable[[int, bool], None]] = None) -> Iterator[BlockRecord]:
     """The snapshot's blocks in order, streamed: each command reads them
     once, so none holds the whole range in memory."""
-    cache = BlockCache(cfg.cache_dir)
-    return fetch_range(_endpoint(cfg), spec, cache, offline=cfg.offline, on_block=on_block)
+    return fetch_range(_endpoint(cfg), spec, BlockCache(cfg.cache_dir), on_block=on_block)
+
+
+class _Snapshot(NamedTuple):
+    spec: SnapshotSpec
+    simple: SimpleGraph
+    comps: ComponentSet
+    main: SimpleGraph
+
+
+def _snapshot(cfg: RunConfig, spec: SnapshotSpec,
+              graph_outputs: Optional[Callable[[TransactionGraph], None]] = None) -> _Snapshot:
+    """A block range as a network. Only graph_outputs reads the weighted graph;
+    it is dropped before this returns, so no metric runs while it is held."""
+    g = build_graph(_load_blocks(cfg, spec))
+    simple = project_simple(g)
+    if graph_outputs is not None:
+        graph_outputs(g)
+    del g
+    comps = connected_components(simple)
+    return _Snapshot(spec, simple, comps, largest_component(simple, comps))
+
+
+def _distances(main: SimpleGraph, policy: ExactnessPolicy) -> DistanceSummary:
+    """L and diameter of the main component; an empty range reads as one node."""
+    if main.n == 0:
+        return DistanceSummary(0.0, 0, EXACT, EXACT)
+    return distance_summary(main, policy)
 
 
 def cmd_fetch(cfg: RunConfig) -> int:
@@ -149,51 +181,29 @@ def cmd_fetch(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    spec = cfg.snapshots[0]
-    g = build_graph(_load_blocks(cfg, spec))
-    simple = project_simple(g)
-    # Only these outputs read the weighted graph; write them first and drop
-    # it, so it is not held through components, clustering and distances.
-    hist = degree_distribution(g, weighted=False)
-    _write_file(cfg.out_dir / "degree.csv", cfg.header_lines(),
-                lambda sink: write_degree_csv(hist, sink))
-    _write_file(cfg.out_dir / "degree_loglog.csv", cfg.header_lines(),
-                lambda sink: write_degree_loglog_csv(hist, sink))
-    _write_file(cfg.out_dir / "graph.net", cfg.header_lines(),
-                lambda sink: export_pajek(g, sink), comment="%")
-    del g
+    policy = cfg.policy()
 
-    comps = connected_components(simple)
+    def write_graph_outputs(g: TransactionGraph) -> None:
+        hist = degree_distribution(g, weighted=False)
+        _write_file(cfg, "degree.csv", lambda sink: write_degree_csv(hist, sink))
+        _write_file(cfg, "degree_loglog.csv", lambda sink: write_degree_loglog_csv(hist, sink))
+        _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
+
+    spec, simple, comps, main = _snapshot(cfg, cfg.snapshots[0], write_graph_outputs)
+    summary = _distances(main, policy)
+    dist_row = [main.n, summary.average_distance, summary.diameter, summary.l_method,
+                summary.diameter_method, summary.sample_sources, summary.seed]
+    del main  # clustering needs the most memory: run it without the main component
     report = general_metrics(simple, comps)
-    main = largest_component(simple, comps)
-
-    metrics_cols = [
-        "blocks", "nodes", "edges", "avg_clus_coeff", "transitivity",
-        "components", "nodes_largest_comp", "edges_largest_comp",
-    ]
-    metrics_row = [
-        spec.count, report.n, report.m, report.avg_clustering, report.transitivity,
-        report.num_components, report.largest_component_nodes,
-        report.largest_component_edges,
-    ]
-    _write_csv(cfg.out_dir / "metrics.csv", cfg, metrics_cols, [metrics_row])
-
-    if main.n > 0 and main.m > 0:
-        summary = distance_summary(main, cfg.policy())
-        dist_row = [
-            main.n, summary.average_distance, summary.diameter, summary.l_method,
-            summary.diameter_method,
-            summary.sample_sources if summary.sample_sources is not None else "-",
-            summary.seed if summary.seed is not None else "-",
-        ]
-    else:
-        dist_row = [main.n, 0.0, 0, "exact", "exact", "-", "-"]
-    _write_csv(
-        cfg.out_dir / "distances.csv", cfg,
-        ["nodes_main_comp", "avg_distance", "diameter", "l_method",
-         "diameter_method", "sample_sources", "seed"],
-        [dist_row],
-    )
+    metrics_cols = ["blocks", "nodes", "edges", "avg_clus_coeff", "transitivity",
+                    "components", "nodes_largest_comp", "edges_largest_comp"]
+    metrics_row = [spec.count, report.n, report.m, report.avg_clustering,
+                   report.transitivity, report.num_components,
+                   report.largest_component_nodes, report.largest_component_edges]
+    _write_csv(cfg, "metrics.csv", metrics_cols, [metrics_row])
+    _write_csv(cfg, "distances.csv",
+               ["nodes_main_comp", "avg_distance", "diameter", "l_method",
+                "diameter_method", "sample_sources", "seed"], [dist_row])
 
     if cfg.pretty:
         _print_table(metrics_cols, [metrics_row])
@@ -201,18 +211,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_smallworld(cfg: RunConfig) -> int:
+    policy = cfg.policy()
     spec = cfg.snapshots[0]
-    simple = project_simple(build_graph(_load_blocks(cfg, spec)))
-    main = largest_component(simple, connected_components(simple))
-    if main.n == 0:
-        print("error: empty graph, nothing to compare", file=sys.stderr)
+    main = _snapshot(cfg, spec).main
+    if main.m == 0:
+        print(f"error: block range {spec.label()} has no edge to compare", file=sys.stderr)
         return 1
-    report = small_world_report(main, cfg.trials, cfg.seed, cfg.policy())
+    report = small_world_report(main, cfg.trials, cfg.seed, policy)
     columns = ["blocks", "nodes", "edges", "cc", "L", "cc_RG", "L_RG", "sigma",
                "trials", "seed"]
     row = [spec.count, report.n, report.m, report.cc, report.avg_distance,
            report.cc_rg, report.l_rg, report.sigma, report.trials, report.seed]
-    _write_csv(cfg.out_dir / "smallworld.csv", cfg, columns, [row])
+    _write_csv(cfg, "smallworld.csv", columns, [row])
     if cfg.pretty:
         _print_table(columns, [row])
     return 0
@@ -222,25 +232,19 @@ def cmd_snapshots(cfg: RunConfig) -> int:
     if len(cfg.snapshots) < 2:
         print("error: snapshots needs at least two --snapshot specs", file=sys.stderr)
         return 1
+    policy = cfg.policy()
     columns = ["start_block", "num_blocks", "nodes", "nodes_main", "edges",
                "edges_main", "components", "avg_distance"]
     rows: list[list] = []
-    failures = 0
     for spec in cfg.snapshots:
         try:
-            simple = project_simple(build_graph(_load_blocks(cfg, spec)))
-            comps = connected_components(simple)
-            main = largest_component(simple, comps)
-            if main.n > 0 and main.m > 0:
-                avg = distance_summary(main, cfg.policy()).average_distance
-            else:
-                avg = 0.0
+            _, simple, comps, main = _snapshot(cfg, spec)
             rows.append([spec.start_block, spec.count, simple.n, main.n, simple.m, main.m,
-                         comps.num_components, avg])
+                         comps.num_components, _distances(main, policy).average_distance])
+            del simple, comps, main  # not held while the next range is built
         except (IngestError, ValueError, OSError) as exc:
-            failures += 1
             print(f"snapshot {spec.label()} failed: {exc}", file=sys.stderr)
-    _write_csv(cfg.out_dir / "snapshots.csv", cfg, columns, rows)
+    _write_csv(cfg, "snapshots.csv", columns, rows)
     if cfg.pretty:
         _print_table(columns, rows)
     return 0 if rows else 1
@@ -248,10 +252,8 @@ def cmd_snapshots(cfg: RunConfig) -> int:
 
 def cmd_miners(cfg: RunConfig) -> int:
     hist = miner_distribution(_load_blocks(cfg, cfg.snapshots[0]))
-    _write_file(cfg.out_dir / "miners.csv", cfg.header_lines(),
-                lambda sink: write_miner_csv(hist, sink))
-    _write_file(cfg.out_dir / "miner_histogram.csv", cfg.header_lines(),
-                lambda sink: write_distribution_csv(hist, sink))
+    _write_file(cfg, "miners.csv", lambda sink: write_miner_csv(hist, sink))
+    _write_file(cfg, "miner_histogram.csv", lambda sink: write_distribution_csv(hist, sink))
     if cfg.pretty:
         rows = [[k, hist.distribution[k]] for k in sorted(hist.distribution)]
         _print_table(["blocks_mined", "num_miners"], rows)
@@ -261,11 +263,9 @@ def cmd_miners(cfg: RunConfig) -> int:
 def cmd_export(cfg: RunConfig) -> int:
     g = build_graph(_load_blocks(cfg, cfg.snapshots[0]))
     if cfg.fmt == "pajek":
-        _write_file(cfg.out_dir / "graph.net", cfg.header_lines(),
-                    lambda sink: export_pajek(g, sink), comment="%")
+        _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
     else:
-        _write_file(cfg.out_dir / "edges.csv", cfg.header_lines(),
-                    lambda sink: export_edge_csv(g, sink))
+        _write_file(cfg, "edges.csv", lambda sink: export_edge_csv(g, sink))
     return 0
 
 

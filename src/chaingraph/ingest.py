@@ -411,27 +411,25 @@ class BlockCache:
 
 
 def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
-                max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                retries: int = DEFAULT_RETRIES,
-                backoff: float = DEFAULT_BACKOFF,
-                offline: bool = False,
                 on_block: Optional[Callable[[int, bool], None]] = None) -> Iterator[BlockRecord]:
     """Yield the blocks of a snapshot in ascending order.
 
     Cached blocks are served without network access; missing and corrupt
-    entries are fetched (up to ``max_inflight`` concurrently), validated,
-    and persisted before being yielded; a block that fails to parse is
-    never cached. ``on_block(number, from_cache)`` is invoked once per
-    block as it is scheduled. With ``offline=True`` a cache miss raises
+    entries are fetched from ``endpoint`` (up to DEFAULT_MAX_INFLIGHT
+    concurrently, each retried DEFAULT_RETRIES times), validated, and
+    persisted before being yielded; a block that fails to parse is never
+    cached. ``on_block(number, from_cache)`` is invoked once per block as
+    it is scheduled. With ``endpoint=None`` (offline) a cache miss raises
     OfflineMissError and a corrupt entry raises CacheCorruptError instead
     of fetching.
     """
     numbers = list(spec.numbers())
 
     def fetch_and_store(number: int) -> BlockRecord:
-        return cache.store(number, _fetch_block_result(endpoint, number, retries, backoff))
+        return cache.store(number, _fetch_block_result(endpoint, number, DEFAULT_RETRIES,
+                                                       DEFAULT_BACKOFF))
 
-    lookahead = max(2 * max_inflight, 8)
+    lookahead = max(2 * DEFAULT_MAX_INFLIGHT, 8)
     pending: dict[int, BlockRecord | Future] = {}
     # The pool, and concurrent.futures with the logging it imports, start
     # on the first miss: a warm range needs neither.
@@ -444,18 +442,18 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
                 try:
                     cached = cache.get(k)
                 except CacheCorruptError:
-                    if offline or endpoint is None:
+                    if endpoint is None:
                         raise
                     cached = None
                 if cached is not None:
                     pending[k] = cached
-                elif offline or endpoint is None:
+                elif endpoint is None:
                     raise OfflineMissError(f"block {k} not in cache and offline mode is on")
                 else:
                     if pool is None:
                         from concurrent.futures import ThreadPoolExecutor
 
-                        pool = ThreadPoolExecutor(max_workers=max_inflight)
+                        pool = ThreadPoolExecutor(max_workers=DEFAULT_MAX_INFLIGHT)
                     pending[k] = pool.submit(fetch_and_store, k)
                 if on_block is not None:
                     on_block(k, cached is not None)

@@ -40,6 +40,10 @@ class ExactnessPolicy:
     sample_sources: int = 1_000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.sample_sources < 1:
+            raise ValueError(f"sample_sources must be >= 1, got {self.sample_sources}")
+
 
 @dataclass
 class DegreeHistogram:

@@ -191,6 +191,47 @@ class TestSnapshots:
         assert len(body) == 2  # header + the snapshot that worked
 
 
+class TestDegenerateRanges:
+    """Block 1 holds only a self-transfer (one node, no edge); block 2 holds
+    no transaction (no node)."""
+
+    @pytest.fixture
+    def degenerate_cache(self, tmp_path):
+        seed_cache(tmp_path / "cache", {1: raw_block(1, [raw_tx(1, addr(1), addr(1))]),
+                                        2: raw_block(2, [])})
+        return tmp_path
+
+    @pytest.mark.parametrize("block,row", [(1, "1,0.0,0,exact,exact,-,-"),
+                                           (2, "0,0.0,0,exact,exact,-,-")])
+    def test_analyze_distances(self, degenerate_cache, block, row):
+        assert run(["analyze", "--start-block", str(block)], degenerate_cache) == 0
+        assert strip_header(degenerate_cache / "out" / "distances.csv")[1:] == [row]
+
+    def test_snapshots_rows(self, degenerate_cache):
+        args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:1"]
+        assert run(args, degenerate_cache) == 0
+        body = strip_header(degenerate_cache / "out" / "snapshots.csv")
+        assert body[1:] == ["1,1,1,1,0,0,1,0.0", "2,1,0,0,0,0,0,0.0"]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_smallworld_refused(self, degenerate_cache, capsys, block):
+        assert run(["smallworld", "--start-block", str(block)], degenerate_cache) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: block range {block}:1 has no edge to compare"]
+        assert not (degenerate_cache / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--start-block", "1", "--num-blocks", "3"],
+    ["smallworld", "--start-block", "1", "--num-blocks", "3"],
+    ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
+])
+def test_zero_sample_sources_refused_before_any_output(forest_cache, capsys, args):
+    assert run(args + ["--exact-threshold", "5", "--sample-sources", "0"], forest_cache) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: sample_sources must be >= 1, got 0"]
+    assert not (forest_cache / "out").exists()
+
+
 class TestMiners:
     def test_outputs(self, forest_cache):
         assert run(["miners", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 0
@@ -225,19 +266,22 @@ class TestGraphReleased:
     def alive_at_distances(self, monkeypatch):
         graphs = []
         alive = []
-        build_graph, distance_summary = cli.build_graph, cli.distance_summary
+        build_graph = cli.build_graph
 
         def watched_build_graph(blocks):
             g = build_graph(blocks)
             graphs.append(weakref.ref(g))
             return g
 
-        def watched_distance_summary(g, policy):
-            alive.append([ref() is not None for ref in graphs])
-            return distance_summary(g, policy)
+        def watched(fn):
+            def call(g, *args):
+                alive.append([ref() is not None for ref in graphs])
+                return fn(g, *args)
+            return call
 
         monkeypatch.setattr(cli, "build_graph", watched_build_graph)
-        monkeypatch.setattr(cli, "distance_summary", watched_distance_summary)
+        monkeypatch.setattr(cli, "distance_summary", watched(cli.distance_summary))
+        monkeypatch.setattr(cli, "small_world_report", watched(cli.small_world_report))
         return alive
 
     def test_analyze(self, forest_cache, alive_at_distances):
@@ -248,6 +292,31 @@ class TestGraphReleased:
         args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:2"]
         assert run(args, forest_cache) == 0
         assert alive_at_distances == [[False], [False, False]]
+
+    def test_smallworld(self, star_cache, alive_at_distances):
+        args = ["smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "2"]
+        assert run(args, star_cache) == 0
+        assert alive_at_distances == [[False]]
+
+    def test_snapshots_drop_each_range_before_the_next(self, forest_cache, monkeypatch):
+        projections = []
+        alive = []
+        build_graph, project_simple = cli.build_graph, cli.project_simple
+
+        def watched_build_graph(blocks):
+            alive.append([ref() is not None for ref in projections])
+            return build_graph(blocks)
+
+        def watched_project_simple(g):
+            simple = project_simple(g)
+            projections.append(weakref.ref(simple))
+            return simple
+
+        monkeypatch.setattr(cli, "build_graph", watched_build_graph)
+        monkeypatch.setattr(cli, "project_simple", watched_project_simple)
+        args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:2", "--snapshot", "1:3"]
+        assert run(args, forest_cache) == 0
+        assert alive == [[], [False], [False, False]]
 
 
 def test_offline_commands_never_load_http_stack(forest_cache):

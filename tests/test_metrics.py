@@ -266,6 +266,11 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance_summary(simple(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_sample_sources_rejected(self, k):
+        with pytest.raises(ValueError, match="sample_sources must be >= 1"):
+            ExactnessPolicy(sample_sources=k)
+
     def test_sampled_mode_and_labels(self):
         g = gnm_random_graph(GnmParams(300, 600, seed=2))
         main = largest_component(g)
