@@ -27,6 +27,7 @@ from chaingraph.ingest import (
     BlockRecord,
     IngestError,
     JsonRpcEndpoint,
+    OfflineMissError,
     SnapshotSpec,
     fetch_range,
 )
@@ -212,6 +213,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_smallworld(cfg: RunConfig) -> int:
     policy = cfg.policy()
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     spec = cfg.snapshots[0]
     main = _snapshot(cfg, spec).main
     if main.m == 0:
@@ -359,6 +362,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
+    except OfflineMissError as exc:
+        hint = "--offline is on" if cfg.offline else f"no --rpc-url or ${RPC_URL_ENV} is set"
+        print(f"error: {exc} ({hint})", file=sys.stderr)
+        return 1
     except (IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

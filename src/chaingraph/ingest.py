@@ -6,6 +6,15 @@ Every fetched block is validated and persisted to the cache before being
 handed to the caller, so re-runs and interrupted runs are served offline.
 The cache keeps only the fields of ``BlockRecord``, in a compact text
 format that is checked field by field on every load.
+
+A block's transactions are validated column by column: each of the hash,
+from, to and value columns is joined with spaces, checked by one
+fullmatch and lowercased and split once, so no Python function runs per
+transaction. Any transaction outside the common shape sends the whole
+list to the per-transaction parser ``_parse_tx``, which alone defines what
+is accepted: it names the first faulty field or accepts a rarer shape.
+Every field must match in full, so trailing whitespace (a final newline
+included) is refused.
 """
 
 from __future__ import annotations
@@ -17,16 +26,34 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
 
-ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
-HASH32_RE = re.compile(r"^0x[0-9a-fA-F]{64}$")
-QUANTITY_RE = re.compile(r"^0x[0-9a-fA-F]+$")
+# Field patterns, always used with fullmatch: "$" would also match before
+# a trailing newline, which would then be kept as part of the field.
+_ADDRESS_FIELD = "0x[0-9a-fA-F]{40}"
+_HASH32_FIELD = "0x[0-9a-fA-F]{64}"
+_QUANTITY_FIELD = "0x[0-9a-fA-F]+"
+ADDRESS_RE = re.compile(_ADDRESS_FIELD)
+HASH32_RE = re.compile(_HASH32_FIELD)
+QUANTITY_RE = re.compile(_QUANTITY_FIELD)
+
+
+def _column_re(field: str) -> re.Pattern:
+    """Fields joined by single spaces. A field that itself holds a space can
+    still match, as two fields: callers check the count after splitting."""
+    return re.compile(f"{field}(?: {field})*")
+
+
+_HASH32_COLUMN_RE = _column_re(_HASH32_FIELD)
+_ADDRESS_COLUMN_RE = _column_re(_ADDRESS_FIELD)
+_RECIPIENT_COLUMN_RE = _column_re(f"(?:{_ADDRESS_FIELD}|-)")
+_QUANTITY_COLUMN_RE = _column_re(_QUANTITY_FIELD)
 
 MAX_UINT256 = 2**256 - 1
 
@@ -86,7 +113,7 @@ class CacheCorruptError(IngestError):
 
 
 class OfflineMissError(IngestError):
-    """Cache miss while running in offline mode."""
+    """Cache miss with no endpoint to fetch the block from."""
 
 
 class TxRecord(NamedTuple):
@@ -148,20 +175,20 @@ def parse_quantity(value, field: str) -> int:
         if value < 0:
             raise BlockParseError(field, f"negative quantity: {value!r}")
         return value
-    if not isinstance(value, str) or not QUANTITY_RE.match(value):
+    if not isinstance(value, str) or not QUANTITY_RE.fullmatch(value):
         raise BlockParseError(field, f"not a hex quantity: {value!r}")
     return int(value, 16)
 
 
 def canonical_address(value, field: str) -> str:
     """Lowercase a 20-byte hex address; reject anything else."""
-    if not isinstance(value, str) or not ADDRESS_RE.match(value):
+    if not isinstance(value, str) or not ADDRESS_RE.fullmatch(value):
         raise BlockParseError(field, f"not a 20-byte hex address: {value!r}")
     return value.lower()
 
 
 def _canonical_hash(value, field: str) -> str:
-    if not isinstance(value, str) or not HASH32_RE.match(value):
+    if not isinstance(value, str) or not HASH32_RE.fullmatch(value):
         raise BlockParseError(field, f"not a 32-byte hex hash: {value!r}")
     return value.lower()
 
@@ -183,6 +210,60 @@ def _parse_tx(obj, index: int) -> TxRecord:
         recipient=None if recipient is None else canonical_address(recipient, f"{where}.to"),
         value=value,
     )
+
+
+_TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
+_RECIPIENT_TYPES = {str, type(None)}
+_DASH = {None: "-"}
+_CREATION = {"-": None}
+
+
+def _parse_txs_by_column(txs: list) -> Optional[tuple[TxRecord, ...]]:
+    """The records _parse_tx would build for every transaction, or None.
+
+    Each field is checked and converted a column at a time, by builtins,
+    with no Python-level call per transaction: one fullmatch over the
+    column's space-joined text, one lower() and one split(). None means
+    some transaction is outside the common shape (a plain dict with all
+    four fields, strings or a None recipient, a value below 2**256), and
+    nothing was accepted: the caller then parses one transaction at a time,
+    which names the fault or accepts a rarer shape (an int value, a
+    missing "to" or "value", a dict subclass).
+    """
+    n = len(txs)
+    if n == 0:
+        return ()
+    if set(map(type, txs)) != {dict}:
+        return None
+    try:
+        hashes, senders, recipients, values = [list(map(get, txs)) for get in _TX_FIELDS]
+    except KeyError:
+        return None
+    # "-" stands for None in the recipient column, so a real "-" (which
+    # _parse_tx refuses) must not reach it.
+    if (set(map(type, hashes + senders + values)) != {str}
+            or not set(map(type, recipients)) <= _RECIPIENT_TYPES or "-" in recipients):
+        return None
+    columns = ((hashes, _HASH32_COLUMN_RE), (senders, _ADDRESS_COLUMN_RE),
+               (map(_DASH.get, recipients, recipients), _RECIPIENT_COLUMN_RE),
+               (values, _QUANTITY_COLUMN_RE))
+    split = []
+    for column, pattern in columns:
+        text = " ".join(column)
+        if pattern.fullmatch(text) is None:
+            return None
+        # A field holding a space still matches as two fields, and would
+        # shift every later record by one: the count guards against that.
+        pieces = text.lower().split(" ")
+        if len(pieces) != n:
+            return None
+        split.append(pieces)
+    hashes, senders, recipients, values = split
+    values = list(map(int, values, repeat(16)))
+    if max(values) > MAX_UINT256:
+        return None
+    rows = zip(hashes, senders, map(_CREATION.get, recipients, recipients), values)
+    return tuple(map(tuple.__new__, repeat(TxRecord), rows))
 
 
 def parse_block_json(raw) -> BlockRecord:
@@ -209,13 +290,14 @@ def parse_block_json(raw) -> BlockRecord:
     txs_raw = obj["transactions"]
     if not isinstance(txs_raw, list):
         raise BlockParseError("transactions", "not a list")
-    return BlockRecord(
-        number=parse_quantity(obj["number"], "number"),
-        hash=_canonical_hash(obj["hash"], "hash"),
-        timestamp=parse_quantity(obj["timestamp"], "timestamp"),
-        miner=canonical_address(obj["miner"], "miner"),
-        transactions=tuple(_parse_tx(t, i) for i, t in enumerate(txs_raw)),
-    )
+    number = parse_quantity(obj["number"], "number")
+    block_hash = _canonical_hash(obj["hash"], "hash")
+    timestamp = parse_quantity(obj["timestamp"], "timestamp")
+    miner = canonical_address(obj["miner"], "miner")
+    transactions = _parse_txs_by_column(txs_raw)
+    if transactions is None:
+        transactions = tuple(_parse_tx(t, i) for i, t in enumerate(txs_raw))
+    return BlockRecord(number, block_hash, timestamp, miner, transactions)
 
 
 class JsonRpcEndpoint:
@@ -299,15 +381,17 @@ def fetch_block(endpoint, number: int,
 
 
 def _encode(block: BlockRecord) -> bytes:
-    lines = [f"{block.number} {block.hash} {block.timestamp} {block.miner}"]
-    lines += [
-        f"{tx.tx_hash} {tx.sender} {'-' if tx.recipient is None else tx.recipient} {tx.value:x}"
-        for tx in block.transactions
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-_CREATION = {"-": None}
+    # Column-wise, like _decode: one %-format over every field of the
+    # block, with no Python-level call per transaction; None is written
+    # as "-".
+    txs = block.transactions
+    head = f"{block.number} {block.hash} {block.timestamp} {block.miner}\n"
+    if not txs:
+        return head.encode("ascii")
+    hashes, senders, recipients, values = zip(*txs)
+    fields = zip(hashes, senders, map(_DASH.get, recipients, recipients), values)
+    return (head + "%s %s %s %x\n" * len(txs) % tuple(chain.from_iterable(fields))
+            ).encode("ascii")
 
 
 def _decode(body: bytes) -> BlockRecord:
@@ -419,9 +503,9 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
     concurrently, each retried DEFAULT_RETRIES times), validated, and
     persisted before being yielded; a block that fails to parse is never
     cached. ``on_block(number, from_cache)`` is invoked once per block as
-    it is scheduled. With ``endpoint=None`` (offline) a cache miss raises
-    OfflineMissError and a corrupt entry raises CacheCorruptError instead
-    of fetching.
+    it is scheduled. With ``endpoint=None`` (offline, or no endpoint
+    configured) a cache miss raises OfflineMissError and a corrupt entry
+    raises CacheCorruptError instead of fetching.
     """
     numbers = list(spec.numbers())
 
@@ -448,7 +532,8 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
                 if cached is not None:
                     pending[k] = cached
                 elif endpoint is None:
-                    raise OfflineMissError(f"block {k} not in cache and offline mode is on")
+                    raise OfflineMissError(
+                        f"block {k} not in cache and no RPC endpoint to fetch it from")
                 else:
                     if pool is None:
                         from concurrent.futures import ThreadPoolExecutor

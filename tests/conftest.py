@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from chaingraph.ingest import (
     BlockRecord,
@@ -167,3 +168,68 @@ def seed_cache(cache_dir, raw_blocks: dict[int, dict]) -> None:
 @pytest.fixture
 def fixture_a_record():
     return parse_block_json(FIXTURES.joinpath("block_fixture_a.json").read_text())
+
+
+# JSON-RPC transaction objects for property tests of parse_block_json.
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
+def _hex(digits: int) -> st.SearchStrategy[str]:
+    return st.text(_HEX_DIGITS, min_size=digits, max_size=digits).map("0x".__add__)
+
+
+_quantities = st.builds(
+    lambda value, zeros, upper: "0x" + "0" * zeros + (format(value, "X") if upper
+                                                      else format(value, "x")),
+    st.one_of(st.integers(0, 2**72), st.integers(0, 2**256 - 1)),
+    st.integers(0, 3), st.booleans())
+
+
+class TxDict(dict):
+    """A dict subclass, as a hand-built payload may hold."""
+
+
+def _odd_value(valid: str) -> st.SearchStrategy:
+    """Forms of a field that parse_block_json must refuse, or must not
+    take for the valid text they extend."""
+    return st.one_of(
+        st.sampled_from(["\n", " ", "\t", " -", "\r\n"]).map(valid.__add__),
+        st.sampled_from([" 0x1", " 0x" + "0" * 40, " 0x" + "ab" * 32]).map(valid.__add__),
+        st.just(valid.upper()),                       # "0X..." prefix
+        st.just(valid[:-1] + "\u0663"),               # ARABIC-INDIC DIGIT THREE
+        st.just(valid[:-1]),
+        st.sampled_from(["", "-", " ", "0x", "0x" + "f" * 65, "0x1" + "0" * 64]),
+        st.sampled_from([None, True, False, 0, 7, -1, 2**256, 2**256 - 1, ["0x1"], {}]),
+    )
+
+
+@st.composite
+def rpc_transactions(draw, max_size: int = 6, faults: bool = True) -> list:
+    """A block's "transactions" list: valid objects (mixed-case hex,
+    contract creations, leading zeros in values). With ``faults``, some
+    may be changed in one of the ways RPC payloads go wrong: an odd field,
+    a missing key, a non-object entry or a dict subclass."""
+    txs = draw(st.lists(st.fixed_dictionaries({
+        "hash": _hex(64),
+        "from": _hex(40),
+        "to": st.one_of(st.none(), _hex(40)),
+        "value": _quantities,
+    }), max_size=max_size))
+    for _ in range(draw(st.integers(0, 3)) if txs and faults else 0):
+        i = draw(st.integers(0, len(txs) - 1))
+        kind = draw(st.sampled_from(["field", "field", "field", "missing", "entry", "subclass"]))
+        if kind == "entry":
+            txs[i] = draw(st.sampled_from([None, "tx", 5, [], ["0x1"]]))
+        elif not isinstance(txs[i], dict):
+            continue
+        elif kind == "subclass":
+            txs[i] = TxDict(txs[i])
+        else:
+            key = draw(st.sampled_from(["hash", "from", "to", "value"]))
+            if kind == "missing":
+                txs[i].pop(key, None)
+            else:
+                valid = txs[i].get(key) if isinstance(txs[i].get(key), str) else "0x1"
+                txs[i][key] = draw(_odd_value(valid))
+    return txs

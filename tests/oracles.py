@@ -18,6 +18,17 @@ def chain_head(endpoint):
     return parse_quantity(endpoint.call("eth_blockNumber", []), "eth_blockNumber")
 
 
+def fstring_encode(block):
+    """A cache entry body written one f-string per transaction: the
+    byte-identity reference for ingest._encode."""
+    lines = [f"{block.number} {block.hash} {block.timestamp} {block.miner}"]
+    lines += [
+        f"{tx.tx_hash} {tx.sender} {'-' if tx.recipient is None else tx.recipient} {tx.value:x}"
+        for tx in block.transactions
+    ]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def labelled_edges(g):
     """A TransactionGraph's edges keyed by label pair, in insertion order."""
     labels = g.labels

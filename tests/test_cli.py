@@ -88,6 +88,18 @@ class TestFetch:
         assert run(["fetch", "--start-block", "5", "--num-blocks", "1"], tmp_path) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,hint", [
+        ([], "no --rpc-url or $CHAINGRAPH_RPC_URL is set"),
+        (["--offline"], "--offline is on"),
+    ], ids=["no-endpoint", "offline"])
+    def test_miss_without_endpoint_says_why(self, tmp_path, capsys, monkeypatch, flags, hint):
+        monkeypatch.delenv("CHAINGRAPH_RPC_URL", raising=False)
+        argv = ["analyze", "--start-block", "1", "--cache-dir", str(tmp_path / "cache"),
+                "--out-dir", str(tmp_path / "out")] + flags
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: block 1 not in cache and no RPC endpoint to fetch it from ({hint})"]
+
     def test_non_object_reply_reported(self, tmp_path, capsys, monkeypatch):
         endpoint = stub_endpoint("<html>502 Bad Gateway</html>")
         monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
@@ -230,6 +242,13 @@ def test_zero_sample_sources_refused_before_any_output(forest_cache, capsys, arg
     assert run(args + ["--exact-threshold", "5", "--sample-sources", "0"], forest_cache) == 1
     assert capsys.readouterr().err.splitlines() == ["error: sample_sources must be >= 1, got 0"]
     assert not (forest_cache / "out").exists()
+
+
+def test_zero_trials_refused_before_loading(tmp_path, capsys):
+    (tmp_path / "cache").mkdir()
+    assert run(["smallworld", "--start-block", "1", "--trials", "0"], tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: trials must be >= 1, got 0"]
+    assert not (tmp_path / "out").exists()
 
 
 class TestMiners:

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 import sys
 import tempfile
 import threading
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chaingraph.ingest import (
     BlockCache,
@@ -19,6 +20,9 @@ from chaingraph.ingest import (
     SnapshotSpec,
     TransportError,
     TxRecord,
+    _encode,
+    _parse_tx,
+    _parse_txs_by_column,
     fetch_block,
     fetch_range,
     parse_block_json,
@@ -26,8 +30,28 @@ from chaingraph.ingest import (
     canonical_address,
 )
 
-from conftest import MockEndpoint, StubSession, addr, raw_block, raw_tx, stub_endpoint
-from oracles import chain_head
+from conftest import (MockEndpoint, StubSession, TxDict, addr, raw_block, raw_tx,
+                      rpc_transactions, stub_endpoint, tx_hash)
+from oracles import chain_head, fstring_encode
+
+
+def per_transaction(txs):
+    """parse_block_json's transactions by the per-transaction parser alone:
+    the records, or the field named by the BlockParseError it raises."""
+    try:
+        return tuple(_parse_tx(t, i) for i, t in enumerate(txs))
+    except BlockParseError as exc:
+        return exc.field
+
+
+def parsed_transactions(raw):
+    """parse_block_json's transactions, or the field its BlockParseError names."""
+    try:
+        block = parse_block_json(raw)
+    except BlockParseError as exc:
+        return exc.field
+    assert all(type(tx) is TxRecord for tx in block.transactions)
+    return block.transactions
 
 
 class TestParseBlockJson:
@@ -113,6 +137,63 @@ class TestParseBlockJson:
     def test_canonical_address_idempotent(self):
         a = canonical_address("0xAbCdEf" + "1" * 34, "x")
         assert canonical_address(a, "x") == a
+
+    @pytest.mark.parametrize("field", [
+        "transactions[1].hash", "transactions[1].from", "transactions[1].to",
+        "transactions[1].value", "number", "hash", "timestamp", "miner"])
+    def test_trailing_newline_refused(self, tmp_path, field):
+        raw = raw_block(12, [raw_tx(i, addr(i), addr(i + 1), value=i) for i in range(3)])
+        obj = raw["transactions"][1] if field.startswith("transactions") else raw
+        key = field.rpartition(".")[2]
+        obj[key] += "\n"
+        with pytest.raises(BlockParseError) as exc:
+            parse_block_json(raw)
+        assert exc.value.field == field
+        with pytest.raises(BlockParseError):
+            BlockCache(tmp_path).store(12, raw)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key,extra", [
+        ("hash", " " + tx_hash(99)), ("from", " " + addr(99)), ("to", " " + addr(99)),
+        ("to", " -"), ("value", " 0x2")])
+    def test_field_holding_the_column_separator_refused(self, key, extra):
+        # Joined with spaces, such a field still matches its column as two
+        # fields; the records after it must not shift by one.
+        txs = [raw_tx(i, addr(i), addr(i + 1), value=i) for i in range(3)]
+        txs[1][key] += extra
+        with pytest.raises(BlockParseError) as exc:
+            parse_block_json(raw_block(1, txs))
+        assert exc.value.field == f"transactions[1].{key}"
+
+    def test_dash_recipient_refused(self):
+        # The cache writes "-" for a creation; as an RPC "to" it is no address.
+        txs = [raw_tx(1, addr(1), None), raw_tx(2, addr(2), "-")]
+        with pytest.raises(BlockParseError) as exc:
+            parse_block_json(raw_block(1, txs))
+        assert exc.value.field == "transactions[1].to"
+
+    @pytest.mark.parametrize("change", [
+        lambda tx: {**tx, "value": 255},
+        lambda tx: {k: v for k, v in tx.items() if k != "to"},
+        lambda tx: {k: v for k, v in tx.items() if k != "value"},
+        lambda tx: TxDict(tx),
+    ], ids=["int-value", "no-to", "no-value", "dict-subclass"])
+    def test_rare_shapes_accepted(self, change):
+        txs = [raw_tx(i, addr(i), addr(i + 1), value=i) for i in range(3)]
+        txs[1] = change(txs[1])
+        assert parse_block_json(raw_block(1, txs)).transactions == per_transaction(txs)
+
+    @settings(max_examples=300)
+    @given(txs=rpc_transactions())
+    def test_matches_per_transaction_parser(self, txs):
+        # The same records, or a BlockParseError naming the same field.
+        assert parsed_transactions(raw_block(1, txs)) == per_transaction(txs)
+
+    @given(txs=rpc_transactions(max_size=20, faults=False))
+    def test_common_shape_parsed_by_column(self, txs):
+        records = _parse_txs_by_column(txs)
+        assert records == per_transaction(txs)
+        assert all(type(tx) is TxRecord for tx in records)
 
 
 class TestSnapshotSpec:
@@ -290,6 +371,30 @@ class TestCache:
             loaded = cache.load(number)
             assert loaded == stored
             assert all(type(tx) is TxRecord for tx in loaded.transactions)
+
+    @settings(max_examples=200)
+    @given(txs=rpc_transactions(),
+           header=st.fixed_dictionaries({}, optional={
+               "hash": st.sampled_from(["\n", " ", "0"]),
+               "miner": st.sampled_from(["\n", " ", "0"]),
+               "timestamp": st.sampled_from(["\n", " ", "0"])}))
+    def test_every_stored_block_loads_unchanged(self, txs, header):
+        raw = raw_block(12, txs)
+        for key, suffix in header.items():
+            raw[key] += suffix
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = BlockCache(tmp)
+            try:
+                stored = cache.store(12, raw)
+            except BlockParseError:
+                assert os.listdir(tmp) == []
+                return
+            assert cache.load(12) == stored
+
+    @given(txs=rpc_transactions(max_size=20, faults=False))
+    def test_encode_matches_fstring_reference(self, txs):
+        block = parse_block_json(raw_block(12, txs))
+        assert _encode(block) == fstring_encode(block)
 
     def test_corruption_detected(self, tmp_path):
         cache = BlockCache(tmp_path)
@@ -485,7 +590,7 @@ class TestFetchRange:
 
     def test_offline_miss_raises(self, tmp_path):
         cache = BlockCache(tmp_path)
-        with pytest.raises(OfflineMissError):
+        with pytest.raises(OfflineMissError, match="block 5 not in cache and no RPC endpoint"):
             list(fetch_range(None, SnapshotSpec(5, 1), cache))
 
     @pytest.fixture
