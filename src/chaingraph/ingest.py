@@ -4,8 +4,11 @@ Blocks are fetched with ``eth_getBlockByNumber(<hex>, true)`` so the full
 transaction objects come back in one call; receipts are never requested.
 Every fetched block is validated and persisted to the cache before being
 handed to the caller, so re-runs and interrupted runs are served offline.
-The cache keeps only the fields of ``BlockRecord``, in a compact text
-format that is checked field by field on every load.
+The cache keeps only the fields of ``BlockRecord``, in a binary
+fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
+as raw bytes, so a load checks lengths and the value text, not every hex
+character. Entries in the two older formats are read, and rewritten in the
+current one, on first load.
 
 A block's transactions are validated column by column: each of the hash,
 from, to and value columns is joined with spaces, checked by one
@@ -14,7 +17,8 @@ transaction. Any transaction outside the common shape sends the whole
 list to the per-transaction parser ``_parse_tx``, which alone defines what
 is accepted: it names the first faulty field or accepts a rarer shape.
 Every field must match in full, so trailing whitespace (a final newline
-included) is refused.
+included) is refused. A cache entry is written and read a column at a
+time in the same way.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ import hashlib
 import json
 import os
 import re
+import struct
 import threading
 import time
+from binascii import unhexlify
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import is_, itemgetter, lt
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
@@ -56,22 +62,50 @@ _RECIPIENT_COLUMN_RE = _column_re(f"(?:{_ADDRESS_FIELD}|-)")
 _QUANTITY_COLUMN_RE = _column_re(_QUANTITY_FIELD)
 
 MAX_UINT256 = 2**256 - 1
+MAX_UINT64 = 2**64 - 1
 
-# Cache entry format 2: a header line naming the format and the sha256 of
-# the body, then the body: "number hash timestamp miner", then one
-# "tx_hash from to|- value" line per transaction. Integers are decimal,
-# the value is hex without prefix; all hex is lowercase. BODY_RE accepts
-# exactly the bodies that _encode writes for a valid block, so it enforces
-# on load what parse_block_json enforces on write: 32-byte hashes, 20-byte
-# addresses, "-" for a creation, and a value below 2**256.
-CACHE_FORMAT = b"chaingraph-block/2"
+# Cache entry format 3: a text header line naming the format and the sha256
+# of the body, then the body, in six parts:
+#   _HEAD (">QQI32s20s"): number, timestamp, transaction count n, block
+#       hash, miner;
+#   the tx-hash column, 32 bytes per transaction;
+#   the sender column, 20 bytes per transaction;
+#   the recipient column, 20 bytes per transaction, 20 zero bytes for a
+#       contract creation;
+#   the creation list: a u32 count, then strictly increasing u32
+#       transaction indices;
+#   the values, the only text: lowercase hex without prefix or leading
+#       zeros, separated by single spaces (empty when n = 0).
+# Integers are big-endian. Any 32 or 20 bytes are a valid hash or address,
+# so _unpack checks no character of them: it checks that the length is
+# what n and the creation count imply, the creation list, and that the
+# value text matches _VALUES_RE and splits into exactly n fields. It
+# accepts exactly the bodies that _encode writes. A cut inside the last
+# value, like a changed byte of a hash, leaves the body of another block,
+# which only the checksum tells apart.
+CACHE_FORMAT = b"chaingraph-block/3"
+_HEAD = struct.Struct(">QQI32s20s")
+_U32 = struct.Struct(">I")
+_VALUE = rb"(?:0|[1-9a-f][0-9a-f]{0,63})"
+_VALUES_RE = re.compile(_VALUE + rb"(?: " + _VALUE + rb")*")
+_NO_RECIPIENT = "0x" + "00" * 20
+_NO_RECIPIENT_FOR = {None: _NO_RECIPIENT}
+_DIGITS = itemgetter(slice(2, None))  # "0x..." -> "..."
+
+# Cache entry format 2, read only to migrate it: the header line, then
+# "number hash timestamp miner", then one "tx_hash from to|- value" line
+# per transaction. Integers are decimal, the value is hex without prefix;
+# all hex is lowercase. BODY_RE accepts exactly the bodies that format 2
+# wrote for a valid block: 32-byte hashes, 20-byte addresses, "-" for a
+# creation, and a value below 2**256.
+_FORMAT_2 = b"chaingraph-block/2"
 _DECIMAL = rb"(?:0|[1-9][0-9]*)"
 _HASH = rb"0x[0-9a-f]{64}"
 _ADDRESS = rb"0x[0-9a-f]{40}"
 BODY_RE = re.compile(
     _DECIMAL + b" " + _HASH + b" " + _DECIMAL + b" " + _ADDRESS + b"\n"
     + b"(?:" + _HASH + b" " + _ADDRESS + b" (?:" + _ADDRESS + b"|-)"
-    + rb" (?:0|[1-9a-f][0-9a-f]{0,63})\n)*"
+    + rb" " + _VALUE + b"\n)*"
 )
 
 DEFAULT_MAX_INFLIGHT = 4
@@ -193,6 +227,14 @@ def _canonical_hash(value, field: str) -> str:
     return value.lower()
 
 
+def _parse_u64(value, field: str) -> int:
+    # The cache holds a block's number and timestamp as u64.
+    quantity = parse_quantity(value, field)
+    if quantity > MAX_UINT64:
+        raise BlockParseError(field, "exceeds 64-bit range")
+    return quantity
+
+
 def _parse_tx(obj, index: int) -> TxRecord:
     where = f"transactions[{index}]"
     if not isinstance(obj, dict):
@@ -290,9 +332,9 @@ def parse_block_json(raw) -> BlockRecord:
     txs_raw = obj["transactions"]
     if not isinstance(txs_raw, list):
         raise BlockParseError("transactions", "not a list")
-    number = parse_quantity(obj["number"], "number")
+    number = _parse_u64(obj["number"], "number")
     block_hash = _canonical_hash(obj["hash"], "hash")
-    timestamp = parse_quantity(obj["timestamp"], "timestamp")
+    timestamp = _parse_u64(obj["timestamp"], "timestamp")
     miner = canonical_address(obj["miner"], "miner")
     transactions = _parse_txs_by_column(txs_raw)
     if transactions is None:
@@ -381,31 +423,89 @@ def fetch_block(endpoint, number: int,
 
 
 def _encode(block: BlockRecord) -> bytes:
-    # Column-wise, like _decode: one %-format over every field of the
-    # block, with no Python-level call per transaction; None is written
-    # as "-".
+    # Column-wise, with no Python-level call per transaction: the hashes,
+    # senders and recipients (20 zero bytes for a creation) are one
+    # unhexlify of their joined digits, and the values one %-format.
     txs = block.transactions
-    head = f"{block.number} {block.hash} {block.timestamp} {block.miner}\n"
+    n = len(txs)
+    head = _HEAD.pack(block.number, block.timestamp, n,
+                      unhexlify(block.hash[2:]), unhexlify(block.miner[2:]))
     if not txs:
-        return head.encode("ascii")
+        return head + _U32.pack(0)
     hashes, senders, recipients, values = zip(*txs)
-    fields = zip(hashes, senders, map(_DASH.get, recipients, recipients), values)
-    return (head + "%s %s %s %x\n" * len(txs) % tuple(chain.from_iterable(fields))
-            ).encode("ascii")
+    creations = tuple(compress(count(), map(is_, recipients, repeat(None))))
+    filled = map(_NO_RECIPIENT_FOR.get, recipients, recipients)
+    columns = unhexlify("".join(map(_DIGITS, chain(hashes, senders, filled))))
+    return (head + columns + struct.pack(f">I{len(creations)}I", len(creations), *creations)
+            + ("%x " * n)[:-1].encode("ascii") % values)
+
+
+def _hex_column(data: bytes, width: int) -> list[str]:
+    """Split a column of ``width``-byte fields (at least one) into 0x hex."""
+    return ("0x" + data.hex(" ", width).replace(" ", " 0x")).split(" ")
+
+
+def _unpack(body: bytes) -> BlockRecord:
+    # A format-3 body, checked and decoded column-wise; ValueError names
+    # the first part that is not as _encode writes it.
+    size = len(body)
+    if size < _HEAD.size + _U32.size:
+        raise ValueError("body shorter than its header")
+    number, timestamp, n, block_hash, miner = _HEAD.unpack_from(body)
+    block_hash = "0x" + block_hash.hex()
+    miner = "0x" + miner.hex()
+    if n == 0:
+        if body[_HEAD.size:] != bytes(_U32.size):
+            raise ValueError("a block without transactions has more than its header")
+        return BlockRecord(number, block_hash, timestamp, miner, ())
+    senders_at = _HEAD.size + 32 * n
+    creations_at = senders_at + 40 * n
+    if size < creations_at + _U32.size:
+        raise ValueError(f"body too short for {n} transactions")
+    (created,) = _U32.unpack_from(body, creations_at)
+    values_at = creations_at + _U32.size * (1 + created)
+    if size < values_at:
+        raise ValueError(f"body too short for {created} contract creations")
+    creations = struct.unpack_from(f">{created}I", body, creations_at + _U32.size)
+    values = body[values_at:]
+    if _VALUES_RE.fullmatch(values) is None or values.count(b" ") != n - 1:
+        raise ValueError(f"value text is not {n} lowercase hex values")
+    hashes = _hex_column(body[_HEAD.size:senders_at], 32)
+    addresses = _hex_column(body[senders_at:creations_at], 20)
+    recipients = addresses[n:]
+    if creations:
+        if not all(map(lt, creations, creations[1:])) or creations[-1] >= n:
+            raise ValueError("creation indices not strictly increasing below the tx count")
+        if set(map(recipients.__getitem__, creations)) != {_NO_RECIPIENT}:
+            raise ValueError("a contract creation has a non-zero recipient")
+        for i in creations:
+            recipients[i] = None
+    columns = zip(hashes, addresses[:n], recipients, map(int, values.split(b" "), repeat(16)))
+    txs = tuple(map(tuple.__new__, repeat(TxRecord), columns))
+    return BlockRecord(number, block_hash, timestamp, miner, txs)
 
 
 def _decode(body: bytes) -> BlockRecord:
-    # Only for bodies that BODY_RE has accepted: four header fields, then
-    # four fields per transaction. The records are built column-wise by
-    # builtins, with no Python-level call per transaction: "-" maps to
-    # None through dict.get(r, r), and tuple.__new__ skips the named
-    # tuple's own constructor (BODY_RE already fixed each record's arity).
+    # A format-2 body. The records are built column-wise by builtins, with
+    # no Python-level call per transaction: "-" maps to None through
+    # dict.get(r, r), and tuple.__new__ skips the named tuple's own
+    # constructor (BODY_RE already fixed each record's arity).
+    if BODY_RE.fullmatch(body) is None:
+        raise ValueError("not a format-2 body")
     fields = body.decode("ascii").split()
+    number, timestamp = int(fields[0]), int(fields[2])
+    if number > MAX_UINT64 or timestamp > MAX_UINT64:
+        raise ValueError("number or timestamp exceeds 64-bit range")
     recipients = fields[6::4]
     columns = zip(fields[4::4], fields[5::4], map(_CREATION.get, recipients, recipients),
                   map(int, fields[7::4], repeat(16)))
     txs = tuple(map(tuple.__new__, repeat(TxRecord), columns))
-    return BlockRecord(int(fields[0]), fields[1], int(fields[2]), fields[3], txs)
+    return BlockRecord(number, fields[1], timestamp, fields[3], txs)
+
+
+# Body readers by header format name; a legacy entry's header is its
+# checksum alone, so its format name is empty.
+_READERS = {CACHE_FORMAT: _unpack, _FORMAT_2: _decode, b"": parse_block_json}
 
 
 class BlockCache:
@@ -414,11 +514,13 @@ class BlockCache:
     Each file holds a header line (format name and the body's sha256) and
     the block's validated fields (see ``CACHE_FORMAT``), so partial runs
     resume and replays never hit the network. Entries are validated before
-    they are written and checked field by field when read. Writes are
-    atomic: each writer writes a temp file of its own, then renames it. An
-    entry in the older format, a sha256 line followed by the full JSON-RPC
-    result, is verified, parsed and rewritten in the current format on
-    first load.
+    they are written and checked on every read. Writes are atomic: each
+    writer writes a temp file of its own, then renames it. Entries in the
+    older formats (format 2, and a sha256 line followed by the full
+    JSON-RPC result) are verified, parsed and rewritten in the current
+    format on first load; a read-only cache keeps serving them. Files keep
+    the ``.json`` name of the oldest format, so existing caches still
+    resolve.
     """
 
     def __init__(self, directory):
@@ -461,24 +563,21 @@ class BlockCache:
         miss and CacheCorruptError on a corrupt entry."""
         path = self.path(number)
         header, _, body = path.read_bytes().partition(b"\n")
-        legacy = header.startswith(b"sha256:")
-        if legacy:
-            body = body.rstrip(b"\n")
-        expected = b"sha256:" if legacy else CACHE_FORMAT + b" sha256:"
-        if header != expected + hashlib.sha256(body).hexdigest().encode("ascii"):
-            raise CacheCorruptError(f"{path}: unknown format or checksum mismatch")
-        if legacy:
-            try:
-                block = parse_block_json(body)
-            except (BlockParseError, UnicodeDecodeError) as exc:
-                raise CacheCorruptError(f"{path}: {exc}") from exc
-        elif BODY_RE.fullmatch(body) is None:
-            raise CacheCorruptError(f"{path}: malformed block fields")
+        if header.startswith(b"sha256:"):
+            name, checksum, body = b"", header, body.rstrip(b"\n")
         else:
-            block = _decode(body)
+            name, _, checksum = header.partition(b" ")
+        reader = _READERS.get(name)
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        if reader is None or checksum != b"sha256:" + digest:
+            raise CacheCorruptError(f"{path}: unknown format or checksum mismatch")
+        try:
+            block = reader(body)
+        except (BlockParseError, ValueError) as exc:
+            raise CacheCorruptError(f"{path}: malformed block fields: {exc}") from exc
         if block.number != number:
             raise CacheCorruptError(f"{path}: holds block {block.number}, not {number}")
-        if legacy:
+        if reader is not _unpack:
             try:
                 self._write(block)
             except OSError:

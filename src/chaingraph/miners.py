@@ -3,36 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, TextIO
 
-from chaingraph.ingest import BlockRecord, SnapshotSpec
+from chaingraph.ingest import BlockRecord
 
 
 @dataclass
 class MinerHistogram:
     per_miner: dict[str, int]
     distribution: dict[int, int]
-    range: Optional[SnapshotSpec]
 
 
 def miner_distribution(blocks: Iterable[BlockRecord]) -> MinerHistogram:
     """Count blocks per beneficiary address and invert into
-    blocks-mined -> number-of-miners. The range is set only when the
-    blocks are exactly one contiguous run, each number once."""
+    blocks-mined -> number-of-miners."""
     per_miner: dict[str, int] = {}
-    numbers: list[int] = []
     for block in blocks:
         per_miner[block.miner] = per_miner.get(block.miner, 0) + 1
-        numbers.append(block.number)
     distribution: dict[int, int] = {}
     for count in per_miner.values():
         distribution[count] = distribution.get(count, 0) + 1
-    covered = None
-    if numbers:
-        lo = min(numbers)
-        if sorted(numbers) == list(range(lo, lo + len(numbers))):
-            covered = SnapshotSpec(lo, len(numbers))
-    return MinerHistogram(per_miner=per_miner, distribution=distribution, range=covered)
+    return MinerHistogram(per_miner=per_miner, distribution=distribution)
 
 
 def write_miner_csv(hist: MinerHistogram, sink: TextIO) -> None:

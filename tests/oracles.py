@@ -7,6 +7,7 @@ scans, distances via a level-by-level frontier walk.
 """
 
 import random
+import struct
 from itertools import combinations
 
 from chaingraph.baseline import GnmParams
@@ -18,15 +19,34 @@ def chain_head(endpoint):
     return parse_quantity(endpoint.call("eth_blockNumber", []), "eth_blockNumber")
 
 
-def fstring_encode(block):
-    """A cache entry body written one f-string per transaction: the
-    byte-identity reference for ingest._encode."""
+def encode_v2(block):
+    """A format-2 cache entry body, one f-string per transaction: the
+    writer of the v2 entries that the migration tests load."""
     lines = [f"{block.number} {block.hash} {block.timestamp} {block.miner}"]
     lines += [
         f"{tx.tx_hash} {tx.sender} {'-' if tx.recipient is None else tx.recipient} {tx.value:x}"
         for tx in block.transactions
     ]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def record_encode(block):
+    """A format-3 cache entry body built one field at a time from the
+    format's description: the byte-identity reference for ingest._encode."""
+    txs = block.transactions
+    out = struct.pack(">QQI", block.number, block.timestamp, len(txs))
+    out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
+    for tx in txs:
+        out += bytes.fromhex(tx.tx_hash[2:])
+    for tx in txs:
+        out += bytes.fromhex(tx.sender[2:])
+    for tx in txs:
+        out += bytes(20) if tx.recipient is None else bytes.fromhex(tx.recipient[2:])
+    creations = [i for i, tx in enumerate(txs) if tx.recipient is None]
+    out += struct.pack(">I", len(creations))
+    for i in creations:
+        out += struct.pack(">I", i)
+    return out + " ".join(format(tx.value, "x") for tx in txs).encode("ascii")
 
 
 def labelled_edges(g):

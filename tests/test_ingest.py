@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import sys
 import tempfile
 import threading
@@ -10,6 +11,7 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 from chaingraph.ingest import (
+    CACHE_FORMAT,
     BlockCache,
     BlockRecord,
     BlockNotFoundError,
@@ -32,7 +34,7 @@ from chaingraph.ingest import (
 
 from conftest import (MockEndpoint, StubSession, TxDict, addr, raw_block, raw_tx,
                       rpc_transactions, stub_endpoint, tx_hash)
-from oracles import chain_head, fstring_encode
+from oracles import chain_head, encode_v2, record_encode
 
 
 def per_transaction(txs):
@@ -122,6 +124,21 @@ class TestParseBlockJson:
         bad = raw_block(1, [raw_tx(1, addr(1), addr(2), value=2**256)])
         with pytest.raises(BlockParseError, match="value"):
             parse_block_json(bad)
+
+    @pytest.mark.parametrize("field", ["number", "timestamp"])
+    def test_over_64_bits_refused(self, tmp_path, field):
+        # The cache holds both as u64: such a block is refused before any
+        # write, not half-written by struct.
+        raw = raw_block(12, [raw_tx(1, addr(1), addr(2))])
+        raw[field] = hex(2**64)
+        with pytest.raises(BlockParseError, match="64-bit") as exc:
+            parse_block_json(raw)
+        assert exc.value.field == field
+        with pytest.raises(BlockParseError):
+            BlockCache(tmp_path).store(int(raw["number"], 16), raw)
+        assert list(tmp_path.iterdir()) == []
+        raw[field] = hex(2**64 - 1)
+        assert getattr(parse_block_json(raw), field) == 2**64 - 1
 
     @pytest.mark.parametrize("value", [-1, True])
     def test_negative_or_bool_quantity_rejected(self, value):
@@ -315,22 +332,70 @@ class NotJsonSession(StubSession):
         raise ValueError("Expecting value: line 1 column 1 (char 0)")
 
 
-def write_entry(path, body: bytes, header: bytes = b"chaingraph-block/2") -> None:
+FORMAT_2 = b"chaingraph-block/2"
+
+
+def write_entry(path, body: bytes, header: bytes = CACHE_FORMAT) -> None:
     """Write a cache entry whose checksum matches ``body``."""
     digest = hashlib.sha256(body).hexdigest().encode()
     path.write_bytes(header + b" sha256:" + digest + b"\n" + body)
 
 
 def write_legacy_entry(path, result: dict) -> None:
-    """Write an entry in the older format: checksum line, then RPC JSON."""
+    """Write an entry in the oldest format: checksum line, then RPC JSON."""
     text = json.dumps(result, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()
     path.write_text(f"sha256:{digest}\n{text}\n")
 
 
-VALID_BODY = ("12 0x" + "ab" * 32 + " 1500000000 0x" + "cd" * 20 + "\n"
-              "0x" + "01" * 32 + " 0x" + "02" * 20 + " 0x" + "03" * 20 + " ff\n"
-              "0x" + "04" * 32 + " 0x" + "05" * 20 + " - 0\n")
+def rpc_result(block: BlockRecord) -> dict:
+    """The JSON-RPC block result that parses to ``block``."""
+    return {
+        "number": hex(block.number), "hash": block.hash,
+        "timestamp": hex(block.timestamp), "miner": block.miner,
+        "transactions": [{"hash": tx.tx_hash, "from": tx.sender, "to": tx.recipient,
+                          "value": hex(tx.value)} for tx in block.transactions],
+    }
+
+
+def _hex_bytes(size: int) -> st.SearchStrategy[str]:
+    # All-zero fields are drawn often: the zero address is a real
+    # recipient, not a contract creation.
+    return st.one_of(st.just(bytes(size)), st.binary(min_size=size, max_size=size)).map(
+        lambda b: "0x" + b.hex())
+
+
+_uint64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_values = st.one_of(st.sampled_from([0, 1, 2**256 - 1]), st.integers(0, 2**256 - 1))
+_creations = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), st.none(), _values)
+_transfers = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), _hex_bytes(20), _values)
+
+
+def block_records() -> st.SearchStrategy[BlockRecord]:
+    """Valid blocks: none, some or all of their transactions creations."""
+    txs = st.one_of(st.lists(st.one_of(_transfers, _creations), max_size=8),
+                    st.lists(_creations, min_size=1, max_size=4))
+    return st.builds(BlockRecord, _uint64, _hex_bytes(32), _uint64, _hex_bytes(20),
+                     txs.map(tuple))
+
+
+V2_BODY = ("12 0x" + "ab" * 32 + " 1500000000 0x" + "cd" * 20 + "\n"
+           "0x" + "01" * 32 + " 0x" + "02" * 20 + " 0x" + "03" * 20 + " ff\n"
+           "0x" + "04" * 32 + " 0x" + "05" * 20 + " - 0\n")
+
+
+def v3_body(number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"), creations=(1,),
+            values=b"ff 0 1") -> bytes:
+    """A format-3 body of three transactions, built part by part so that
+    any one part can be made wrong. As given, the second transaction is a
+    creation, the third pays the zero address, and the last value has one
+    digit: no cut of the body is the body of another block."""
+    return (struct.pack(">QQI32s20s", number, 1_500_000_000, n, b"\xab" * 32, b"\xcd" * 20)
+            + b"".join(bytes([i]) * 32 for i in (1, 4, 7))
+            + b"".join(bytes([i]) * 20 for i in (2, 5, 8))
+            + b"".join(r * 20 for r in recipients)
+            + struct.pack(f">I{len(creations)}I", len(creations), *creations)
+            + values)
 
 
 class TestCache:
@@ -391,10 +456,40 @@ class TestCache:
                 return
             assert cache.load(12) == stored
 
-    @given(txs=rpc_transactions(max_size=20, faults=False))
-    def test_encode_matches_fstring_reference(self, txs):
-        block = parse_block_json(raw_block(12, txs))
-        assert _encode(block) == fstring_encode(block)
+    @given(block=block_records())
+    def test_encode_matches_record_reference(self, block):
+        assert _encode(block) == record_encode(block)
+
+    @given(block=block_records())
+    def test_stored_record_loads_unchanged(self, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = BlockCache(tmp)
+            assert cache.store(block.number, rpc_result(block)) == block
+            assert cache.load(block.number) == block
+            header, _, body = cache.path(block.number).read_bytes().partition(b"\n")
+            assert header.startswith(CACHE_FORMAT + b" sha256:")
+            assert body == _encode(block)
+
+    @settings(max_examples=200)
+    @given(block=block_records(), data=st.data())
+    def test_accepted_body_reencodes_to_itself(self, block, data):
+        # A body changed in any way, with its checksum made to match,
+        # loads only if it is exactly what _encode writes for what loads.
+        body = _encode(block)
+        start = data.draw(st.integers(0, len(body)))
+        end = data.draw(st.integers(start, min(len(body), start + 8)))
+        insert = data.draw(st.one_of(st.binary(max_size=8),
+                                     st.text("0123456789abcdef x", max_size=8).map(str.encode)))
+        changed = body[:start] + insert + body[end:]
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = BlockCache(tmp)
+            write_entry(cache.path(block.number), changed)
+            try:
+                loaded = cache.load(block.number)
+            except CacheCorruptError as exc:
+                assert str(cache.path(block.number)) in str(exc)
+                return
+            assert _encode(loaded) == changed
 
     def test_corruption_detected(self, tmp_path):
         cache = BlockCache(tmp_path)
@@ -410,7 +505,7 @@ class TestCache:
 
     def test_valid_body_accepted(self, tmp_path):
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), VALID_BODY.encode())
+        write_entry(cache.path(12), V2_BODY.encode(), header=FORMAT_2)
         block = cache.load(12)
         assert block.transactions[0].value == 255
         assert block.transactions[1].recipient is None
@@ -427,16 +522,63 @@ class TestCache:
         (" - 0\n", " - 0 extra\n"),                        # extra field
     ])
     def test_malformed_field_with_valid_checksum(self, tmp_path, old, new):
-        assert VALID_BODY.count(old) == 1
+        assert V2_BODY.count(old) == 1
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), VALID_BODY.replace(old, new).encode())
+        write_entry(cache.path(12), V2_BODY.replace(old, new).encode(), header=FORMAT_2)
         with pytest.raises(CacheCorruptError, match="malformed"):
             cache.load(12)
 
     def test_unknown_format_rejected(self, tmp_path):
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), VALID_BODY.encode(), header=b"chaingraph-block/3")
+        write_entry(cache.path(12), V2_BODY.encode(), header=b"chaingraph-block/9")
         with pytest.raises(CacheCorruptError):
+            cache.load(12)
+
+    def test_v3_reference_body_loads(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), v3_body())
+        block = cache.load(12)
+        assert [tx.recipient for tx in block.transactions] == [
+            "0x" + "21" * 20, None, "0x" + "00" * 20]
+        assert [tx.value for tx in block.transactions] == [255, 0, 1]
+        assert _encode(block) == v3_body()
+        # A zero slot outside the creation list is the zero address.
+        write_entry(cache.path(12), v3_body(creations=()))
+        assert cache.load(12).transactions[1].recipient == "0x" + "00" * 20
+
+    def test_every_cut_refused(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        body = v3_body()
+        for size in range(len(body)):
+            write_entry(cache.path(12), body[:size])
+            with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
+                cache.load(12)
+
+    @pytest.mark.parametrize("body", [
+        v3_body() + b" ",                                   # extended
+        v3_body() + b"\n",
+        v3_body() + b" 0",
+        v3_body().replace(b"ff 0 1", bytes(4) + b"ff 0 1"),  # longer creation list
+        v3_body(n=0), v3_body(n=2), v3_body(n=4),           # wrong tx count
+        v3_body(n=0)[:72] + bytes(4) + b"0",                # a value without a tx
+        v3_body(recipients=(b"\x00",) * 3, creations=(1, 0)),  # unsorted
+        v3_body(creations=(1, 1)),                          # duplicated
+        v3_body(creations=(3,)),                            # out of range
+        v3_body(creations=(1, 2**32 - 1)),
+        v3_body(creations=(0,)),                            # non-zero slot
+        v3_body(values=b"ff 00 1"),                         # leading zero
+        v3_body(values=b"0ff 0 1"),
+        v3_body(values=b"ff 0 1" + b"0" * 64),              # 65 digits
+        v3_body(values=b"fg 0 1"),                          # non-hex
+        v3_body(values=b"FF 0 1"),
+        v3_body(values=b"ff  0 1"),
+        v3_body(values=b"ff 0"),                            # too few values
+        v3_body(number=13),                                 # another block
+    ])
+    def test_malformed_v3_body_with_valid_checksum(self, tmp_path, body):
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), body)
+        with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
             cache.load(12)
 
     def test_entry_of_another_block_refused(self, tmp_path):
@@ -504,8 +646,46 @@ class TestCache:
         raw = raw_block(12, [raw_tx(1, "0xAbC" + "0" * 37, None, value=2**256 - 1)])
         write_legacy_entry(cache.path(12), raw)
         assert cache.load(12) == parse_block_json(raw)
-        assert cache.path(12).read_bytes().startswith(b"chaingraph-block/2 sha256:")
+        assert cache.path(12).read_bytes().startswith(b"chaingraph-block/3 sha256:")
         assert cache.load(12) == parse_block_json(raw)
+
+    @given(block=block_records(), legacy=st.booleans())
+    def test_old_entry_rewritten_as_stored(self, block, legacy):
+        # Format 2 and legacy JSON entries load as the same records and are
+        # rewritten byte-identical to what store writes for the block.
+        with tempfile.TemporaryDirectory() as old, tempfile.TemporaryDirectory() as new:
+            cache = BlockCache(old)
+            path = cache.path(block.number)
+            if legacy:
+                write_legacy_entry(path, rpc_result(block))
+            else:
+                write_entry(path, encode_v2(block), header=FORMAT_2)
+            assert cache.load(block.number) == block
+            stored = BlockCache(new)
+            stored.store(block.number, rpc_result(block))
+            assert path.read_bytes() == stored.path(block.number).read_bytes()
+            assert cache.load(block.number) == block
+
+    def test_v2_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), V2_BODY.encode(), header=FORMAT_2)
+        before = cache.path(12).read_bytes()
+
+        def refuse(block):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(cache, "_write", refuse)
+        assert cache.load(12).transactions[0].value == 255
+        assert cache.path(12).read_bytes() == before
+
+    def test_v2_entry_over_64_bits_refused(self, tmp_path):
+        # Format 3 cannot hold it, so it is corrupt, not migrated.
+        cache = BlockCache(tmp_path)
+        body = V2_BODY.replace(" 1500000000 ", f" {2**64} ")
+        write_entry(cache.path(12), body.encode(), header=FORMAT_2)
+        with pytest.raises(CacheCorruptError, match="64-bit"):
+            cache.load(12)
+        assert cache.path(12).read_bytes().startswith(FORMAT_2 + b" ")
 
     def test_legacy_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
         cache = BlockCache(tmp_path)
@@ -576,7 +756,8 @@ class TestFetchRange:
         for n in (100, 101, 102):
             cache.store(n, raw_block(n, []))
         path = cache.path(101)
-        path.write_bytes(path.read_bytes().replace(b" 1500000000 ", b" 1500000001 "))
+        path.write_bytes(path.read_bytes().replace(struct.pack(">Q", 1_500_000_000),
+                                                   struct.pack(">Q", 1_500_000_001)))
         with pytest.raises(CacheCorruptError, match=str(path)):
             list(fetch_range(None, SnapshotSpec(100, 3), cache))
 

@@ -2,7 +2,6 @@ import io
 
 from hypothesis import given, strategies as st
 
-from chaingraph.ingest import SnapshotSpec
 from chaingraph.miners import miner_distribution, write_distribution_csv, write_miner_csv
 
 from conftest import addr, make_block
@@ -23,22 +22,6 @@ def test_empty_input():
     hist = miner_distribution([])
     assert hist.per_miner == {}
     assert hist.distribution == {}
-    assert hist.range is None
-
-
-def test_range_covers_blocks():
-    hist = miner_distribution(blocks_by_miners([addr(1), addr(2), addr(1)]))
-    assert hist.range.start_block == 100
-    assert hist.range.count == 3
-
-
-def test_range_none_for_gapped_or_repeated_blocks():
-    gapped = [make_block(n, [], miner=addr(1)) for n in (100, 101, 103)]
-    assert miner_distribution(gapped).range is None
-    repeated = [make_block(n, [], miner=addr(1)) for n in (100, 100, 101)]
-    assert miner_distribution(repeated).range is None
-    shuffled = [make_block(n, [], miner=addr(1)) for n in (102, 100, 101)]
-    assert miner_distribution(shuffled).range == SnapshotSpec(100, 3)
 
 
 @given(st.lists(st.integers(0, 6), max_size=40))
