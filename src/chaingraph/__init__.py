@@ -20,9 +20,8 @@ from chaingraph.graph import (
     TransactionGraph,
     build_graph,
     export_pajek,
-    import_pajek,
-    node_for_recipient,
     project_simple,
+    recipient_nodes,
 )
 from chaingraph.metrics import (
     ComponentSet,
@@ -75,12 +74,11 @@ __all__ = [
     "fetch_range",
     "general_metrics",
     "gnm_random_graph",
-    "import_pajek",
     "largest_component",
     "miner_distribution",
-    "node_for_recipient",
     "parse_block_json",
     "project_simple",
+    "recipient_nodes",
     "small_world_report",
     "small_world_sigma",
     "transitivity",

@@ -10,15 +10,23 @@ as raw bytes, so a load checks lengths and the value text, not every hex
 character. Entries in the two older formats are read, and rewritten in the
 current one, on first load.
 
+A ``BlockRecord`` holds its transactions column-wise, in the cache's own
+layout: the sender and recipient columns as 0x strings, which the graph
+reads, and the tx-hash column and the value text as the raw bytes format 3
+stores, which a warm load slices out without decoding. No per-transaction
+object is built on the way from the cache to the graph; the
+``transactions`` property builds ``TxRecord`` rows for readers that want
+them.
+
 A block's transactions are validated column by column: each of the hash,
 from, to and value columns is joined with spaces, checked by one
-fullmatch and lowercased and split once, so no Python function runs per
+fullmatch and converted once, so no Python function runs per
 transaction. Any transaction outside the common shape sends the whole
 list to the per-transaction parser ``_parse_tx``, which alone defines what
-is accepted: it names the first faulty field or accepts a rarer shape.
-Every field must match in full, so trailing whitespace (a final newline
-included) is refused. A cache entry is written and read a column at a
-time in the same way.
+is accepted: it names the first faulty field or accepts a rarer shape, and
+its rows are transposed into columns once. Every field must match in
+full, so trailing whitespace (a final newline included) is refused. A
+cache entry is written by concatenating the record's columns.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import is_, itemgetter, lt
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -90,7 +98,6 @@ _VALUE = rb"(?:0|[1-9a-f][0-9a-f]{0,63})"
 _VALUES_RE = re.compile(_VALUE + rb"(?: " + _VALUE + rb")*")
 _NO_RECIPIENT = "0x" + "00" * 20
 _NO_RECIPIENT_FOR = {None: _NO_RECIPIENT}
-_DIGITS = itemgetter(slice(2, None))  # "0x..." -> "..."
 
 # Cache entry format 2, read only to migrate it: the header line, then
 # "number hash timestamp miner", then one "tx_hash from to|- value" line
@@ -151,13 +158,10 @@ class OfflineMissError(IngestError):
 
 
 class TxRecord(NamedTuple):
-    """One transaction as recorded in a block body.
+    """One transaction as a row: the view ``BlockRecord.transactions`` builds.
 
     ``recipient`` is None for contract creations. ``value`` is in wei and
     may need the full 256-bit range (Python ints are arbitrary precision).
-    Records are immutable named tuples: a warm load builds one per cached
-    transaction, and a tuple costs less to build and hold than an object
-    with a ``__dict__``.
     """
 
     tx_hash: str
@@ -167,11 +171,52 @@ class TxRecord(NamedTuple):
 
 
 class BlockRecord(NamedTuple):
+    """A validated block, its transactions held column-wise.
+
+    ``senders`` and ``recipients`` hold one lowercase 0x address per
+    transaction, with None as the recipient of a contract creation;
+    ``creations`` lists those transactions' indices in increasing order.
+    ``tx_hashes`` is the transactions' 32-byte hashes back to back, and
+    ``value_text`` their values in wei as lowercase hex without prefix or
+    leading zeros, separated by single spaces: the raw bytes format 3
+    stores, kept as they are, since the graph reads only 8 bytes of a
+    creation's hash and no command reads a value. Records are immutable,
+    hashable and compare by value.
+    """
+
     number: int
     hash: str
     timestamp: int
     miner: str
-    transactions: tuple[TxRecord, ...]
+    senders: tuple[str, ...]
+    recipients: tuple[Optional[str], ...]
+    creations: tuple[int, ...]
+    tx_hashes: bytes
+    value_text: bytes
+
+    @property
+    def transactions(self) -> tuple[TxRecord, ...]:
+        """The transactions as ``TxRecord`` rows, decoded on each access."""
+        if not self.senders:
+            return ()
+        rows = zip(_hex_column(self.tx_hashes, 32), self.senders, self.recipients,
+                   map(int, self.value_text.split(b" "), repeat(16)))
+        return tuple(map(tuple.__new__, repeat(TxRecord), rows))
+
+    @classmethod
+    def from_transactions(cls, number: int, hash: str, timestamp: int, miner: str,
+                          transactions: Iterable[TxRecord]) -> "BlockRecord":
+        """The record of a block with these rows, given as ``_parse_tx``
+        builds them (lowercase hex): the inverse of ``transactions``."""
+        hashes, senders, recipients, values = tuple(zip(*transactions)) or ((),) * 4
+        return cls(number, hash, timestamp, miner, senders, recipients, _creations(recipients),
+                   unhexlify("".join(hashes).replace("0x", "")),
+                   ("%x " * len(values))[:-1].encode("ascii") % values)
+
+
+def _creations(recipients) -> tuple[int, ...]:
+    """Indices of the contract creations in a recipient column."""
+    return tuple(compress(count(), map(is_, recipients, repeat(None))))
 
 
 @dataclass(frozen=True)
@@ -258,23 +303,26 @@ _TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
 _RECIPIENT_TYPES = {str, type(None)}
 _DASH = {None: "-"}
 _CREATION = {"-": None}
+_NO_COLUMNS = ((), (), (), b"", b"")
 
 
-def _parse_txs_by_column(txs: list) -> Optional[tuple[TxRecord, ...]]:
-    """The records _parse_tx would build for every transaction, or None.
+def _parse_txs_by_column(txs: list) -> Optional[tuple]:
+    """The transaction columns of a ``BlockRecord`` (senders, recipients,
+    creations, tx_hashes, value_text) that _parse_tx's rows give, or None.
 
     Each field is checked and converted a column at a time, by builtins,
     with no Python-level call per transaction: one fullmatch over the
-    column's space-joined text, one lower() and one split(). None means
-    some transaction is outside the common shape (a plain dict with all
-    four fields, strings or a None recipient, a value below 2**256), and
-    nothing was accepted: the caller then parses one transaction at a time,
-    which names the fault or accepts a rarer shape (an int value, a
-    missing "to" or "value", a dict subclass).
+    column's space-joined text, then one lower() and split(), or one
+    bytes.fromhex for the hashes. None means some transaction is outside
+    the common shape (a plain dict with all four fields, strings or a None
+    recipient, a value below 2**256), and nothing was accepted: the caller
+    then parses one transaction at a time, which names the fault or
+    accepts a rarer shape (an int value, a missing "to" or "value", a dict
+    subclass).
     """
     n = len(txs)
     if n == 0:
-        return ()
+        return _NO_COLUMNS
     if set(map(type, txs)) != {dict}:
         return None
     try:
@@ -286,7 +334,15 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple[TxRecord, ...]]:
     if (set(map(type, hashes + senders + values)) != {str}
             or not set(map(type, recipients)) <= _RECIPIENT_TYPES or "-" in recipients):
         return None
-    columns = ((hashes, _HASH32_COLUMN_RE), (senders, _ADDRESS_COLUMN_RE),
+    text = " ".join(hashes)
+    if _HASH32_COLUMN_RE.fullmatch(text) is None:
+        return None
+    tx_hashes = bytes.fromhex(text.replace("0x", ""))
+    # A field holding a space still matches as two fields, and would
+    # shift every later transaction by one: the counts guard against that.
+    if len(tx_hashes) != 32 * n:
+        return None
+    columns = ((senders, _ADDRESS_COLUMN_RE),
                (map(_DASH.get, recipients, recipients), _RECIPIENT_COLUMN_RE),
                (values, _QUANTITY_COLUMN_RE))
     split = []
@@ -294,18 +350,17 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple[TxRecord, ...]]:
         text = " ".join(column)
         if pattern.fullmatch(text) is None:
             return None
-        # A field holding a space still matches as two fields, and would
-        # shift every later record by one: the count guards against that.
         pieces = text.lower().split(" ")
         if len(pieces) != n:
             return None
         split.append(pieces)
-    hashes, senders, recipients, values = split
-    values = list(map(int, values, repeat(16)))
+    senders, recipients, values = split
+    values = tuple(map(int, values, repeat(16)))
     if max(values) > MAX_UINT256:
         return None
-    rows = zip(hashes, senders, map(_CREATION.get, recipients, recipients), values)
-    return tuple(map(tuple.__new__, repeat(TxRecord), rows))
+    recipients = tuple(map(_CREATION.get, recipients, recipients))
+    return (tuple(senders), recipients, _creations(recipients), tx_hashes,
+            ("%x " * n)[:-1].encode("ascii") % values)
 
 
 def parse_block_json(raw) -> BlockRecord:
@@ -336,10 +391,12 @@ def parse_block_json(raw) -> BlockRecord:
     block_hash = _canonical_hash(obj["hash"], "hash")
     timestamp = _parse_u64(obj["timestamp"], "timestamp")
     miner = canonical_address(obj["miner"], "miner")
-    transactions = _parse_txs_by_column(txs_raw)
-    if transactions is None:
-        transactions = tuple(_parse_tx(t, i) for i, t in enumerate(txs_raw))
-    return BlockRecord(number, block_hash, timestamp, miner, transactions)
+    columns = _parse_txs_by_column(txs_raw)
+    if columns is None:
+        return BlockRecord.from_transactions(
+            number, block_hash, timestamp, miner,
+            [_parse_tx(t, i) for i, t in enumerate(txs_raw)])
+    return BlockRecord(number, block_hash, timestamp, miner, *columns)
 
 
 class JsonRpcEndpoint:
@@ -423,21 +480,17 @@ def fetch_block(endpoint, number: int,
 
 
 def _encode(block: BlockRecord) -> bytes:
-    # Column-wise, with no Python-level call per transaction: the hashes,
-    # senders and recipients (20 zero bytes for a creation) are one
-    # unhexlify of their joined digits, and the values one %-format.
-    txs = block.transactions
-    n = len(txs)
-    head = _HEAD.pack(block.number, block.timestamp, n,
+    # The record's columns, concatenated: the tx hashes and the value text
+    # are already as stored, and the senders and recipients (20 zero bytes
+    # for a creation) are one unhexlify of their joined digits.
+    creations = block.creations
+    head = _HEAD.pack(block.number, block.timestamp, len(block.senders),
                       unhexlify(block.hash[2:]), unhexlify(block.miner[2:]))
-    if not txs:
-        return head + _U32.pack(0)
-    hashes, senders, recipients, values = zip(*txs)
-    creations = tuple(compress(count(), map(is_, recipients, repeat(None))))
-    filled = map(_NO_RECIPIENT_FOR.get, recipients, recipients)
-    columns = unhexlify("".join(map(_DIGITS, chain(hashes, senders, filled))))
-    return (head + columns + struct.pack(f">I{len(creations)}I", len(creations), *creations)
-            + ("%x " * n)[:-1].encode("ascii") % values)
+    addresses = "".join(chain(block.senders,
+                              map(_NO_RECIPIENT_FOR.get, block.recipients, block.recipients)))
+    return (head + block.tx_hashes + unhexlify(addresses.replace("0x", ""))
+            + struct.pack(f">I{len(creations)}I", len(creations), *creations)
+            + block.value_text)
 
 
 def _hex_column(data: bytes, width: int) -> list[str]:
@@ -446,8 +499,9 @@ def _hex_column(data: bytes, width: int) -> list[str]:
 
 
 def _unpack(body: bytes) -> BlockRecord:
-    # A format-3 body, checked and decoded column-wise; ValueError names
-    # the first part that is not as _encode writes it.
+    # A format-3 body, checked column-wise; ValueError names the first part
+    # that is not as _encode writes it. Only the two address columns are
+    # decoded: the tx hashes and the value text are kept as stored.
     size = len(body)
     if size < _HEAD.size + _U32.size:
         raise ValueError("body shorter than its header")
@@ -457,7 +511,7 @@ def _unpack(body: bytes) -> BlockRecord:
     if n == 0:
         if body[_HEAD.size:] != bytes(_U32.size):
             raise ValueError("a block without transactions has more than its header")
-        return BlockRecord(number, block_hash, timestamp, miner, ())
+        return BlockRecord(number, block_hash, timestamp, miner, *_NO_COLUMNS)
     senders_at = _HEAD.size + 32 * n
     creations_at = senders_at + 40 * n
     if size < creations_at + _U32.size:
@@ -470,7 +524,6 @@ def _unpack(body: bytes) -> BlockRecord:
     values = body[values_at:]
     if _VALUES_RE.fullmatch(values) is None or values.count(b" ") != n - 1:
         raise ValueError(f"value text is not {n} lowercase hex values")
-    hashes = _hex_column(body[_HEAD.size:senders_at], 32)
     addresses = _hex_column(body[senders_at:creations_at], 20)
     recipients = addresses[n:]
     if creations:
@@ -480,16 +533,14 @@ def _unpack(body: bytes) -> BlockRecord:
             raise ValueError("a contract creation has a non-zero recipient")
         for i in creations:
             recipients[i] = None
-    columns = zip(hashes, addresses[:n], recipients, map(int, values.split(b" "), repeat(16)))
-    txs = tuple(map(tuple.__new__, repeat(TxRecord), columns))
-    return BlockRecord(number, block_hash, timestamp, miner, txs)
+    return BlockRecord(number, block_hash, timestamp, miner, tuple(addresses[:n]),
+                       tuple(recipients), creations, body[_HEAD.size:senders_at], values)
 
 
 def _decode(body: bytes) -> BlockRecord:
-    # A format-2 body. The records are built column-wise by builtins, with
-    # no Python-level call per transaction: "-" maps to None through
-    # dict.get(r, r), and tuple.__new__ skips the named tuple's own
-    # constructor (BODY_RE already fixed each record's arity).
+    # A format-2 body, whose values are already text as format 3 stores
+    # it. The columns are built by builtins, with no Python-level call per
+    # transaction: "-" maps to None through dict.get(r, r).
     if BODY_RE.fullmatch(body) is None:
         raise ValueError("not a format-2 body")
     fields = body.decode("ascii").split()
@@ -497,10 +548,11 @@ def _decode(body: bytes) -> BlockRecord:
     if number > MAX_UINT64 or timestamp > MAX_UINT64:
         raise ValueError("number or timestamp exceeds 64-bit range")
     recipients = fields[6::4]
-    columns = zip(fields[4::4], fields[5::4], map(_CREATION.get, recipients, recipients),
-                  map(int, fields[7::4], repeat(16)))
-    txs = tuple(map(tuple.__new__, repeat(TxRecord), columns))
-    return BlockRecord(number, fields[1], timestamp, fields[3], txs)
+    recipients = tuple(map(_CREATION.get, recipients, recipients))
+    return BlockRecord(number, fields[1], timestamp, fields[3], tuple(fields[5::4]),
+                       recipients, _creations(recipients),
+                       unhexlify("".join(fields[4::4]).replace("0x", "")),
+                       " ".join(fields[7::4]).encode("ascii"))
 
 
 # Body readers by header format name; a legacy entry's header is its
@@ -526,9 +578,15 @@ class BlockCache:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # Reads and writes use plain str paths: a Path built per block costs
+        # more than the os calls it wraps.
+        self._prefix = os.path.join(self.directory, "")
+
+    def _file(self, number: int) -> str:
+        return f"{self._prefix}{number:012d}.json"
 
     def path(self, number: int) -> Path:
-        return self.directory / f"{number:012d}.json"
+        return Path(self._file(number))
 
     def store(self, number: int, result: dict) -> BlockRecord:
         """Validate a JSON-RPC block result, cache it and return its record.
@@ -544,25 +602,33 @@ class BlockCache:
     def _write(self, block: BlockRecord) -> None:
         body = _encode(block)
         header = CACHE_FORMAT + b" sha256:" + hashlib.sha256(body).hexdigest().encode("ascii")
-        path = self.path(block.number)
-        # A temp name of this writer's own ("x" refuses an existing file),
+        path = self._file(block.number)
+        # A temp name of this writer's own (O_EXCL refuses an existing file),
         # so concurrent writers of one block never rename each other's
         # half-written file into place.
-        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-        f = open(tmp, "xb")
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with f:
-                f.write(header + b"\n" + body)
-            tmp.replace(path)
+            try:
+                data = memoryview(header + b"\n" + body)
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
             raise
 
     def load(self, number: int) -> BlockRecord:
         """Load and verify a cached block; raises FileNotFoundError on a
         miss and CacheCorruptError on a corrupt entry."""
-        path = self.path(number)
-        header, _, body = path.read_bytes().partition(b"\n")
+        path = self._file(number)
+        with open(path, "rb") as f:
+            header, _, body = f.read().partition(b"\n")
         if header.startswith(b"sha256:"):
             name, checksum, body = b"", header, body.rstrip(b"\n")
         else:

@@ -1,5 +1,6 @@
 """Brute-force reference implementations used only to check the fast paths,
-and small graph and RPC helpers that only the tests need.
+the Pajek reader that checks export_pajek, and small graph and RPC helpers
+that only the tests need.
 
 The references deliberately avoid the library's algorithms: components
 via flood-fill over an edge set, clustering via exhaustive triple/pair
@@ -7,10 +8,12 @@ scans, distances via a level-by-level frontier walk.
 """
 
 import random
+import re
 import struct
 from itertools import combinations
 
 from chaingraph.baseline import GnmParams
+from chaingraph.graph import TransactionGraph
 from chaingraph.ingest import parse_quantity
 
 
@@ -47,6 +50,97 @@ def record_encode(block):
     for i in creations:
         out += struct.pack(">I", i)
     return out + " ".join(format(tx.value, "x") for tx in txs).encode("ascii")
+
+
+def add_node(g, label):
+    """A TransactionGraph node's index, appending the label if it is new."""
+    if label not in g.labels:
+        g.labels.append(label)
+    return g.labels.index(label)
+
+
+def add_interaction(g, sender, recipient, count=1):
+    """Record ``count`` transactions from sender to recipient in a
+    TransactionGraph, as build_graph would: the builder of hand-made test
+    graphs."""
+    i, j = add_node(g, sender), add_node(g, recipient)
+    if i == j:
+        g.loops[i] = g.loops.get(i, 0) + count
+        return
+    key = (i, j) if sender < recipient else (j, i)
+    g.edges[key] = g.edges.get(key, 0) + count
+
+
+def recipient_node(tx):
+    """A TxRecord's recipient node, from the row: the recipient, or
+    `created!` and the first 16 hex digits of the hash for a creation."""
+    return "created!" + tx.tx_hash[2:18] if tx.recipient is None else tx.recipient
+
+
+class PajekError(ValueError):
+    """Malformed Pajek input."""
+
+
+_VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
+
+
+def import_pajek(source):
+    """Read the dialect written by export_pajek into a TransactionGraph;
+    *Arcs* sections are accepted and treated as weighted edges. Inverse of
+    export_pajek up to node reindexing."""
+    lines = [ln.rstrip("\n") for ln in source]
+    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("%")]
+    if not lines or not lines[0].lower().startswith("*vertices"):
+        raise PajekError("missing *Vertices header")
+    parts = lines[0].split()
+    if len(parts) != 2 or not parts[1].isdigit():
+        raise PajekError(f"bad *Vertices header: {lines[0]!r}")
+    n = int(parts[1])
+
+    g = TransactionGraph()
+    by_index = {}
+    pos = 1
+    while pos < len(lines) and not lines[pos].startswith("*"):
+        match = _VERTEX_RE.match(lines[pos].strip())
+        if match:
+            idx, label = int(match.group(1)), match.group(2)
+        else:
+            fields = lines[pos].split(None, 1)
+            if len(fields) != 2 or not fields[0].isdigit():
+                raise PajekError(f"bad vertex line: {lines[pos]!r}")
+            idx, label = int(fields[0]), fields[1].strip()
+        if not 1 <= idx <= n:
+            raise PajekError(f"vertex index {idx} out of range 1..{n}")
+        by_index[idx] = label
+        pos += 1
+    # Vertex lines may be omitted for unlabeled nodes.
+    for idx in range(1, n + 1):
+        add_node(g, by_index.get(idx, str(idx)))
+
+    def resolve(token):
+        if not token.isdigit():
+            raise PajekError(f"bad vertex reference: {token!r}")
+        idx = int(token)
+        if not 1 <= idx <= n:
+            raise PajekError(f"edge endpoint {idx} out of range 1..{n}")
+        return g.labels[idx - 1]
+
+    while pos < len(lines):
+        header = lines[pos].strip().lower()
+        if header not in ("*edges", "*arcs"):
+            raise PajekError(f"unexpected section: {lines[pos]!r}")
+        pos += 1
+        while pos < len(lines) and not lines[pos].startswith("*"):
+            fields = lines[pos].split()
+            if len(fields) not in (2, 3):
+                raise PajekError(f"bad edge line: {lines[pos]!r}")
+            u, v = resolve(fields[0]), resolve(fields[1])
+            weight = int(fields[2]) if len(fields) == 3 else 1
+            if weight <= 0:
+                raise PajekError(f"non-positive weight on line: {lines[pos]!r}")
+            add_interaction(g, u, v, count=weight)
+            pos += 1
+    return g
 
 
 def labelled_edges(g):

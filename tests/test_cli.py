@@ -11,7 +11,7 @@ import pytest
 
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
-from chaingraph.ingest import JsonRpcEndpoint
+from chaingraph.ingest import BlockRecord, JsonRpcEndpoint
 
 from conftest import (
     MockEndpoint,
@@ -401,6 +401,61 @@ def test_offline_commands_never_load_http_stack(forest_cache):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", "[]", "1 fetched, 3 cache hits", "['concurrent.futures', 'requests', 'urllib3']"]
+
+
+def test_warm_commands_never_build_transaction_rows(tmp_path, monkeypatch):
+    # Warm runs feed the cached address columns to the graph: no command
+    # reads the TxRecord view, on a range with creations and loops too.
+    seed_cache(tmp_path / "cache", pairs_to_raw_blocks(TestPinnedOutputs.mixed_pairs(), start=1))
+
+    def refuse(block):
+        raise AssertionError("BlockRecord.transactions read")
+
+    monkeypatch.setattr(BlockRecord, "transactions", property(refuse))
+    blocks = ["--start-block", "1", "--num-blocks", "3"]
+    for argv in (["analyze", *blocks], ["smallworld", *blocks, "--trials", "2"],
+                 ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
+                 ["miners", *blocks], ["export", *blocks]):
+        assert run(argv, tmp_path) == 0, argv
+
+
+def test_traced_analyze_counts_the_fixture(forest_cache):
+    # The benchmark's tracer wraps library functions by name; a rename
+    # must fail here, not only in a traced benchmark run. A fresh
+    # interpreter, since install() rebinds names in every chaingraph module.
+    script = textwrap.dedent("""
+        import json
+        import sys
+        import chaingraph
+        import chaingraph.cli
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        rc = chaingraph.cli.main(sys.argv[1:])
+        calls = {name: row["calls"] for name, row in tracer.summary().items()}
+        print(json.dumps({"rc": rc, "counts": tracer.counts, "firsts": tracer.firsts,
+                          "calls": calls}))
+    """)
+    root = Path(__file__).resolve().parent.parent
+    argv = ["analyze", "--exact-threshold", "1000", "--sample-sources", "32",
+            "--start-block", "1", "--num-blocks", "3", "--offline",
+            "--cache-dir", str(forest_cache / "cache"), "--out-dir", str(forest_cache / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    assert result["counts"]["ingest.cache_hits"] == 3
+    assert "ingest.cache_misses" not in result["counts"]
+    assert result["firsts"] == {"graph.nodes": 55, "graph.edges": 40,
+                                "metrics.main_component_nodes": 19}
+    for name in ("ingest.fetch_range", "graph.build_graph", "metrics.distance_summary"):
+        assert result["calls"][name] == 1, name
+    assert result["calls"]["ingest.cache_get"] == 3
 
 
 class TestCliSurface:

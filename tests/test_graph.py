@@ -5,32 +5,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingraph.graph import (
-    PajekError,
     SimpleGraph,
     TransactionGraph,
     build_graph,
     export_edge_csv,
     export_pajek,
-    import_pajek,
-    node_for_recipient,
     project_simple,
+    recipient_nodes,
 )
-from chaingraph.ingest import TxRecord
+from chaingraph.ingest import BlockRecord, TxRecord
 from chaingraph.metrics import degree_distribution
 
 from conftest import addr, forest_blocks, make_block, tx_hash
 from oracles import (
     LabelKeyedGraph,
+    PajekError,
+    add_interaction,
     canonical_form,
+    import_pajek,
     index_of,
     labelled_edges,
     labelled_loops,
+    recipient_node,
     total_transactions,
 )
 
 
 def graph_from_pairs(pairs):
     return build_graph([make_block(1, pairs)])
+
+
+def block_of(*txs):
+    return BlockRecord.from_transactions(1, tx_hash(0xB001), 1_500_000_000, addr(0xFEED), txs)
 
 
 class TestBuildGraph:
@@ -71,28 +77,27 @@ class TestBuildGraph:
         assert canonical_form(build_graph(blocks)) == canonical_form(build_graph(shuffled))
 
     def test_contract_creation_gets_synthetic_node(self):
-        tx = TxRecord(tx_hash=tx_hash(0xDEADBEEF), sender=addr(1), recipient=None, value=0)
-        block = make_block(1, [])
-        block = type(block)(block.number, block.hash, block.timestamp, block.miner, (tx,))
-        g = build_graph([block])
+        g = build_graph([block_of(TxRecord(tx_hash(0xDEADBEEF), addr(1), None, 0))])
         assert g.n == 2
         assert any(label.startswith("created!") for label in g.labels)
 
 
-class TestNodeForRecipient:
+class TestRecipientNodes:
     def test_present_recipient_passthrough(self):
-        tx = TxRecord(tx_hash=tx_hash(1), sender=addr(1), recipient=addr(2), value=0)
-        assert node_for_recipient(tx) == addr(2)
+        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2), 0))
+        assert recipient_nodes(block) == (addr(2),)
 
     def test_absent_recipient_uses_hash_prefix(self):
         h = "0xdeadbeef" + "0" * 56
-        tx = TxRecord(tx_hash=h, sender=addr(1), recipient=None, value=0)
-        assert node_for_recipient(tx) == "created!deadbeef00000000"
+        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2), 0),
+                         TxRecord(h, addr(1), None, 0))
+        assert list(recipient_nodes(block)) == [addr(2), "created!deadbeef00000000"]
 
     def test_distinct_hashes_distinct_nodes(self):
-        t1 = TxRecord(tx_hash="0x" + "a" * 64, sender=addr(1), recipient=None, value=0)
-        t2 = TxRecord(tx_hash="0x" + "b" * 64, sender=addr(1), recipient=None, value=0)
-        assert node_for_recipient(t1) != node_for_recipient(t2)
+        block = block_of(TxRecord("0x" + "a" * 64, addr(1), None, 0),
+                         TxRecord("0x" + "b" * 64, addr(1), None, 0))
+        first, second = recipient_nodes(block)
+        assert first != second
 
 
 class TestProjectSimple:
@@ -117,7 +122,7 @@ class TestProjectSimple:
         # Repeats, both directions and loops, folded by from_edges.
         g = TransactionGraph()
         for u, v, count in raw:
-            g.add_interaction(f"n{u}", f"n{v}", count=count)
+            add_interaction(g, f"n{u}", f"n{v}", count=count)
         pairs = [(index_of(g, f"n{u}"), index_of(g, f"n{v}")) for u, v, _ in raw]
         assert project_simple(g) == SimpleGraph.from_edges(g.n, pairs, labels=list(g.labels))
 
@@ -134,7 +139,7 @@ def random_graph_pairs(rng, n_nodes, n_txs):
 class TestPajek:
     def test_two_node_exact_bytes(self):
         g = TransactionGraph()
-        g.add_interaction("a", "b", count=3)
+        add_interaction(g, "a", "b", count=3)
         sink = io.StringIO()
         export_pajek(g, sink)
         assert sink.getvalue() == '*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2 3\n'
@@ -215,18 +220,27 @@ def test_property_weight_sum_and_order_insensitivity(raw_pairs, rng):
     assert canonical_form(graph_from_pairs(shuffled)) == canonical_form(g)
 
 
+# Transactions among 10 accounts: None is a contract creation, and hashes
+# share their first 8 bytes often enough that two creations can name one
+# node. Small ranges give self-transfers and both directions of a pair, in
+# insertion orders unlike label order.
+_txs = st.builds(
+    lambda prefix, rest, u, v: TxRecord("0x" + format(prefix, "016x") + rest.hex(), addr(u),
+                                        None if v is None else addr(v), 0),
+    st.integers(0, 3), st.binary(min_size=24, max_size=24),
+    st.integers(0, 9), st.one_of(st.none(), st.integers(0, 9)))
+
+
 @settings(max_examples=80)
-@given(st.lists(st.tuples(st.integers(0, 9), st.one_of(st.none(), st.integers(0, 9))),
-                max_size=80))
-def test_property_index_keys_match_label_keyed_reference(raw_pairs):
-    # None is a contract creation; small ranges give self-transfers and
-    # both directions of a pair, in insertion orders unlike label order.
-    pairs = [(addr(u), None if v is None else addr(v)) for u, v in raw_pairs]
-    blocks = [make_block(1, pairs)]
+@given(st.lists(st.lists(_txs, max_size=40), max_size=4))
+def test_property_columnar_build_matches_label_keyed_reference(txs_per_block):
+    blocks = [BlockRecord.from_transactions(k, tx_hash(k), 1_500_000_000, addr(0xFEED), txs)
+              for k, txs in enumerate(txs_per_block)]
     g = build_graph(blocks)
     ref = LabelKeyedGraph()
-    for tx in blocks[0].transactions:
-        ref.add_interaction(tx.sender, node_for_recipient(tx))
+    for block in blocks:
+        for tx in block.transactions:
+            ref.add_interaction(tx.sender, recipient_node(tx))
     assert g.labels == ref.labels
     assert list(labelled_edges(g).items()) == list(ref.edges.items())
     assert list(labelled_loops(g).items()) == list(ref.loops.items())

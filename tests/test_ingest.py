@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -80,11 +81,11 @@ class TestParseBlockJson:
         for obj, field in ((rec, "number"), (tx, "value"), (tx, "not_a_field")):
             with pytest.raises(AttributeError):
                 setattr(obj, field, 1)
-        copy = BlockRecord(number=rec.number, hash=rec.hash, timestamp=rec.timestamp,
-                           miner=rec.miner, transactions=tuple(
-                               TxRecord(tx_hash=t.tx_hash, sender=t.sender,
-                                        recipient=t.recipient, value=t.value)
-                               for t in rec.transactions))
+        copy = BlockRecord.from_transactions(
+            number=rec.number, hash=rec.hash, timestamp=rec.timestamp, miner=rec.miner,
+            transactions=[TxRecord(tx_hash=t.tx_hash, sender=t.sender,
+                                   recipient=t.recipient, value=t.value)
+                          for t in rec.transactions])
         assert copy == rec and hash(copy) == hash(rec)
         assert len({rec, copy, tx}) == 2
 
@@ -208,9 +209,13 @@ class TestParseBlockJson:
 
     @given(txs=rpc_transactions(max_size=20, faults=False))
     def test_common_shape_parsed_by_column(self, txs):
-        records = _parse_txs_by_column(txs)
-        assert records == per_transaction(txs)
-        assert all(type(tx) is TxRecord for tx in records)
+        # The columns, and the rows they view, are those of the
+        # per-transaction parser's rows transposed.
+        rows = per_transaction(txs)
+        block = BlockRecord(1, tx_hash(1), 0, addr(1), *_parse_txs_by_column(txs))
+        assert block == BlockRecord.from_transactions(1, tx_hash(1), 0, addr(1), rows)
+        assert block.transactions == rows
+        assert all(type(tx) is TxRecord for tx in block.transactions)
 
 
 class TestSnapshotSpec:
@@ -375,8 +380,8 @@ def block_records() -> st.SearchStrategy[BlockRecord]:
     """Valid blocks: none, some or all of their transactions creations."""
     txs = st.one_of(st.lists(st.one_of(_transfers, _creations), max_size=8),
                     st.lists(_creations, min_size=1, max_size=4))
-    return st.builds(BlockRecord, _uint64, _hex_bytes(32), _uint64, _hex_bytes(20),
-                     txs.map(tuple))
+    return st.builds(BlockRecord.from_transactions, _uint64, _hex_bytes(32), _uint64,
+                     _hex_bytes(20), txs)
 
 
 V2_BODY = ("12 0x" + "ab" * 32 + " 1500000000 0x" + "cd" * 20 + "\n"
@@ -454,7 +459,9 @@ class TestCache:
             except BlockParseError:
                 assert os.listdir(tmp) == []
                 return
-            assert cache.load(12) == stored
+            loaded = cache.load(12)
+            assert loaded == stored == parse_block_json(raw)
+            assert loaded.transactions == per_transaction(txs)
 
     @given(block=block_records())
     def test_encode_matches_record_reference(self, block):
@@ -627,12 +634,26 @@ class TestCache:
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         cache = BlockCache(tmp_path)
 
-        def refuse(self, target):
+        def refuse(source, target):
             raise PermissionError("rename refused")
 
-        monkeypatch.setattr(type(tmp_path), "replace", refuse)
+        monkeypatch.setattr("chaingraph.ingest.os.replace", refuse)
         with pytest.raises(PermissionError):
             cache.store(12, raw_block(12, []))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_temp_file_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = BlockCache(tmp_path)
+        temp_files = []
+
+        def disk_full(fd, data):
+            temp_files.extend(p.name for p in tmp_path.iterdir())
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("chaingraph.ingest.os.write", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            cache.store(12, raw_block(12, [raw_tx(1, addr(1), addr(2))]))
+        assert len(temp_files) == 1 and temp_files[0].endswith(".tmp")
         assert list(tmp_path.iterdir()) == []
 
     def test_store_refuses_another_block(self, tmp_path):
