@@ -11,7 +11,6 @@ from chaingraph.ingest import (
     JsonRpcEndpoint,
     SnapshotSpec,
     TxRecord,
-    fetch_block,
     fetch_range,
     parse_block_json,
 )
@@ -25,7 +24,6 @@ from chaingraph.graph import (
 )
 from chaingraph.metrics import (
     ComponentSet,
-    DegreeHistogram,
     DistanceSummary,
     ExactnessPolicy,
     MetricsReport,
@@ -35,7 +33,6 @@ from chaingraph.metrics import (
     distance_summary,
     general_metrics,
     largest_component,
-    transitivity,
 )
 from chaingraph.baseline import (
     UNDEFINED,
@@ -51,7 +48,6 @@ __all__ = [
     "BlockCache",
     "BlockRecord",
     "ComponentSet",
-    "DegreeHistogram",
     "DistanceSummary",
     "ExactnessPolicy",
     "GnmParams",
@@ -70,7 +66,6 @@ __all__ = [
     "degree_distribution",
     "distance_summary",
     "export_pajek",
-    "fetch_block",
     "fetch_range",
     "general_metrics",
     "gnm_random_graph",
@@ -81,5 +76,4 @@ __all__ = [
     "recipient_nodes",
     "small_world_report",
     "small_world_sigma",
-    "transitivity",
 ]

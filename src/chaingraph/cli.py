@@ -59,8 +59,8 @@ class RunConfig:
     out_dir: Path = Path(".")
     seed: int = 0
     trials: int = 5
-    exact_threshold: int = 50_000
-    sample_sources: int = 1_000
+    exact_threshold: int = ExactnessPolicy.exact_threshold
+    sample_sources: int = ExactnessPolicy.sample_sources
     fmt: str = "csv"
     offline: bool = False
     pretty: bool = False
@@ -188,6 +188,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         hist = degree_distribution(g, weighted=False)
         _write_file(cfg, "degree.csv", lambda sink: write_degree_csv(hist, sink))
         _write_file(cfg, "degree_loglog.csv", lambda sink: write_degree_loglog_csv(hist, sink))
+        weighted = degree_distribution(g, weighted=True)
+        _write_file(cfg, "degree_weighted.csv", lambda sink: write_degree_csv(weighted, sink))
         _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
 
     spec, simple, comps, main = _snapshot(cfg, cfg.snapshots[0], write_graph_outputs)

@@ -2,8 +2,10 @@
 
 Blocks are fetched with ``eth_getBlockByNumber(<hex>, true)`` so the full
 transaction objects come back in one call; receipts are never requested.
-Every fetched block is validated and persisted to the cache before being
-handed to the caller, so re-runs and interrupted runs are served offline.
+``fetch_range`` is the one entry point: it serves cached blocks and
+fetches the rest, retrying transport errors. Every fetched block is
+validated and persisted to the cache before being handed to the caller,
+so re-runs and interrupted runs are served offline.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
 as raw bytes, so a load checks lengths and the value text, not every hex
@@ -445,38 +447,23 @@ class JsonRpcEndpoint:
         return body["result"]
 
 
-def _call_with_retries(endpoint, method: str, params: list,
-                       retries: int = DEFAULT_RETRIES,
-                       backoff: float = DEFAULT_BACKOFF):
-    # Only transport errors are retried; an RPC error means the request
-    # itself is wrong and will not get better.
-    last: Exception | None = None
-    for attempt in range(retries):
+def _call_with_retries(endpoint, method: str, params: list):
+    # Only transport errors are retried, DEFAULT_BACKOFF * 2**attempt
+    # seconds apart; the last attempt's error propagates. An RPC error
+    # means the request itself is wrong and will not get better.
+    for attempt in range(DEFAULT_RETRIES - 1):
         try:
             return endpoint.call(method, params)
-        except TransportError as exc:
-            last = exc
-            if attempt + 1 < retries:
-                time.sleep(backoff * (2**attempt))
-    raise last  # type: ignore[misc]
+        except TransportError:
+            time.sleep(DEFAULT_BACKOFF * 2**attempt)
+    return endpoint.call(method, params)
 
 
-def _fetch_block_result(endpoint, number: int, retries: int, backoff: float) -> dict:
-    result = _call_with_retries(
-        endpoint, "eth_getBlockByNumber", [hex(number), True], retries, backoff
-    )
+def _fetch_block_result(endpoint, number: int) -> dict:
+    result = _call_with_retries(endpoint, "eth_getBlockByNumber", [hex(number), True])
     if result is None:
         raise BlockNotFoundError(f"block {number} not found (beyond chain head?)")
     return result
-
-
-def fetch_block(endpoint, number: int,
-                retries: int = DEFAULT_RETRIES,
-                backoff: float = DEFAULT_BACKOFF) -> BlockRecord:
-    """Fetch and parse one block with its full transaction objects."""
-    if number < 0:
-        raise ValueError(f"block number must be >= 0, got {number}")
-    return parse_block_json(_fetch_block_result(endpoint, number, retries, backoff))
 
 
 def _encode(block: BlockRecord) -> bytes:
@@ -665,7 +652,7 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
 
     Cached blocks are served without network access; missing and corrupt
     entries are fetched from ``endpoint`` (up to DEFAULT_MAX_INFLIGHT
-    concurrently, each retried DEFAULT_RETRIES times), validated, and
+    concurrently, each tried up to DEFAULT_RETRIES times), validated, and
     persisted before being yielded; a block that fails to parse is never
     cached. ``on_block(number, from_cache)`` is invoked once per block as
     it is scheduled. With ``endpoint=None`` (offline, or no endpoint
@@ -675,8 +662,7 @@ def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,
     numbers = list(spec.numbers())
 
     def fetch_and_store(number: int) -> BlockRecord:
-        return cache.store(number, _fetch_block_result(endpoint, number, DEFAULT_RETRIES,
-                                                       DEFAULT_BACKOFF))
+        return cache.store(number, _fetch_block_result(endpoint, number))
 
     lookahead = max(2 * DEFAULT_MAX_INFLIGHT, 8)
     pending: dict[int, BlockRecord | Future] = {}

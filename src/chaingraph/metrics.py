@@ -1,7 +1,8 @@
 """Network metrics: degrees, components, clustering, distances, diameter.
 
-Everything runs on the undirected projection; weighted degrees pull edge
-weights and loop counts from the TransactionGraph. Traversals break ties
+Everything runs on the undirected projection, except the degree
+histograms: they are read from the TransactionGraph, whose edge weights
+and loop counts give the weighted degrees. Traversals break ties
 by ascending node index so repeated runs produce identical output.
 Distances come from a bit-parallel multi-source BFS over batches of
 sources. The BFS folds leaves: a degree-1 node lies on no shortest path
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -43,16 +44,6 @@ class ExactnessPolicy:
     def __post_init__(self):
         if self.sample_sources < 1:
             raise ValueError(f"sample_sources must be >= 1, got {self.sample_sources}")
-
-
-@dataclass
-class DegreeHistogram:
-    entries: dict[int, int]
-    weighted: bool
-    n: int
-
-    def degree_sum(self) -> int:
-        return sum(deg * count for deg, count in self.entries.items())
 
 
 @dataclass
@@ -90,10 +81,10 @@ class DistanceSummary:
     seed: Optional[int] = None
 
 
-def degree_distribution(g: TransactionGraph, weighted: bool = False) -> DegreeHistogram:
-    """Histogram of degrees. Unweighted: distinct neighbors, +1 if the
-    node has any loop. Weighted: sum of incident edge weights plus the
-    node's loop count."""
+def degree_distribution(g: TransactionGraph, weighted: bool = False) -> dict[int, int]:
+    """Histogram of degrees, degree -> node count. Unweighted: distinct
+    neighbors, +1 if the node has any loop. Weighted: sum of incident edge
+    weights plus the node's loop count."""
     degrees = [0] * g.n  # by node index
     for (i, j), weight in g.edges.items():
         inc = weight if weighted else 1
@@ -101,10 +92,7 @@ def degree_distribution(g: TransactionGraph, weighted: bool = False) -> DegreeHi
         degrees[j] += inc
     for i, count in g.loops.items():
         degrees[i] += count if weighted else 1
-    entries: dict[int, int] = {}
-    for deg in degrees:
-        entries[deg] = entries.get(deg, 0) + 1
-    return DegreeHistogram(entries=entries, weighted=weighted, n=g.n)
+    return Counter(degrees)
 
 
 def connected_components(g: SimpleGraph) -> ComponentSet:
@@ -184,34 +172,28 @@ def _transitivity(g: SimpleGraph, links: list[int]) -> float:
     return 3.0 * triangles / triplets
 
 
+# Called only by tests, and by name by bench/tracing.py, which traces it.
 def transitivity(g: SimpleGraph) -> float:
     """Global clustering: 3 * triangles / connected triplets; 0 when the
     graph has no connected triplet."""
     return _transitivity(g, _neighbour_links(g))
 
 
-def _average_local_clustering(g: SimpleGraph, links: list[int],
-                              count_low_degree: bool = True) -> float:
+def _average_local_clustering(g: SimpleGraph, links: list[int]) -> float:
     if g.n == 0:
         return 0.0
     values = [count / (d * (d - 1) / 2) if d >= 2 else 0.0
               for count, d in zip(links, map(len, g.adj))]
-    if count_low_degree:
-        return sum(values) / g.n
-    kept = [val for val, neigh in zip(values, g.adj) if len(neigh) >= 2]
-    if not kept:
-        return 0.0
-    return sum(kept) / len(kept)
+    return sum(values) / g.n
 
 
-def average_local_clustering(g: SimpleGraph, count_low_degree: bool = True) -> float:
-    """Mean over nodes of the fraction of neighbor pairs that are linked.
-    Degree-<2 nodes count as zero by default; with count_low_degree=False
-    they are excluded from the mean (the unbiased estimator of
-    neighbor-pair closure probability)."""
-    return _average_local_clustering(g, _neighbour_links(g), count_low_degree)
+def average_local_clustering(g: SimpleGraph) -> float:
+    """Mean over all nodes of the fraction of neighbor pairs that are
+    linked; a node of degree < 2 counts as zero."""
+    return _average_local_clustering(g, _neighbour_links(g))
 
 
+# Called only by tests, and by name by bench/tracing.py, which counts its calls.
 def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
     """Hop distances from source; -1 for unreachable nodes."""
     dist = [-1] * g.n
@@ -391,18 +373,18 @@ def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsRep
     )
 
 
-def write_degree_csv(hist: DegreeHistogram, sink: TextIO) -> None:
+def write_degree_csv(hist: dict[int, int], sink: TextIO) -> None:
     sink.write("degree,count\n")
-    for deg in sorted(hist.entries):
-        sink.write(f"{deg},{hist.entries[deg]}\n")
+    for deg in sorted(hist):
+        sink.write(f"{deg},{hist[deg]}\n")
 
 
-def write_degree_loglog_csv(hist: DegreeHistogram, sink: TextIO) -> None:
+def write_degree_loglog_csv(hist: dict[int, int], sink: TextIO) -> None:
     """Plot-ready log-log points; zero-degree and zero-count bins have no
     logarithm and are skipped."""
     sink.write("log10_degree,log10_count\n")
-    for deg in sorted(hist.entries):
-        count = hist.entries[deg]
+    for deg in sorted(hist):
+        count = hist[deg]
         if deg <= 0 or count <= 0:
             continue
         sink.write(f"{math.log10(deg)!r},{math.log10(count)!r}\n")

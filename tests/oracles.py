@@ -214,6 +214,11 @@ class LabelKeyedGraph:
         return "".join(line + "\n" for line in lines)
 
 
+def degree_sum(hist):
+    """Sum of the degrees in a degree -> node count histogram."""
+    return sum(deg * count for deg, count in hist.items())
+
+
 def total_transactions(g):
     """Transactions recorded in a TransactionGraph: edge weights plus loops."""
     return sum(g.edges.values()) + sum(g.loops.values())
@@ -292,19 +297,34 @@ def brute_transitivity(g):
     return 0.0 if triplets == 0 else 3.0 * triangles / triplets
 
 
-def brute_average_local_clustering(g):
-    """Per-node neighbor-pair scan; degree-<2 nodes contribute zero."""
+def brute_local_clustering(g):
+    """Per node, the fraction of its neighbor pairs that are linked, by
+    scanning every pair; None for a node of degree < 2."""
     edges = edge_set(g)
-    total = 0.0
+    values = []
     for v in range(g.n):
         neigh = g.adj[v]
         if len(neigh) < 2:
+            values.append(None)
             continue
         linked = sum(
             1 for a, b in combinations(neigh, 2) if (min(a, b), max(a, b)) in edges
         )
-        total += linked / (len(neigh) * (len(neigh) - 1) / 2)
-    return total / g.n if g.n else 0.0
+        values.append(linked / (len(neigh) * (len(neigh) - 1) / 2))
+    return values
+
+
+def brute_average_local_clustering(g):
+    """Mean local clustering over all nodes; degree-<2 nodes contribute zero."""
+    return sum(v or 0.0 for v in brute_local_clustering(g)) / g.n if g.n else 0.0
+
+
+def brute_closure_probability(g):
+    """Mean local clustering over the nodes of degree >= 2 only (0.0 if
+    there are none). Nodes of degree < 2 carry no closure information, so
+    on G(n,m) this estimates the edge probability without their bias."""
+    kept = [v for v in brute_local_clustering(g) if v is not None]
+    return sum(kept) / len(kept) if kept else 0.0
 
 
 def frontier_distances(g, source):

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
-from chaingraph.ingest import BlockRecord, JsonRpcEndpoint
+from chaingraph.ingest import BlockRecord, JsonRpcEndpoint, parse_block_json
 
 from conftest import (
     MockEndpoint,
@@ -24,6 +25,7 @@ from conftest import (
     star_pairs,
     stub_endpoint,
 )
+from oracles import LabelKeyedGraph, recipient_node
 
 
 def strip_header(path, comment="#"):
@@ -126,6 +128,7 @@ class TestAnalyze:
         assert body[1] == "3,55,40,0.0,0.0,15,19,18"
         assert (out / "degree.csv").exists()
         assert (out / "degree_loglog.csv").exists()
+        assert (out / "degree_weighted.csv").exists()
         assert (out / "graph.net").exists()
         dist = strip_header(out / "distances.csv")
         assert dist[1].split(",")[0] == "19"
@@ -143,7 +146,7 @@ class TestAnalyze:
         assert run(args, forest_cache, out="out1") == 0
         assert run(args, forest_cache, out="out2") == 0
         for name in ("metrics.csv", "degree.csv", "degree_loglog.csv",
-                     "distances.csv", "graph.net"):
+                     "degree_weighted.csv", "distances.csv", "graph.net"):
             a = (forest_cache / "out1" / name).read_bytes()
             b = (forest_cache / "out2" / name).read_bytes()
             assert a == b, name
@@ -490,6 +493,25 @@ class TestCliSurface:
         assert "error:" in capsys.readouterr().err
 
 
+def test_public_names_pinned():
+    # The library surface, pinned so that a name is added or dropped on
+    # purpose, not as a side effect.
+    assert sorted(chaingraph.__all__) == [
+        "BlockCache", "BlockRecord", "ComponentSet", "DistanceSummary", "ExactnessPolicy",
+        "GnmParams", "JsonRpcEndpoint", "MetricsReport", "MinerHistogram", "SimpleGraph",
+        "SmallWorldReport", "SnapshotSpec", "TransactionGraph", "TxRecord", "UNDEFINED",
+        "average_local_clustering", "build_graph", "connected_components",
+        "degree_distribution", "distance_summary", "export_pajek", "fetch_range",
+        "general_metrics", "gnm_random_graph", "largest_component", "miner_distribution",
+        "parse_block_json", "project_simple", "recipient_nodes", "small_world_report",
+        "small_world_sigma",
+    ]
+    namespace = {}
+    exec("from chaingraph import *", namespace)
+    for name in chaingraph.__all__:
+        assert namespace[name] is getattr(chaingraph, name), name
+
+
 def test_paper_anchors_script_runs():
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -524,6 +546,8 @@ class TestPinnedOutputs:
                 "0ffd4ac00e82f4dd487d3b999eaf5cb243d2e9175d9025ca2f23e18b46ac7f63",
             "analyze-exact/degree_loglog.csv":
                 "a8fb35b9df5ece977408867e91aa75fa171e8059f883a6215e296179b8f0e1f0",
+            "analyze-exact/degree_weighted.csv":
+                "0ffd4ac00e82f4dd487d3b999eaf5cb243d2e9175d9025ca2f23e18b46ac7f63",
             "analyze-exact/distances.csv":
                 "5066d0b8f945cefc828c0ccd8bab1f24fe3a032897ccafdad3abfb054936dbdf",
             "analyze-exact/graph.net":
@@ -534,6 +558,8 @@ class TestPinnedOutputs:
                 "3a39fd2fd21a91cb5e7ae06d614b2fac266a74dae731d0ff45d01e7ccb5b4071",
             "analyze-sampled/degree_loglog.csv":
                 "46d3ebe02b1cdea9acb447a9312cc17239de06317d5bb18bd03d50b9d28829e6",
+            "analyze-sampled/degree_weighted.csv":
+                "3a39fd2fd21a91cb5e7ae06d614b2fac266a74dae731d0ff45d01e7ccb5b4071",
             "analyze-sampled/distances.csv":
                 "71e5605cc93c5863fc960d55e8352e02bf2405af2eb225772022764e15b39da3",
             "analyze-sampled/graph.net":
@@ -558,6 +584,8 @@ class TestPinnedOutputs:
                 "173ebe232e4eaef06ef104db6228c0c0b65a9fcff8e2d9f3d06820843ef3c9fc",
             "analyze-exact/degree_loglog.csv":
                 "d713c56ff8f097b94bc2d81abc13e444a122a91957120897aa22e6b31fa93ed8",
+            "analyze-exact/degree_weighted.csv":
+                "173ebe232e4eaef06ef104db6228c0c0b65a9fcff8e2d9f3d06820843ef3c9fc",
             "analyze-exact/distances.csv":
                 "242ff62ca24cef9334461a1b4ba5680643e604264c9330fc4a3b180b14307043",
             "analyze-exact/graph.net":
@@ -568,6 +596,8 @@ class TestPinnedOutputs:
                 "4819845ac12f65d238eec86182f937a0671a3336d30b5c92bb00860f706c5627",
             "analyze-sampled/degree_loglog.csv":
                 "cd71c39847d19f8e0a1dffc9d7c9ec5e8b3c83a48d1c02401997a4204c539247",
+            "analyze-sampled/degree_weighted.csv":
+                "4819845ac12f65d238eec86182f937a0671a3336d30b5c92bb00860f706c5627",
             "analyze-sampled/distances.csv":
                 "26c008763d3816e77965320bf60905e542fc6855eeb35c91d0bcc9ec81800610",
             "analyze-sampled/graph.net":
@@ -592,6 +622,8 @@ class TestPinnedOutputs:
                 "932457acb1b5700e162945f442c857b3c8c005372a34519d40ad4024e8ea9e27",
             "analyze-exact/degree_loglog.csv":
                 "af6239397528fa1b9113d56feef0a203519aed449fab11749acc76d7e73f0d83",
+            "analyze-exact/degree_weighted.csv":
+                "df3a47c08884760d5f524da42d9d811eed88fd8fdc172bc1b86ae6726f8a6006",
             "analyze-exact/distances.csv":
                 "8608cbc80aece54f620ce148f26383ec9cd733e45be41a76e2c8b7b116e43567",
             "analyze-exact/graph.net":
@@ -602,6 +634,8 @@ class TestPinnedOutputs:
                 "5eaaa0e59e4a11754ec00789f7fa53416f96fec7d660feec2406a6d46d4e9bce",
             "analyze-sampled/degree_loglog.csv":
                 "ba41fbecfcad42cae56958bed0ea4a69da9980f4b05d5b1f909cbfc66996140a",
+            "analyze-sampled/degree_weighted.csv":
+                "b82ce7ddfaacbbb287b76b3e92c7fecbf2e3d6842ed0e4acb30c89c0033626d1",
             "analyze-sampled/distances.csv":
                 "a98a05ca589bfaa7aa5568baac2400cd1d12048bdaea65238d8a0eb7c4126701",
             "analyze-sampled/graph.net":
@@ -654,3 +688,22 @@ class TestPinnedOutputs:
             for path in sorted((tmp_path / name).iterdir()):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.EXPECTED[fixture]
+
+    def test_degree_histograms_match_oracle(self, tmp_path):
+        # degree.csv and degree_weighted.csv against the label-keyed
+        # reference graph, on the fixture with repeats both ways, a loop
+        # and a creation, where the two histograms differ.
+        raw_blocks = pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3)
+        seed_cache(tmp_path / "cache", raw_blocks)
+        assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], tmp_path) == 0
+        ref = LabelKeyedGraph()
+        for number in sorted(raw_blocks):
+            for tx in parse_block_json(raw_blocks[number]).transactions:
+                ref.add_interaction(tx.sender, recipient_node(tx))
+        for name, weighted in (("degree.csv", False), ("degree_weighted.csv", True)):
+            header, *rows = strip_header(tmp_path / "out" / name)
+            assert header == "degree,count"
+            hist = {int(deg): int(count) for deg, count in (row.split(",") for row in rows)}
+            assert list(hist) == sorted(hist)
+            assert hist == ref.degree_entries(weighted), name
+        assert ref.degree_entries(True) != ref.degree_entries(False)

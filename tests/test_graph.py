@@ -245,7 +245,7 @@ def test_property_columnar_build_matches_label_keyed_reference(txs_per_block):
     assert list(labelled_edges(g).items()) == list(ref.edges.items())
     assert list(labelled_loops(g).items()) == list(ref.loops.items())
     for weighted in (False, True):
-        assert degree_distribution(g, weighted=weighted).entries == ref.degree_entries(weighted)
+        assert degree_distribution(g, weighted=weighted) == ref.degree_entries(weighted)
     pajek, csv = io.StringIO(), io.StringIO()
     export_pajek(g, pajek)
     export_edge_csv(g, csv)

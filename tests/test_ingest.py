@@ -26,7 +26,6 @@ from chaingraph.ingest import (
     _encode,
     _parse_tx,
     _parse_txs_by_column,
-    fetch_block,
     fetch_range,
     parse_block_json,
     parse_quantity,
@@ -232,36 +231,55 @@ class TestSnapshotSpec:
             SnapshotSpec.parse("nope")
 
 
+def fetch_one(endpoint, number, cache_dir):
+    """Block ``number`` through fetch_range, the one path that fetches."""
+    (block,) = fetch_range(endpoint, SnapshotSpec(number, 1), BlockCache(cache_dir))
+    return block
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The retry backoffs, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr("chaingraph.ingest.time.sleep", slept.append)
+    return slept
+
+
 class TestFetchBlock:
-    def test_fetch_and_parse(self):
+    def test_fetch_and_parse(self, tmp_path):
         ep = MockEndpoint({7: raw_block(7, [raw_tx(1, addr(1), addr(2))])})
-        rec = fetch_block(ep, 7)
+        rec = fetch_one(ep, 7, tmp_path)
         assert rec.number == 7
         assert len(rec.transactions) == 1
 
-    def test_beyond_head(self):
+    def test_beyond_head(self, tmp_path):
         ep = MockEndpoint({7: raw_block(7, [])})
         with pytest.raises(BlockNotFoundError):
-            fetch_block(ep, 99)
+            fetch_one(ep, 99, tmp_path)
 
-    def test_rpc_error_not_retried(self):
+    def test_rpc_error_not_retried(self, tmp_path):
         ep = MockEndpoint({}, rpc_error=(-32000, "boom"))
         with pytest.raises(RpcError) as exc:
-            fetch_block(ep, 1)
+            fetch_one(ep, 1, tmp_path)
         assert exc.value.code == -32000
         assert len(ep.calls) == 1
 
-    def test_transport_error_retried(self):
+    def test_transport_error_retried(self, tmp_path, sleeps):
         ep = MockEndpoint({7: raw_block(7, [])}, transport_failures=2)
-        rec = fetch_block(ep, 7, backoff=0.0)
+        rec = fetch_one(ep, 7, tmp_path)
         assert rec.number == 7
         assert len(ep.calls) == 3
+        assert sleeps == [0.5, 1.0]
+        assert BlockCache(tmp_path).get(7) == rec
 
-    def test_transport_error_exhausts_retries(self):
+    def test_transport_error_exhausts_retries(self, tmp_path, sleeps):
         ep = MockEndpoint({7: raw_block(7, [])}, transport_failures=10)
         with pytest.raises(TransportError):
-            fetch_block(ep, 7, backoff=0.0)
+            fetch_one(ep, 7, tmp_path)
         assert len(ep.calls) == 3
+        assert sleeps == [0.5, 1.0]
+        assert BlockCache(tmp_path).get(7) is None
+        assert list(tmp_path.iterdir()) == []  # no entry and no temp file
 
     def test_chain_head(self):
         assert chain_head(MockEndpoint({41: raw_block(41, [])})) == 41
@@ -292,29 +310,29 @@ class TestJsonRpcEndpoint:
             stub_endpoint(body).call("eth_blockNumber", [])
         assert (exc.value.code, exc.value.message) == (-32000, "boom")
 
-    def test_non_object_reply_retried_then_raised(self):
+    def test_non_object_reply_retried_then_raised(self, tmp_path, sleeps):
         endpoint = stub_endpoint(["not", "a", "response"])
         with pytest.raises(TransportError):
-            fetch_block(endpoint, 1, backoff=0.0)
+            fetch_one(endpoint, 1, tmp_path)
         assert len(endpoint._session.posts) == 3
 
     @pytest.mark.parametrize("error", [
         requests.ConnectionError("connection refused"),
         requests.Timeout("read timed out"),
     ], ids=["connection", "timeout"])
-    def test_http_failure_retried_then_raised(self, error):
+    def test_http_failure_retried_then_raised(self, error, tmp_path, sleeps):
         endpoint = stub_endpoint(None)
         endpoint._session = FailingSession(error)
         with pytest.raises(TransportError, match="eth_getBlockByNumber failed") as exc:
-            fetch_block(endpoint, 1, backoff=0.0)
+            fetch_one(endpoint, 1, tmp_path)
         assert exc.value.__cause__ is error
         assert len(endpoint._session.posts) == 3
 
-    def test_body_not_json_retried_then_raised(self):
+    def test_body_not_json_retried_then_raised(self, tmp_path, sleeps):
         endpoint = stub_endpoint(None)
         endpoint._session = NotJsonSession(None)
         with pytest.raises(TransportError, match="Expecting value"):
-            fetch_block(endpoint, 1, backoff=0.0)
+            fetch_one(endpoint, 1, tmp_path)
         assert len(endpoint._session.posts) == 3
 
 
