@@ -88,16 +88,15 @@ def gnm_random_graph(params: GnmParams) -> SimpleGraph:
         # random.sample draws from the population's length alone, so these
         # are the pairs that sampling the enumerated pair list would give.
         edges = [_pair_at(k, n) for k in rng.sample(range(max_edges), m)]
-    else:
-        chosen: set[tuple[int, int]] = set()
-        while len(chosen) < m:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            chosen.add((u, v) if u < v else (v, u))
-        edges = sorted(chosen)
-    return SimpleGraph.from_edges(n, edges)
+        return SimpleGraph.from_edges(n, edges)
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        chosen.add((u, v) if u < v else (v, u))
+    return SimpleGraph.from_edges(n, chosen)
 
 
 def small_world_sigma(cc: float, avg_distance: float,

@@ -185,10 +185,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     policy = cfg.policy()
 
     def write_graph_outputs(g: TransactionGraph) -> None:
-        hist = degree_distribution(g, weighted=False)
+        hist, weighted = degree_distribution(g)
         _write_file(cfg, "degree.csv", lambda sink: write_degree_csv(hist, sink))
         _write_file(cfg, "degree_loglog.csv", lambda sink: write_degree_loglog_csv(hist, sink))
-        weighted = degree_distribution(g, weighted=True)
         _write_file(cfg, "degree_weighted.csv", lambda sink: write_degree_csv(weighted, sink))
         _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
 

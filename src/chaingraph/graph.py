@@ -16,12 +16,16 @@ and the Pajek writer use the indices without a label lookup. An edge's
 endpoints are in label order (the smaller address first), so each Pajek
 and edge-CSV line names them in the same order whichever account sent
 first.
+
+Account names live only on the TransactionGraph: its ``labels[i]`` names
+node i. The projection and every metric work on node indices alone, and
+only the Pajek and edge-CSV writers read names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from chaingraph.ingest import BlockRecord
 
@@ -53,35 +57,25 @@ class TransactionGraph:
 
 @dataclass
 class SimpleGraph:
-    """Undirected, loop-free, unweighted projection.
+    """Undirected, loop-free, unweighted projection on node indices.
 
     adj[i] is the sorted neighbor list of node i, so traversals visit
     neighbors in ascending index order and results are reproducible.
     """
 
-    labels: list[str]
     adj: list[list[int]]
     m: int
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.adj)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   labels: Optional[list[str]] = None) -> "SimpleGraph":
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if u == v:
-                continue
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-        return cls(labels=labels, adj=[sorted(s) for s in adj], m=m)
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        """Nodes 0..n-1 and any index pairs: repeats, both directions of a
+        pair and loops fold away."""
+        pairs = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
+        return cls(_sorted_adjacency(n, pairs), len(pairs))
 
     def subgraph(self, node_indices: list[int]) -> "SimpleGraph":
         """Induced subgraph on distinct nodes, reindexed in the given order."""
@@ -93,8 +87,19 @@ class SimpleGraph:
             neigh = [remap[v] for v in self.adj[u] if remap[v] >= 0]
             neigh.sort()
             adj.append(neigh)
-        return SimpleGraph(labels=[self.labels[i] for i in node_indices], adj=adj,
-                           m=sum(map(len, adj)) // 2)
+        return SimpleGraph(adj, sum(map(len, adj)) // 2)
+
+
+def _sorted_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Sorted neighbor lists of nodes 0..n-1 from distinct, loop-free
+    index pairs, each given once in either direction."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    for neigh in adj:
+        neigh.sort()
+    return adj
 
 
 def recipient_nodes(block: BlockRecord) -> Sequence[str]:
@@ -133,16 +138,10 @@ def build_graph(blocks: Iterable[BlockRecord]) -> TransactionGraph:
 
 
 def project_simple(g: TransactionGraph) -> SimpleGraph:
-    """Drop weights and loops; same node set."""
+    """Drop weights and loops; same node indices."""
     # Edge keys are distinct index pairs without loops, so the adjacency
     # lists need no de-duplication, and m is the number of keys.
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for neigh in adj:
-        neigh.sort()
-    return SimpleGraph(labels=list(g.labels), adj=adj, m=len(g.edges))
+    return SimpleGraph(_sorted_adjacency(g.n, g.edges), len(g.edges))
 
 
 def export_pajek(g: TransactionGraph, sink: TextIO) -> None:

@@ -49,7 +49,7 @@ class ExactnessPolicy:
 @dataclass
 class ComponentSet:
     assignment: list[int]
-    sizes: dict[int, tuple[int, int]]
+    sizes: list[tuple[int, int]]  # (nodes, edges) by component id
     largest_id: int
 
     @property
@@ -81,30 +81,34 @@ class DistanceSummary:
     seed: Optional[int] = None
 
 
-def degree_distribution(g: TransactionGraph, weighted: bool = False) -> dict[int, int]:
-    """Histogram of degrees, degree -> node count. Unweighted: distinct
-    neighbors, +1 if the node has any loop. Weighted: sum of incident edge
-    weights plus the node's loop count."""
+def degree_distribution(g: TransactionGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """Degree and weighted-degree histograms, degree -> node count, from
+    one pass over the edges. Degree: distinct neighbors, +1 if the node
+    has any loop. Weighted: sum of incident edge weights plus the node's
+    loop count."""
     degrees = [0] * g.n  # by node index
+    weighted = [0] * g.n
     for (i, j), weight in g.edges.items():
-        inc = weight if weighted else 1
-        degrees[i] += inc
-        degrees[j] += inc
+        degrees[i] += 1
+        degrees[j] += 1
+        weighted[i] += weight
+        weighted[j] += weight
     for i, count in g.loops.items():
-        degrees[i] += count if weighted else 1
-    return Counter(degrees)
+        degrees[i] += 1
+        weighted[i] += count
+    return Counter(degrees), Counter(weighted)
 
 
 def connected_components(g: SimpleGraph) -> ComponentSet:
     """BFS component labeling; component ids follow ascending node index,
     the largest component breaks ties by smallest id."""
     assignment = [-1] * g.n
-    sizes: dict[int, tuple[int, int]] = {}
-    next_id = 0
+    sizes: list[tuple[int, int]] = []
     for start in range(g.n):
         if assignment[start] != -1:
             continue
-        assignment[start] = next_id
+        cid = len(sizes)
+        assignment[start] = cid
         queue = deque([start])
         node_count = 0
         degree_sum = 0
@@ -114,29 +118,21 @@ def connected_components(g: SimpleGraph) -> ComponentSet:
             degree_sum += len(g.adj[v])
             for u in g.adj[v]:
                 if assignment[u] == -1:
-                    assignment[u] = next_id
+                    assignment[u] = cid
                     queue.append(u)
-        sizes[next_id] = (node_count, degree_sum // 2)
-        next_id += 1
-    largest_id = 0
-    best = -1
-    for cid in sorted(sizes):
-        if sizes[cid][0] > best:
-            best = sizes[cid][0]
-            largest_id = cid
+        sizes.append((node_count, degree_sum // 2))
+    # max keeps the first of equal sizes: the smallest id.
+    largest_id = max(range(len(sizes)), key=lambda c: sizes[c][0], default=0)
     return ComponentSet(assignment=assignment, sizes=sizes, largest_id=largest_id)
 
 
 def largest_component(g: SimpleGraph,
                       components: Optional[ComponentSet] = None) -> SimpleGraph:
     """Induced subgraph on the largest component (nodes in ascending
-    original index order). Empty graph maps to itself."""
-    if g.n == 0:
-        return g
+    original index order). An empty graph gives an empty graph."""
     if components is None:
         components = connected_components(g)
-    members = components.members(components.largest_id)
-    return g.subgraph(members)
+    return g.subgraph(components.members(components.largest_id))
 
 
 def _neighbour_links(g: SimpleGraph) -> list[int]:

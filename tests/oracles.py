@@ -13,7 +13,7 @@ import struct
 from itertools import combinations
 
 from chaingraph.baseline import GnmParams
-from chaingraph.graph import TransactionGraph
+from chaingraph.graph import SimpleGraph, TransactionGraph
 from chaingraph.ingest import parse_quantity
 
 
@@ -246,6 +246,22 @@ def oracle_fixtures():
     fixtures.append(GnmParams(200, 400, seed=2000))
     fixtures.append(GnmParams(200, 150, seed=2001))
     return fixtures
+
+
+def set_from_edges(n, edges):
+    """SimpleGraph.from_edges by per-node neighbour sets: any index pairs,
+    with repeats, both directions of a pair and loops, give nodes 0..n-1,
+    each distinct loop-free pair once and sorted neighbour lists."""
+    adj = [set() for _ in range(n)]
+    m = 0
+    for u, v in edges:
+        if u == v:
+            continue
+        if v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            m += 1
+    return SimpleGraph([sorted(s) for s in adj], m)
 
 
 def edge_list(g):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -23,7 +24,7 @@ from chaingraph.metrics import (
     largest_component,
 )
 
-from oracles import edge_list
+from oracles import edge_list, set_from_edges
 
 
 def complete_graph(n):
@@ -88,7 +89,7 @@ class TestGnm:
     def test_same_draw_as_sampling_enumerated_pairs(self, n, m, seed):
         assert n * (n - 1) // 2 <= _ENUMERATE_LIMIT
         pairs = random.Random(seed).sample(list(combinations(range(n), 2)), m)
-        assert gnm_random_graph(GnmParams(n, m, seed)) == SimpleGraph.from_edges(n, pairs)
+        assert gnm_random_graph(GnmParams(n, m, seed)) == set_from_edges(n, pairs)
 
     @pytest.mark.parametrize("n,m,seed", [(1001, 1600, 6), (1500, 3000, 8)])
     def test_rejection_draw_above_limit(self, n, m, seed):
@@ -99,7 +100,18 @@ class TestGnm:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 chosen.add((min(u, v), max(u, v)))
-        assert gnm_random_graph(GnmParams(n, m, seed)) == SimpleGraph.from_edges(n, chosen)
+        assert gnm_random_graph(GnmParams(n, m, seed)) == set_from_edges(n, chosen)
+
+    # sha256 of repr(adj), recorded on the per-node neighbour-set builder:
+    # one enumerated draw and one rejection draw.
+    @pytest.mark.parametrize("n,m,seed,digest", [
+        (1000, 30_000, 7, "9c136f63f59321ef4e4f5b577dd8fed2fab38beeac88d0148870c8e1410b1cf1"),
+        (1500, 3000, 8, "0dd032dee09518969566c08e695a1aef491e6bec9b56e3a208aea2e4d10e48c8"),
+    ])
+    def test_pinned_graphs(self, n, m, seed, digest):
+        g = gnm_random_graph(GnmParams(n, m, seed))
+        assert g.m == m
+        assert hashlib.sha256(repr(g.adj).encode()).hexdigest() == digest
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10**6), frac=st.floats(0, 1))

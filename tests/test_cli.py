@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,6 +18,7 @@ from chaingraph.ingest import BlockRecord, JsonRpcEndpoint, parse_block_json
 from conftest import (
     MockEndpoint,
     addr,
+    forest_blocks,
     forest_pairs,
     pairs_to_raw_blocks,
     raw_block,
@@ -522,6 +524,24 @@ def test_paper_anchors_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "nodes=55 (55)" in proc.stdout
+
+
+def test_readme_library_snippet_runs():
+    # The README's one python block, run on the forest fixture, so a change
+    # to a field or signature it uses fails here.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    namespace = {"blocks": forest_blocks()}
+    exec(snippet, namespace)
+    g, report, main = namespace["g"], namespace["report"], namespace["main"]
+    assert (report.n, report.m, report.largest_component_nodes) == (55, 40, 19)
+    assert (main.n, main.m) == (19, 18)
+    # The names map back onto the 18 edges of one closed component of g.
+    inside = {g.labels.index(account) for account in namespace["main_accounts"]}
+    touching = [edge for edge in g.edges if inside & set(edge)]
+    assert len(inside) == 19
+    assert len(touching) == 18 and all(set(edge) <= inside for edge in touching)
+    assert namespace["sw"].n == 19
 
 
 class TestPinnedOutputs:

@@ -27,6 +27,7 @@ from oracles import (
     labelled_edges,
     labelled_loops,
     recipient_node,
+    set_from_edges,
     total_transactions,
 )
 
@@ -124,7 +125,20 @@ class TestProjectSimple:
         for u, v, count in raw:
             add_interaction(g, f"n{u}", f"n{v}", count=count)
         pairs = [(index_of(g, f"n{u}"), index_of(g, f"n{v}")) for u, v, _ in raw]
-        assert project_simple(g) == SimpleGraph.from_edges(g.n, pairs, labels=list(g.labels))
+        assert project_simple(g) == SimpleGraph.from_edges(g.n, pairs)
+
+
+class TestFromEdges:
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_matches_neighbour_set_reference(self, data):
+        # Repeats, both directions of a pair and loops; reversing some
+        # pairs makes both directions common.
+        n = data.draw(st.integers(0, 14))
+        node = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=60)) if n else []
+        pairs += [(v, u) for u, v in pairs[::3]]
+        assert SimpleGraph.from_edges(n, pairs) == set_from_edges(n, pairs)
 
 
 def random_graph_pairs(rng, n_nodes, n_txs):
@@ -244,8 +258,7 @@ def test_property_columnar_build_matches_label_keyed_reference(txs_per_block):
     assert g.labels == ref.labels
     assert list(labelled_edges(g).items()) == list(ref.edges.items())
     assert list(labelled_loops(g).items()) == list(ref.loops.items())
-    for weighted in (False, True):
-        assert degree_distribution(g, weighted=weighted) == ref.degree_entries(weighted)
+    assert degree_distribution(g) == (ref.degree_entries(False), ref.degree_entries(True))
     pajek, csv = io.StringIO(), io.StringIO()
     export_pajek(g, pajek)
     export_edge_csv(g, csv)

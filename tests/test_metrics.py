@@ -103,32 +103,30 @@ def graph_from_pairs(pairs):
 class TestDegreeDistribution:
     def test_single_edge(self):
         g = graph_from_pairs([(addr(1), addr(2))])
-        assert degree_distribution(g) == {1: 2}
+        assert degree_distribution(g) == ({1: 2}, {1: 2})
 
     def test_star_18_leaves(self):
         center = addr(0)
         g = graph_from_pairs([(center, addr(i + 1)) for i in range(18)])
-        assert degree_distribution(g) == {18: 1, 1: 18}
+        assert degree_distribution(g) == ({18: 1, 1: 18}, {18: 1, 1: 18})
 
     def test_weighted_sums_edge_weights(self):
         a, b, c = addr(1), addr(2), addr(3)
         g = graph_from_pairs([(a, b), (a, b), (a, c)])
-        assert degree_distribution(g, weighted=True) == {3: 1, 2: 1, 1: 1}
+        assert degree_distribution(g) == ({2: 1, 1: 2}, {3: 1, 2: 1, 1: 1})
 
     def test_loop_adds_one_unweighted_and_count_weighted(self):
         a, b = addr(1), addr(2)
         g = graph_from_pairs([(a, b), (a, a), (a, a)])
-        assert degree_distribution(g) == {2: 1, 1: 1}
-        assert degree_distribution(g, weighted=True) == {3: 1, 1: 1}
+        assert degree_distribution(g) == ({2: 1, 1: 1}, {3: 1, 1: 1})
 
     @settings(max_examples=40)
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=50))
     def test_handshake_identities(self, raw_pairs):
         pairs = [(addr(u), addr(v)) for u, v in raw_pairs]
         g = graph_from_pairs(pairs)
-        unweighted = degree_distribution(g)
+        unweighted, weighted = degree_distribution(g)
         assert degree_sum(unweighted) == 2 * g.m + len(g.loops)
-        weighted = degree_distribution(g, weighted=True)
         total_weight = sum(g.edges.values())
         assert degree_sum(weighted) == 2 * total_weight + sum(g.loops.values())
         assert sum(unweighted.values()) == g.n == sum(weighted.values())
@@ -138,7 +136,7 @@ class TestComponents:
     def test_two_disjoint_edges(self):
         comps = connected_components(simple(4, [(0, 1), (2, 3)]))
         assert comps.num_components == 2
-        assert comps.sizes == {0: (2, 1), 1: (2, 1)}
+        assert comps.sizes == [(2, 1), (2, 1)]
 
     def test_empty_graph(self):
         comps = connected_components(simple(0, []))
@@ -158,8 +156,8 @@ class TestComponents:
     def test_size_bookkeeping_sums_to_graph_totals(self):
         g = gnm_random_graph(GnmParams(120, 150, seed=5))
         comps = connected_components(g)
-        assert sum(nodes for nodes, _ in comps.sizes.values()) == g.n
-        assert sum(edges for _, edges in comps.sizes.values()) == g.m
+        assert sum(nodes for nodes, _ in comps.sizes) == g.n
+        assert sum(edges for _, edges in comps.sizes) == g.m
 
     def test_largest_tie_breaks_by_smallest_id(self):
         comps = connected_components(simple(4, [(0, 1), (2, 3)]))
@@ -177,13 +175,12 @@ class TestComponents:
         n = data.draw(st.integers(0, 14))
         node = st.integers(0, max(n - 1, 0))
         edges = data.draw(st.lists(st.tuples(node, node), max_size=40)) if n else []
-        g = SimpleGraph.from_edges(n, edges, labels=[f"v{i}" for i in range(n)])
+        g = SimpleGraph.from_edges(n, edges)
         nodes = data.draw(st.lists(node, unique=True, max_size=n)) if n else []
         remap = {old: new for new, old in enumerate(nodes)}
         expected = SimpleGraph.from_edges(
             len(nodes),
-            [(remap[u], remap[v]) for u, v in edge_list(g) if u in remap and v in remap],
-            labels=[g.labels[i] for i in nodes])
+            [(remap[u], remap[v]) for u, v in edge_list(g) if u in remap and v in remap])
         assert g.subgraph(nodes) == expected
 
 
@@ -499,19 +496,19 @@ class TestGeneralMetrics:
 
     def test_node_count_consistent_with_histogram(self):
         g = build_graph(star_blocks())
-        assert general_metrics_of(g).n == sum(degree_distribution(g).values())
+        assert general_metrics_of(g).n == sum(degree_distribution(g)[0].values())
 
 
 class TestCsvWriters:
     def test_degree_csv_sorted(self):
         g = graph_from_pairs([(addr(0), addr(i + 1)) for i in range(3)])
         sink = io.StringIO()
-        write_degree_csv(degree_distribution(g), sink)
+        write_degree_csv(degree_distribution(g)[0], sink)
         assert sink.getvalue() == "degree,count\n1,3\n3,1\n"
 
     def test_loglog_skips_zero_degree(self):
         sink = io.StringIO()
-        hist = degree_distribution(graph_from_pairs([(addr(1), addr(2))]))
+        hist, _ = degree_distribution(graph_from_pairs([(addr(1), addr(2))]))
         hist[0] = 2  # degenerate bin must be dropped, log10(0) undefined
         write_degree_loglog_csv(hist, sink)
         lines = sink.getvalue().splitlines()

@@ -68,14 +68,15 @@ def test_matches_networkx(g):
     # Largest component: ties go to the one holding the smallest node.
     biggest = max(map(len, expected))
     main_nodes = min((c for c in expected if len(c) == biggest), key=min)
+    assert comps.members(comps.largest_id) == sorted(main_nodes)
     main = largest_component(g, comps)
-    assert main.labels == [str(v) for v in sorted(main_nodes)]
 
     assert transitivity(g) == pytest.approx(nx.transitivity(G), abs=1e-12)
     assert average_local_clustering(g) == pytest.approx(nx.average_clustering(G), abs=1e-12)
 
     # A copy: networkx's shortest paths run several times slower on a view.
     H = G.subgraph(main_nodes).copy()
+    assert (main.n, main.m) == (H.number_of_nodes(), H.number_of_edges())
     summary = distance_summary(main)
     assert summary.l_method == EXACT
     assert summary.average_distance == pytest.approx(
