@@ -8,27 +8,27 @@ validated and persisted to the cache before being handed to the caller,
 so re-runs and interrupted runs are served offline.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
-as raw bytes, so a load checks lengths and the value text, not every hex
-character. Entries in the two older formats are read, and rewritten in the
-current one, on first load.
+as raw bytes, so a load checks lengths, not every hex character. Entries
+in format 3, which also stored each transaction's value, are read and
+rewritten in the current format on first load; older entries are corrupt.
 
 A ``BlockRecord`` holds its transactions column-wise, in the cache's own
 layout: the sender and recipient columns as 0x strings, which the graph
-reads, and the tx-hash column and the value text as the raw bytes format 3
-stores, which a warm load slices out without decoding. No per-transaction
-object is built on the way from the cache to the graph; the
-``transactions`` property builds ``TxRecord`` rows for readers that want
-them.
+reads, and the tx-hash column as the raw bytes the cache stores, which a
+warm load slices out without decoding. No per-transaction object is built
+on the way from the cache to the graph; the ``transactions`` property
+builds ``TxRecord`` rows for readers that want them.
 
 A block's transactions are validated column by column: each of the hash,
-from, to and value columns is joined with spaces, checked by one
-fullmatch and converted once, so no Python function runs per
-transaction. Any transaction outside the common shape sends the whole
-list to the per-transaction parser ``_parse_tx``, which alone defines what
-is accepted: it names the first faulty field or accepts a rarer shape, and
-its rows are transposed into columns once. Every field must match in
-full, so trailing whitespace (a final newline included) is refused. A
-cache entry is written by concatenating the record's columns.
+from, to and value columns is joined with spaces and checked by one
+fullmatch, and the kept columns are converted once, so no Python function
+runs per transaction. Values are checked but not kept: the networks read
+only who sent to whom. Any transaction outside the common shape sends the
+whole list to the per-transaction parser ``_parse_tx``, which alone
+defines what is accepted: it names the first faulty field or accepts a
+rarer shape, and its rows are transposed into columns once. Every field
+must match in full, so trailing whitespace (a final newline included) is
+refused. A cache entry is written by concatenating the record's columns.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ if TYPE_CHECKING:
 _ADDRESS_FIELD = "0x[0-9a-fA-F]{40}"
 _HASH32_FIELD = "0x[0-9a-fA-F]{64}"
 _QUANTITY_FIELD = "0x[0-9a-fA-F]+"
+# A quantity below 2**256: at most 64 hex digits after its leading zeros.
+# Each field matches in one way only, so a column that fails to match
+# costs time linear in its length, not a retry of every split.
+_VALUE_FIELD = "0x(?:0*[1-9a-fA-F][0-9a-fA-F]{0,63}|0+)"
 ADDRESS_RE = re.compile(_ADDRESS_FIELD)
 HASH32_RE = re.compile(_HASH32_FIELD)
 QUANTITY_RE = re.compile(_QUANTITY_FIELD)
@@ -69,13 +73,13 @@ def _column_re(field: str) -> re.Pattern:
 _HASH32_COLUMN_RE = _column_re(_HASH32_FIELD)
 _ADDRESS_COLUMN_RE = _column_re(_ADDRESS_FIELD)
 _RECIPIENT_COLUMN_RE = _column_re(f"(?:{_ADDRESS_FIELD}|-)")
-_QUANTITY_COLUMN_RE = _column_re(_QUANTITY_FIELD)
+_VALUE_COLUMN_RE = _column_re(_VALUE_FIELD)
 
 MAX_UINT256 = 2**256 - 1
 MAX_UINT64 = 2**64 - 1
 
-# Cache entry format 3: a text header line naming the format and the sha256
-# of the body, then the body, in six parts:
+# Cache entry format 4: a text header line naming the format and the sha256
+# of the body, then the body, in five parts:
 #   _HEAD (">QQI32s20s"): number, timestamp, transaction count n, block
 #       hash, miner;
 #   the tx-hash column, 32 bytes per transaction;
@@ -83,39 +87,25 @@ MAX_UINT64 = 2**64 - 1
 #   the recipient column, 20 bytes per transaction, 20 zero bytes for a
 #       contract creation;
 #   the creation list: a u32 count, then strictly increasing u32
-#       transaction indices;
-#   the values, the only text: lowercase hex without prefix or leading
-#       zeros, separated by single spaces (empty when n = 0).
+#       transaction indices.
 # Integers are big-endian. Any 32 or 20 bytes are a valid hash or address,
 # so _unpack checks no character of them: it checks that the length is
-# what n and the creation count imply, the creation list, and that the
-# value text matches _VALUES_RE and splits into exactly n fields. It
-# accepts exactly the bodies that _encode writes. A cut inside the last
-# value, like a changed byte of a hash, leaves the body of another block,
-# which only the checksum tells apart.
-CACHE_FORMAT = b"chaingraph-block/3"
+# exactly what n and the creation count imply, and the creation list. It
+# accepts exactly the bodies that _encode writes. A changed byte of a hash
+# leaves the body of another block, which only the checksum tells apart.
+#
+# Format 3, read only to migrate it, is format 4 followed by the values:
+# lowercase hex without prefix or leading zeros, separated by single
+# spaces (empty when n = 0). _unpack accepts a format-3 body only if its
+# value text matches _VALUES_RE and splits into exactly n fields.
+CACHE_FORMAT = b"chaingraph-block/4"
+_FORMAT_3 = b"chaingraph-block/3"
 _HEAD = struct.Struct(">QQI32s20s")
 _U32 = struct.Struct(">I")
 _VALUE = rb"(?:0|[1-9a-f][0-9a-f]{0,63})"
 _VALUES_RE = re.compile(_VALUE + rb"(?: " + _VALUE + rb")*")
 _NO_RECIPIENT = "0x" + "00" * 20
 _NO_RECIPIENT_FOR = {None: _NO_RECIPIENT}
-
-# Cache entry format 2, read only to migrate it: the header line, then
-# "number hash timestamp miner", then one "tx_hash from to|- value" line
-# per transaction. Integers are decimal, the value is hex without prefix;
-# all hex is lowercase. BODY_RE accepts exactly the bodies that format 2
-# wrote for a valid block: 32-byte hashes, 20-byte addresses, "-" for a
-# creation, and a value below 2**256.
-_FORMAT_2 = b"chaingraph-block/2"
-_DECIMAL = rb"(?:0|[1-9][0-9]*)"
-_HASH = rb"0x[0-9a-f]{64}"
-_ADDRESS = rb"0x[0-9a-f]{40}"
-BODY_RE = re.compile(
-    _DECIMAL + b" " + _HASH + b" " + _DECIMAL + b" " + _ADDRESS + b"\n"
-    + b"(?:" + _HASH + b" " + _ADDRESS + b" (?:" + _ADDRESS + b"|-)"
-    + rb" " + _VALUE + b"\n)*"
-)
 
 DEFAULT_MAX_INFLIGHT = 4
 DEFAULT_RETRIES = 3
@@ -162,14 +152,12 @@ class OfflineMissError(IngestError):
 class TxRecord(NamedTuple):
     """One transaction as a row: the view ``BlockRecord.transactions`` builds.
 
-    ``recipient`` is None for contract creations. ``value`` is in wei and
-    may need the full 256-bit range (Python ints are arbitrary precision).
+    ``recipient`` is None for contract creations.
     """
 
     tx_hash: str
     sender: str
     recipient: Optional[str]
-    value: int
 
 
 class BlockRecord(NamedTuple):
@@ -178,12 +166,10 @@ class BlockRecord(NamedTuple):
     ``senders`` and ``recipients`` hold one lowercase 0x address per
     transaction, with None as the recipient of a contract creation;
     ``creations`` lists those transactions' indices in increasing order.
-    ``tx_hashes`` is the transactions' 32-byte hashes back to back, and
-    ``value_text`` their values in wei as lowercase hex without prefix or
-    leading zeros, separated by single spaces: the raw bytes format 3
-    stores, kept as they are, since the graph reads only 8 bytes of a
-    creation's hash and no command reads a value. Records are immutable,
-    hashable and compare by value.
+    ``tx_hashes`` is the transactions' 32-byte hashes back to back: the
+    raw bytes the cache stores, kept as they are, since the graph reads
+    only 8 bytes of a creation's hash. Records are immutable, hashable and
+    compare by value.
     """
 
     number: int
@@ -194,15 +180,13 @@ class BlockRecord(NamedTuple):
     recipients: tuple[Optional[str], ...]
     creations: tuple[int, ...]
     tx_hashes: bytes
-    value_text: bytes
 
     @property
     def transactions(self) -> tuple[TxRecord, ...]:
         """The transactions as ``TxRecord`` rows, decoded on each access."""
         if not self.senders:
             return ()
-        rows = zip(_hex_column(self.tx_hashes, 32), self.senders, self.recipients,
-                   map(int, self.value_text.split(b" "), repeat(16)))
+        rows = zip(_hex_column(self.tx_hashes, 32), self.senders, self.recipients)
         return tuple(map(tuple.__new__, repeat(TxRecord), rows))
 
     @classmethod
@@ -210,10 +194,9 @@ class BlockRecord(NamedTuple):
                           transactions: Iterable[TxRecord]) -> "BlockRecord":
         """The record of a block with these rows, given as ``_parse_tx``
         builds them (lowercase hex): the inverse of ``transactions``."""
-        hashes, senders, recipients, values = tuple(zip(*transactions)) or ((),) * 4
+        hashes, senders, recipients = tuple(zip(*transactions)) or ((),) * 3
         return cls(number, hash, timestamp, miner, senders, recipients, _creations(recipients),
-                   unhexlify("".join(hashes).replace("0x", "")),
-                   ("%x " * len(values))[:-1].encode("ascii") % values)
+                   unhexlify("".join(hashes).replace("0x", "")))
 
 
 def _creations(recipients) -> tuple[int, ...]:
@@ -283,6 +266,7 @@ def _parse_u64(value, field: str) -> int:
 
 
 def _parse_tx(obj, index: int) -> TxRecord:
+    # The value is checked, as outside input, but not kept.
     where = f"transactions[{index}]"
     if not isinstance(obj, dict):
         raise BlockParseError(where, "transaction is not an object")
@@ -297,7 +281,6 @@ def _parse_tx(obj, index: int) -> TxRecord:
         tx_hash=_canonical_hash(obj["hash"], f"{where}.hash"),
         sender=canonical_address(obj["from"], f"{where}.from"),
         recipient=None if recipient is None else canonical_address(recipient, f"{where}.to"),
-        value=value,
     )
 
 
@@ -305,22 +288,22 @@ _TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
 _RECIPIENT_TYPES = {str, type(None)}
 _DASH = {None: "-"}
 _CREATION = {"-": None}
-_NO_COLUMNS = ((), (), (), b"", b"")
+_NO_COLUMNS = ((), (), (), b"")
 
 
 def _parse_txs_by_column(txs: list) -> Optional[tuple]:
     """The transaction columns of a ``BlockRecord`` (senders, recipients,
-    creations, tx_hashes, value_text) that _parse_tx's rows give, or None.
+    creations, tx_hashes) that _parse_tx's rows give, or None.
 
-    Each field is checked and converted a column at a time, by builtins,
-    with no Python-level call per transaction: one fullmatch over the
-    column's space-joined text, then one lower() and split(), or one
-    bytes.fromhex for the hashes. None means some transaction is outside
-    the common shape (a plain dict with all four fields, strings or a None
-    recipient, a value below 2**256), and nothing was accepted: the caller
-    then parses one transaction at a time, which names the fault or
-    accepts a rarer shape (an int value, a missing "to" or "value", a dict
-    subclass).
+    Each field is checked a column at a time, by builtins, with no
+    Python-level call per transaction: one fullmatch over the column's
+    space-joined text, then one lower() and split() for the addresses, or
+    one bytes.fromhex for the hashes; the values are only checked. None
+    means some transaction is outside the common shape (a plain dict with
+    all four fields, strings or a None recipient, a value below 2**256),
+    and nothing was accepted: the caller then parses one transaction at a
+    time, which names the fault or accepts a rarer shape (an int value, a
+    missing "to" or "value", a dict subclass).
     """
     n = len(txs)
     if n == 0:
@@ -344,9 +327,11 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple]:
     # shift every later transaction by one: the counts guard against that.
     if len(tx_hashes) != 32 * n:
         return None
+    text = " ".join(values)
+    if _VALUE_COLUMN_RE.fullmatch(text) is None or text.count(" ") != n - 1:
+        return None
     columns = ((senders, _ADDRESS_COLUMN_RE),
-               (map(_DASH.get, recipients, recipients), _RECIPIENT_COLUMN_RE),
-               (values, _QUANTITY_COLUMN_RE))
+               (map(_DASH.get, recipients, recipients), _RECIPIENT_COLUMN_RE))
     split = []
     for column, pattern in columns:
         text = " ".join(column)
@@ -356,13 +341,9 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple]:
         if len(pieces) != n:
             return None
         split.append(pieces)
-    senders, recipients, values = split
-    values = tuple(map(int, values, repeat(16)))
-    if max(values) > MAX_UINT256:
-        return None
+    senders, recipients = split
     recipients = tuple(map(_CREATION.get, recipients, recipients))
-    return (tuple(senders), recipients, _creations(recipients), tx_hashes,
-            ("%x " * n)[:-1].encode("ascii") % values)
+    return tuple(senders), recipients, _creations(recipients), tx_hashes
 
 
 def parse_block_json(raw) -> BlockRecord:
@@ -467,17 +448,16 @@ def _fetch_block_result(endpoint, number: int) -> dict:
 
 
 def _encode(block: BlockRecord) -> bytes:
-    # The record's columns, concatenated: the tx hashes and the value text
-    # are already as stored, and the senders and recipients (20 zero bytes
-    # for a creation) are one unhexlify of their joined digits.
+    # The record's columns, concatenated: the tx hashes are already as
+    # stored, and the senders and recipients (20 zero bytes for a
+    # creation) are one unhexlify of their joined digits.
     creations = block.creations
     head = _HEAD.pack(block.number, block.timestamp, len(block.senders),
                       unhexlify(block.hash[2:]), unhexlify(block.miner[2:]))
     addresses = "".join(chain(block.senders,
                               map(_NO_RECIPIENT_FOR.get, block.recipients, block.recipients)))
     return (head + block.tx_hashes + unhexlify(addresses.replace("0x", ""))
-            + struct.pack(f">I{len(creations)}I", len(creations), *creations)
-            + block.value_text)
+            + struct.pack(f">I{len(creations)}I", len(creations), *creations))
 
 
 def _hex_column(data: bytes, width: int) -> list[str]:
@@ -485,10 +465,11 @@ def _hex_column(data: bytes, width: int) -> list[str]:
     return ("0x" + data.hex(" ", width).replace(" ", " 0x")).split(" ")
 
 
-def _unpack(body: bytes) -> BlockRecord:
-    # A format-3 body, checked column-wise; ValueError names the first part
-    # that is not as _encode writes it. Only the two address columns are
-    # decoded: the tx hashes and the value text are kept as stored.
+def _unpack(body: bytes, with_values: bool) -> BlockRecord:
+    # A format-4 body, or with_values a format-3 one, checked column-wise;
+    # ValueError names the first part that is not as _encode writes it.
+    # Only the two address columns are decoded: the tx hashes are kept as
+    # stored, and a format-3 value text is checked, then dropped.
     size = len(body)
     if size < _HEAD.size + _U32.size:
         raise ValueError("body shorter than its header")
@@ -504,13 +485,16 @@ def _unpack(body: bytes) -> BlockRecord:
     if size < creations_at + _U32.size:
         raise ValueError(f"body too short for {n} transactions")
     (created,) = _U32.unpack_from(body, creations_at)
-    values_at = creations_at + _U32.size * (1 + created)
-    if size < values_at:
+    end = creations_at + _U32.size * (1 + created)
+    if size < end:
         raise ValueError(f"body too short for {created} contract creations")
+    if with_values:
+        values = body[end:]
+        if _VALUES_RE.fullmatch(values) is None or values.count(b" ") != n - 1:
+            raise ValueError(f"value text is not {n} lowercase hex values")
+    elif size != end:
+        raise ValueError(f"body longer than {n} transactions and {created} creations")
     creations = struct.unpack_from(f">{created}I", body, creations_at + _U32.size)
-    values = body[values_at:]
-    if _VALUES_RE.fullmatch(values) is None or values.count(b" ") != n - 1:
-        raise ValueError(f"value text is not {n} lowercase hex values")
     addresses = _hex_column(body[senders_at:creations_at], 20)
     recipients = addresses[n:]
     if creations:
@@ -521,30 +505,7 @@ def _unpack(body: bytes) -> BlockRecord:
         for i in creations:
             recipients[i] = None
     return BlockRecord(number, block_hash, timestamp, miner, tuple(addresses[:n]),
-                       tuple(recipients), creations, body[_HEAD.size:senders_at], values)
-
-
-def _decode(body: bytes) -> BlockRecord:
-    # A format-2 body, whose values are already text as format 3 stores
-    # it. The columns are built by builtins, with no Python-level call per
-    # transaction: "-" maps to None through dict.get(r, r).
-    if BODY_RE.fullmatch(body) is None:
-        raise ValueError("not a format-2 body")
-    fields = body.decode("ascii").split()
-    number, timestamp = int(fields[0]), int(fields[2])
-    if number > MAX_UINT64 or timestamp > MAX_UINT64:
-        raise ValueError("number or timestamp exceeds 64-bit range")
-    recipients = fields[6::4]
-    recipients = tuple(map(_CREATION.get, recipients, recipients))
-    return BlockRecord(number, fields[1], timestamp, fields[3], tuple(fields[5::4]),
-                       recipients, _creations(recipients),
-                       unhexlify("".join(fields[4::4]).replace("0x", "")),
-                       " ".join(fields[7::4]).encode("ascii"))
-
-
-# Body readers by header format name; a legacy entry's header is its
-# checksum alone, so its format name is empty.
-_READERS = {CACHE_FORMAT: _unpack, _FORMAT_2: _decode, b"": parse_block_json}
+                       tuple(recipients), creations, body[_HEAD.size:senders_at])
 
 
 class BlockCache:
@@ -554,12 +515,10 @@ class BlockCache:
     the block's validated fields (see ``CACHE_FORMAT``), so partial runs
     resume and replays never hit the network. Entries are validated before
     they are written and checked on every read. Writes are atomic: each
-    writer writes a temp file of its own, then renames it. Entries in the
-    older formats (format 2, and a sha256 line followed by the full
-    JSON-RPC result) are verified, parsed and rewritten in the current
-    format on first load; a read-only cache keeps serving them. Files keep
-    the ``.json`` name of the oldest format, so existing caches still
-    resolve.
+    writer writes a temp file of its own, then renames it. A format-3
+    entry is verified, read and rewritten in the current format on first
+    load; a read-only cache keeps serving it. Entries in any other format
+    are corrupt. Files keep the ``.json`` name of the oldest format.
     """
 
     def __init__(self, directory):
@@ -616,21 +575,20 @@ class BlockCache:
         path = self._file(number)
         with open(path, "rb") as f:
             header, _, body = f.read().partition(b"\n")
-        if header.startswith(b"sha256:"):
-            name, checksum, body = b"", header, body.rstrip(b"\n")
-        else:
-            name, _, checksum = header.partition(b" ")
-        reader = _READERS.get(name)
-        digest = hashlib.sha256(body).hexdigest().encode("ascii")
-        if reader is None or checksum != b"sha256:" + digest:
-            raise CacheCorruptError(f"{path}: unknown format or checksum mismatch")
+        name, _, checksum = header.partition(b" ")
+        migrate = name == _FORMAT_3
+        if name != CACHE_FORMAT and not migrate:
+            found = name[:40].decode("ascii", "replace")
+            raise CacheCorruptError(f"{path}: unknown format {found!r}")
+        if checksum != b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii"):
+            raise CacheCorruptError(f"{path}: checksum mismatch")
         try:
-            block = reader(body)
-        except (BlockParseError, ValueError) as exc:
+            block = _unpack(body, migrate)
+        except ValueError as exc:
             raise CacheCorruptError(f"{path}: malformed block fields: {exc}") from exc
         if block.number != number:
             raise CacheCorruptError(f"{path}: holds block {block.number}, not {number}")
-        if reader is not _unpack:
+        if migrate:
             try:
                 self._write(block)
             except OSError:

@@ -47,7 +47,7 @@ def make_block(number: int, pairs: list[tuple[str, str]], miner: str = addr(0xFE
                tx_base: int = 0) -> BlockRecord:
     """BlockRecord whose transactions connect the given (sender, recipient)
     address pairs."""
-    txs = [TxRecord(tx_hash=tx_hash(tx_base + i), sender=s, recipient=r, value=0)
+    txs = [TxRecord(tx_hash=tx_hash(tx_base + i), sender=s, recipient=r)
            for i, (s, r) in enumerate(pairs)]
     return BlockRecord.from_transactions(number=number, hash=tx_hash(0xB000 + number),
                                          timestamp=1_500_000_000, miner=miner,

@@ -1,12 +1,14 @@
 """Brute-force reference implementations used only to check the fast paths,
-the Pajek reader that checks export_pajek, and small graph and RPC helpers
-that only the tests need.
+the Pajek reader that checks export_pajek, the cache-entry writers that
+check the block cache's format and its migration, and small graph and RPC
+helpers that only the tests need.
 
 The references deliberately avoid the library's algorithms: components
 via flood-fill over an edge set, clustering via exhaustive triple/pair
 scans, distances via a level-by-level frontier walk.
 """
 
+import hashlib
 import random
 import re
 import struct
@@ -14,7 +16,9 @@ from itertools import combinations
 
 from chaingraph.baseline import GnmParams
 from chaingraph.graph import SimpleGraph, TransactionGraph
-from chaingraph.ingest import parse_quantity
+from chaingraph.ingest import parse_block_json, parse_quantity
+
+FORMAT_3 = b"chaingraph-block/3"
 
 
 def chain_head(endpoint):
@@ -22,19 +26,14 @@ def chain_head(endpoint):
     return parse_quantity(endpoint.call("eth_blockNumber", []), "eth_blockNumber")
 
 
-def encode_v2(block):
-    """A format-2 cache entry body, one f-string per transaction: the
-    writer of the v2 entries that the migration tests load."""
-    lines = [f"{block.number} {block.hash} {block.timestamp} {block.miner}"]
-    lines += [
-        f"{tx.tx_hash} {tx.sender} {'-' if tx.recipient is None else tx.recipient} {tx.value:x}"
-        for tx in block.transactions
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
+def write_entry(path, body, header):
+    """Write a cache entry in format ``header`` whose checksum matches ``body``."""
+    digest = hashlib.sha256(body).hexdigest().encode()
+    path.write_bytes(header + b" sha256:" + digest + b"\n" + body)
 
 
 def record_encode(block):
-    """A format-3 cache entry body built one field at a time from the
+    """A format-4 cache entry body built one field at a time from the
     format's description: the byte-identity reference for ingest._encode."""
     txs = block.transactions
     out = struct.pack(">QQI", block.number, block.timestamp, len(txs))
@@ -49,7 +48,21 @@ def record_encode(block):
     out += struct.pack(">I", len(creations))
     for i in creations:
         out += struct.pack(">I", i)
-    return out + " ".join(format(tx.value, "x") for tx in txs).encode("ascii")
+    return out
+
+
+def encode_v3(block, values):
+    """A format-3 cache entry body: the format-4 body of ``block``, then
+    its transactions' ``values`` in lowercase hex without prefix or
+    leading zeros, separated by single spaces. The writer of the format-3
+    entries that the migration tests load."""
+    return record_encode(block) + " ".join(format(v, "x") for v in values).encode("ascii")
+
+
+def write_v3_entry(path, result):
+    """Write the format-3 cache entry of a JSON-RPC block result."""
+    values = [parse_quantity(tx.get("value", "0x0"), "value") for tx in result["transactions"]]
+    write_entry(path, encode_v3(parse_block_json(result), values), FORMAT_3)
 
 
 def add_node(g, label):

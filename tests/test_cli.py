@@ -13,7 +13,8 @@ import pytest
 import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
-from chaingraph.ingest import BlockRecord, JsonRpcEndpoint, parse_block_json
+from chaingraph.ingest import (CACHE_FORMAT, BlockCache, BlockRecord, JsonRpcEndpoint,
+                               parse_block_json)
 
 from conftest import (
     MockEndpoint,
@@ -27,7 +28,7 @@ from conftest import (
     star_pairs,
     stub_endpoint,
 )
-from oracles import LabelKeyedGraph, recipient_node
+from oracles import LabelKeyedGraph, recipient_node, write_v3_entry
 
 
 def strip_header(path, comment="#"):
@@ -708,6 +709,32 @@ class TestPinnedOutputs:
             for path in sorted((tmp_path / name).iterdir()):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.EXPECTED[fixture]
+
+    def test_format_3_cache_upgraded(self, tmp_path):
+        # A cache written in format 3 gives the pinned outputs offline, is
+        # rewritten in the current format by the first run, and a second
+        # run gives the same bytes.
+        cache = BlockCache(tmp_path / "cache")
+        for number, raw in pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3).items():
+            write_v3_entry(cache.path(number), raw)
+        runs = [(name, self.COMMANDS[name] + ["--start-block", "1", "--num-blocks", "3"])
+                for name in ("analyze-exact", "analyze-sampled")]
+        outputs = []
+        for again in ("", "-again"):
+            files = {}
+            for name, argv in runs:
+                assert run(argv, tmp_path, out=name + again) == 0, name
+                for path in sorted((tmp_path / (name + again)).iterdir()):
+                    files[f"{name}/{path.name}"] = path.read_bytes()
+            entries = {path.name: path.read_bytes() for path in cache.directory.iterdir()}
+            assert len(entries) == 3
+            assert all(entry.startswith(CACHE_FORMAT + b" ") for entry in entries.values())
+            outputs.append((files, entries))
+        assert outputs[0] == outputs[1]
+        files = outputs[0][0]
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == {
+            name: digest for name, digest in self.EXPECTED["mixed"].items()
+            if name.startswith("analyze-")}
 
     def test_degree_histograms_match_oracle(self, tmp_path):
         # degree.csv and degree_weighted.csv against the label-keyed

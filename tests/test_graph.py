@@ -78,25 +78,25 @@ class TestBuildGraph:
         assert canonical_form(build_graph(blocks)) == canonical_form(build_graph(shuffled))
 
     def test_contract_creation_gets_synthetic_node(self):
-        g = build_graph([block_of(TxRecord(tx_hash(0xDEADBEEF), addr(1), None, 0))])
+        g = build_graph([block_of(TxRecord(tx_hash(0xDEADBEEF), addr(1), None))])
         assert g.n == 2
         assert any(label.startswith("created!") for label in g.labels)
 
 
 class TestRecipientNodes:
     def test_present_recipient_passthrough(self):
-        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2), 0))
+        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2)))
         assert recipient_nodes(block) == (addr(2),)
 
     def test_absent_recipient_uses_hash_prefix(self):
         h = "0xdeadbeef" + "0" * 56
-        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2), 0),
-                         TxRecord(h, addr(1), None, 0))
+        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2)),
+                         TxRecord(h, addr(1), None))
         assert list(recipient_nodes(block)) == [addr(2), "created!deadbeef00000000"]
 
     def test_distinct_hashes_distinct_nodes(self):
-        block = block_of(TxRecord("0x" + "a" * 64, addr(1), None, 0),
-                         TxRecord("0x" + "b" * 64, addr(1), None, 0))
+        block = block_of(TxRecord("0x" + "a" * 64, addr(1), None),
+                         TxRecord("0x" + "b" * 64, addr(1), None))
         first, second = recipient_nodes(block)
         assert first != second
 
@@ -240,7 +240,7 @@ def test_property_weight_sum_and_order_insensitivity(raw_pairs, rng):
 # insertion orders unlike label order.
 _txs = st.builds(
     lambda prefix, rest, u, v: TxRecord("0x" + format(prefix, "016x") + rest.hex(), addr(u),
-                                        None if v is None else addr(v), 0),
+                                        None if v is None else addr(v)),
     st.integers(0, 3), st.binary(min_size=24, max_size=24),
     st.integers(0, 9), st.one_of(st.none(), st.integers(0, 9)))
 

@@ -6,6 +6,7 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 import requests
@@ -32,9 +33,9 @@ from chaingraph.ingest import (
     canonical_address,
 )
 
-from conftest import (MockEndpoint, StubSession, TxDict, addr, raw_block, raw_tx,
+from conftest import (FIXTURES, MockEndpoint, StubSession, TxDict, addr, raw_block, raw_tx,
                       rpc_transactions, stub_endpoint, tx_hash)
-from oracles import chain_head, encode_v2, record_encode
+from oracles import FORMAT_3, chain_head, encode_v3, record_encode, write_entry
 
 
 def per_transaction(txs):
@@ -69,21 +70,18 @@ class TestParseBlockJson:
         assert rec.timestamp == 1439799105
         assert rec.miner == "0xbb7b8287f3f0a933474a79eae42cbca977791171"
         assert len(rec.transactions) == 3
-        assert rec.transactions[0].value == 437194980000000000
         assert rec.transactions[1].recipient is None
-        assert rec.transactions[2].value == 10**18
         assert rec.transactions[0].sender == "0x32be343b94f860124dc4fee278fdcbd38c102d88"
 
     def test_records_immutable_and_hashable(self, fixture_a_record):
         rec = fixture_a_record
         tx = rec.transactions[0]
-        for obj, field in ((rec, "number"), (tx, "value"), (tx, "not_a_field")):
+        for obj, field in ((rec, "number"), (tx, "sender"), (tx, "not_a_field")):
             with pytest.raises(AttributeError):
                 setattr(obj, field, 1)
         copy = BlockRecord.from_transactions(
             number=rec.number, hash=rec.hash, timestamp=rec.timestamp, miner=rec.miner,
-            transactions=[TxRecord(tx_hash=t.tx_hash, sender=t.sender,
-                                   recipient=t.recipient, value=t.value)
+            transactions=[TxRecord(tx_hash=t.tx_hash, sender=t.sender, recipient=t.recipient)
                           for t in rec.transactions])
         assert copy == rec and hash(copy) == hash(rec)
         assert len({rec, copy, tx}) == 2
@@ -124,6 +122,21 @@ class TestParseBlockJson:
         bad = raw_block(1, [raw_tx(1, addr(1), addr(2), value=2**256)])
         with pytest.raises(BlockParseError, match="value"):
             parse_block_json(bad)
+
+    @pytest.mark.parametrize("last", ["0x" + "f" * 65, "0xg"])
+    def test_bad_value_after_leading_zeros_refused_quickly(self, last):
+        # Could a field of the value column match in more than one way, a
+        # column that fails would retry every split of every earlier field:
+        # here 2**30 * 3**30 of them.
+        txs = [raw_tx(i, addr(i), addr(i + 1)) for i in range(61)]
+        for i, tx in enumerate(txs[:60]):
+            tx["value"] = ("0x01", "0x001")[i % 2]
+        txs[60]["value"] = last
+        start = time.perf_counter()
+        with pytest.raises(BlockParseError) as exc:
+            parse_block_json(raw_block(1, txs))
+        assert exc.value.field == "transactions[60].value"
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("field", ["number", "timestamp"])
     def test_over_64_bits_refused(self, tmp_path, field):
@@ -355,29 +368,13 @@ class NotJsonSession(StubSession):
         raise ValueError("Expecting value: line 1 column 1 (char 0)")
 
 
-FORMAT_2 = b"chaingraph-block/2"
-
-
-def write_entry(path, body: bytes, header: bytes = CACHE_FORMAT) -> None:
-    """Write a cache entry whose checksum matches ``body``."""
-    digest = hashlib.sha256(body).hexdigest().encode()
-    path.write_bytes(header + b" sha256:" + digest + b"\n" + body)
-
-
-def write_legacy_entry(path, result: dict) -> None:
-    """Write an entry in the oldest format: checksum line, then RPC JSON."""
-    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    path.write_text(f"sha256:{digest}\n{text}\n")
-
-
 def rpc_result(block: BlockRecord) -> dict:
     """The JSON-RPC block result that parses to ``block``."""
     return {
         "number": hex(block.number), "hash": block.hash,
         "timestamp": hex(block.timestamp), "miner": block.miner,
         "transactions": [{"hash": tx.tx_hash, "from": tx.sender, "to": tx.recipient,
-                          "value": hex(tx.value)} for tx in block.transactions],
+                          "value": "0x0"} for tx in block.transactions],
     }
 
 
@@ -390,8 +387,8 @@ def _hex_bytes(size: int) -> st.SearchStrategy[str]:
 
 _uint64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 _values = st.one_of(st.sampled_from([0, 1, 2**256 - 1]), st.integers(0, 2**256 - 1))
-_creations = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), st.none(), _values)
-_transfers = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), _hex_bytes(20), _values)
+_creations = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), st.none())
+_transfers = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), _hex_bytes(20))
 
 
 def block_records() -> st.SearchStrategy[BlockRecord]:
@@ -402,23 +399,22 @@ def block_records() -> st.SearchStrategy[BlockRecord]:
                      _hex_bytes(20), txs)
 
 
-V2_BODY = ("12 0x" + "ab" * 32 + " 1500000000 0x" + "cd" * 20 + "\n"
-           "0x" + "01" * 32 + " 0x" + "02" * 20 + " 0x" + "03" * 20 + " ff\n"
-           "0x" + "04" * 32 + " 0x" + "05" * 20 + " - 0\n")
-
-
-def v3_body(number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"), creations=(1,),
-            values=b"ff 0 1") -> bytes:
-    """A format-3 body of three transactions, built part by part so that
+def v4_body(number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"), creations=(1,)) -> bytes:
+    """A format-4 body of three transactions, built part by part so that
     any one part can be made wrong. As given, the second transaction is a
-    creation, the third pays the zero address, and the last value has one
-    digit: no cut of the body is the body of another block."""
+    creation and the third pays the zero address."""
     return (struct.pack(">QQI32s20s", number, 1_500_000_000, n, b"\xab" * 32, b"\xcd" * 20)
             + b"".join(bytes([i]) * 32 for i in (1, 4, 7))
             + b"".join(bytes([i]) * 20 for i in (2, 5, 8))
             + b"".join(r * 20 for r in recipients)
-            + struct.pack(f">I{len(creations)}I", len(creations), *creations)
-            + values)
+            + struct.pack(f">I{len(creations)}I", len(creations), *creations))
+
+
+def v3_body(values=b"ff 0 1", **parts) -> bytes:
+    """``v4_body(**parts)`` as format 3 stored it: followed by the value
+    text. The last value has one digit, so no cut of the body is the body
+    of another block."""
+    return v4_body(**parts) + values
 
 
 class TestCache:
@@ -431,10 +427,10 @@ class TestCache:
         # Equal tuples are not enough: loads build TxRecord named tuples.
         tx = block.transactions[0]
         assert type(tx) is TxRecord and type(block) is BlockRecord
-        assert (tx.sender, tx.recipient, tx.value) == (addr(1), addr(2), 3)
+        assert (tx.sender, tx.recipient) == (addr(1), addr(2))
         assert hash(block) == hash(parse_block_json(result))
         with pytest.raises(AttributeError):
-            tx.value = 4
+            tx.sender = addr(4)
 
     @given(txs=st.lists(st.tuples(
         st.integers(min_value=0, max_value=2**160 - 1),
@@ -485,6 +481,17 @@ class TestCache:
     def test_encode_matches_record_reference(self, block):
         assert _encode(block) == record_encode(block)
 
+    def test_fixture_entry_pinned(self, tmp_path):
+        # The bytes on disk: a change of layout fails here, not only in a
+        # reader of caches written before it.
+        raw = json.loads(FIXTURES.joinpath("block_fixture_a.json").read_text())
+        cache = BlockCache(tmp_path)
+        block = cache.store(68943, raw)
+        entry = cache.path(68943).read_bytes()
+        assert entry.partition(b"\n")[2] == record_encode(block)
+        assert hashlib.sha256(entry).hexdigest() == (
+            "cf81998c88afaa13cdfc31d46ee8c03ad2e163c74b60b8120ac00bfb22a5eed3")
+
     @given(block=block_records())
     def test_stored_record_loads_unchanged(self, block):
         with tempfile.TemporaryDirectory() as tmp:
@@ -508,7 +515,7 @@ class TestCache:
         changed = body[:start] + insert + body[end:]
         with tempfile.TemporaryDirectory() as tmp:
             cache = BlockCache(tmp)
-            write_entry(cache.path(block.number), changed)
+            write_entry(cache.path(block.number), changed, CACHE_FORMAT)
             try:
                 loaded = cache.load(block.number)
             except CacheCorruptError as exc:
@@ -528,58 +535,39 @@ class TestCache:
         with pytest.raises(CacheCorruptError, match=str(path)):
             cache.get(12)
 
-    def test_valid_body_accepted(self, tmp_path):
-        cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), V2_BODY.encode(), header=FORMAT_2)
-        block = cache.load(12)
-        assert block.transactions[0].value == 255
-        assert block.transactions[1].recipient is None
-
-    @pytest.mark.parametrize("old,new", [
-        (" 0x" + "02" * 20, " 0x" + "02" * 19 + "0"),       # 39-digit address
-        (" ff\n", " 1" + "0" * 64 + "\n"),                 # 65-digit value
-        (" ff\n", " 0ff\n"),                               # leading zero
-        (" ff\n", " FF\n"),                                # uppercase hex
-        (" 0x" + "03" * 20, " 0x" + "03" * 19 + "0"),       # short recipient
-        ("0x" + "ab" * 32, "0x" + "ab" * 31),               # short block hash
-        (" 1500000000 ", " 01500000000 "),                  # padded decimal
-        (" - 0\n", " - 0"),                                 # missing newline
-        (" - 0\n", " - 0 extra\n"),                        # extra field
-    ])
-    def test_malformed_field_with_valid_checksum(self, tmp_path, old, new):
-        assert V2_BODY.count(old) == 1
-        cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), V2_BODY.replace(old, new).encode(), header=FORMAT_2)
-        with pytest.raises(CacheCorruptError, match="malformed"):
-            cache.load(12)
-
     def test_unknown_format_rejected(self, tmp_path):
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), V2_BODY.encode(), header=b"chaingraph-block/9")
-        with pytest.raises(CacheCorruptError):
+        write_entry(cache.path(12), v4_body(), b"chaingraph-block/9")
+        with pytest.raises(CacheCorruptError,
+                           match=f"{cache.path(12)}: unknown format 'chaingraph-block/9'"):
             cache.load(12)
 
     def test_v3_reference_body_loads(self, tmp_path):
-        cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), v3_body())
+        # A format-3 entry loads as its block and is rewritten exactly as a
+        # fresh store of that block writes it.
+        cache, fresh = BlockCache(tmp_path / "old"), BlockCache(tmp_path / "new")
+        write_entry(cache.path(12), v3_body(), FORMAT_3)
         block = cache.load(12)
         assert [tx.recipient for tx in block.transactions] == [
             "0x" + "21" * 20, None, "0x" + "00" * 20]
-        assert [tx.value for tx in block.transactions] == [255, 0, 1]
-        assert _encode(block) == v3_body()
+        assert _encode(block) == v4_body()
+        fresh.store(12, rpc_result(block))
+        assert cache.path(12).read_bytes() == fresh.path(12).read_bytes()
+        assert cache.load(12) == block
         # A zero slot outside the creation list is the zero address.
-        write_entry(cache.path(12), v3_body(creations=()))
+        write_entry(cache.path(12), v3_body(creations=()), FORMAT_3)
         assert cache.load(12).transactions[1].recipient == "0x" + "00" * 20
 
-    def test_every_cut_refused(self, tmp_path):
+    @pytest.mark.parametrize("header,body", [(FORMAT_3, v3_body()), (CACHE_FORMAT, v4_body())],
+                             ids=["v3", "v4"])
+    def test_every_cut_refused(self, tmp_path, header, body):
         cache = BlockCache(tmp_path)
-        body = v3_body()
         for size in range(len(body)):
-            write_entry(cache.path(12), body[:size])
+            write_entry(cache.path(12), body[:size], header)
             with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
                 cache.load(12)
 
-    @pytest.mark.parametrize("body", [
+    @pytest.mark.parametrize("header,body", [(FORMAT_3, body) for body in [
         v3_body() + b" ",                                   # extended
         v3_body() + b"\n",
         v3_body() + b" 0",
@@ -599,12 +587,57 @@ class TestCache:
         v3_body(values=b"ff  0 1"),
         v3_body(values=b"ff 0"),                            # too few values
         v3_body(number=13),                                 # another block
-    ])
-    def test_malformed_v3_body_with_valid_checksum(self, tmp_path, body):
+    ]] + [(CACHE_FORMAT, body) for body in [
+        v4_body() + b" ",                                   # extended
+        v4_body() + b"0",
+        v4_body() + b"\n",
+        v4_body() + bytes(4),
+        v3_body(),                                          # values, as format 3 had
+        v4_body(n=0), v4_body(n=2), v4_body(n=4),           # wrong tx count
+        v4_body(n=0)[:72] + bytes(4) + b"0",                # a byte without a tx
+        v4_body(recipients=(b"\x00",) * 3, creations=(1, 0)),  # unsorted
+        v4_body(creations=(1, 1)),                          # duplicated
+        v4_body(creations=(3,)),                            # out of range
+        v4_body(creations=(1, 2**32 - 1)),
+        v4_body(creations=(0,)),                            # non-zero slot
+        v4_body(number=13),                                 # another block
+    ]])
+    def test_malformed_body_with_valid_checksum(self, tmp_path, header, body):
+        # Refused, and left as it is: only an entry that loads is rewritten.
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), body)
+        write_entry(cache.path(12), body, header)
+        before = cache.path(12).read_bytes()
         with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
             cache.load(12)
+        assert cache.path(12).read_bytes() == before
+
+    @given(block=block_records(), data=st.data())
+    def test_v3_entry_rewritten_as_stored(self, block, data):
+        # A format-3 entry, whatever its values, loads as the same record
+        # and is rewritten byte-identical to what store writes for the block.
+        n = len(block.senders)
+        values = data.draw(st.lists(_values, min_size=n, max_size=n))
+        with tempfile.TemporaryDirectory() as old, tempfile.TemporaryDirectory() as new:
+            cache = BlockCache(old)
+            path = cache.path(block.number)
+            write_entry(path, encode_v3(block, values), FORMAT_3)
+            assert cache.load(block.number) == block
+            stored = BlockCache(new)
+            stored.store(block.number, rpc_result(block))
+            assert path.read_bytes() == stored.path(block.number).read_bytes()
+            assert cache.load(block.number) == block
+
+    def test_v3_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
+        cache = BlockCache(tmp_path)
+        write_entry(cache.path(12), v3_body(), FORMAT_3)
+        before = cache.path(12).read_bytes()
+
+        def refuse(block):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(cache, "_write", refuse)
+        assert _encode(cache.load(12)) == v4_body()
+        assert cache.path(12).read_bytes() == before
 
     def test_entry_of_another_block_refused(self, tmp_path):
         cache = BlockCache(tmp_path)
@@ -680,73 +713,6 @@ class TestCache:
             cache.store(13, raw_block(12, []))
         assert not cache.path(13).exists()
 
-    def test_legacy_entry_migrated(self, tmp_path):
-        cache = BlockCache(tmp_path)
-        raw = raw_block(12, [raw_tx(1, "0xAbC" + "0" * 37, None, value=2**256 - 1)])
-        write_legacy_entry(cache.path(12), raw)
-        assert cache.load(12) == parse_block_json(raw)
-        assert cache.path(12).read_bytes().startswith(b"chaingraph-block/3 sha256:")
-        assert cache.load(12) == parse_block_json(raw)
-
-    @given(block=block_records(), legacy=st.booleans())
-    def test_old_entry_rewritten_as_stored(self, block, legacy):
-        # Format 2 and legacy JSON entries load as the same records and are
-        # rewritten byte-identical to what store writes for the block.
-        with tempfile.TemporaryDirectory() as old, tempfile.TemporaryDirectory() as new:
-            cache = BlockCache(old)
-            path = cache.path(block.number)
-            if legacy:
-                write_legacy_entry(path, rpc_result(block))
-            else:
-                write_entry(path, encode_v2(block), header=FORMAT_2)
-            assert cache.load(block.number) == block
-            stored = BlockCache(new)
-            stored.store(block.number, rpc_result(block))
-            assert path.read_bytes() == stored.path(block.number).read_bytes()
-            assert cache.load(block.number) == block
-
-    def test_v2_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
-        cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), V2_BODY.encode(), header=FORMAT_2)
-        before = cache.path(12).read_bytes()
-
-        def refuse(block):
-            raise PermissionError("read-only")
-
-        monkeypatch.setattr(cache, "_write", refuse)
-        assert cache.load(12).transactions[0].value == 255
-        assert cache.path(12).read_bytes() == before
-
-    def test_v2_entry_over_64_bits_refused(self, tmp_path):
-        # Format 3 cannot hold it, so it is corrupt, not migrated.
-        cache = BlockCache(tmp_path)
-        body = V2_BODY.replace(" 1500000000 ", f" {2**64} ")
-        write_entry(cache.path(12), body.encode(), header=FORMAT_2)
-        with pytest.raises(CacheCorruptError, match="64-bit"):
-            cache.load(12)
-        assert cache.path(12).read_bytes().startswith(FORMAT_2 + b" ")
-
-    def test_legacy_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
-        cache = BlockCache(tmp_path)
-        raw = raw_block(12, [raw_tx(1, addr(1), addr(2))])
-        write_legacy_entry(cache.path(12), raw)
-        before = cache.path(12).read_bytes()
-
-        def refuse(block):
-            raise PermissionError("read-only")
-
-        monkeypatch.setattr(cache, "_write", refuse)
-        assert cache.load(12) == parse_block_json(raw)
-        assert cache.path(12).read_bytes() == before
-
-    def test_corrupt_legacy_entry_rejected(self, tmp_path):
-        cache = BlockCache(tmp_path)
-        raw = raw_block(12, [])
-        raw["miner"] = "0x1234"
-        write_legacy_entry(cache.path(12), raw)
-        with pytest.raises(CacheCorruptError, match="miner"):
-            cache.load(12)
-
 
 class TestFetchRange:
     def make(self, numbers):
@@ -799,6 +765,33 @@ class TestFetchRange:
                                                    struct.pack(">Q", 1_500_000_001)))
         with pytest.raises(CacheCorruptError, match=str(path)):
             list(fetch_range(None, SnapshotSpec(100, 3), cache))
+
+    @pytest.mark.parametrize("old", ["format-2", "legacy-json"])
+    def test_entry_from_before_format_3_refetched(self, tmp_path, old):
+        # Such an entry is corrupt: named offline, refetched online and
+        # stored as a fresh fetch stores the block.
+        raw = raw_block(12, [raw_tx(1, addr(1), addr(2), value=255), raw_tx(4, addr(5), None)])
+        cache = BlockCache(tmp_path / "cache")
+        path = cache.path(12)
+        if old == "format-2":
+            body = (f"12 {raw['hash']} 1500000000 {raw['miner']}\n"
+                    f"{tx_hash(1)} {addr(1)} {addr(2)} ff\n{tx_hash(4)} {addr(5)} - 0\n")
+            write_entry(path, body.encode(), b"chaingraph-block/2")
+            found = "chaingraph-block/2"
+        else:
+            text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+            path.write_text(f"sha256:{hashlib.sha256(text.encode()).hexdigest()}\n{text}\n")
+            found = "sha256:"
+        with pytest.raises(CacheCorruptError, match=f"{path}: unknown format '{found}"):
+            cache.load(12)
+        with pytest.raises(CacheCorruptError, match=str(path)):
+            list(fetch_range(None, SnapshotSpec(12, 1), cache))
+        ep = MockEndpoint({12: raw})
+        assert list(fetch_range(ep, SnapshotSpec(12, 1), cache)) == [parse_block_json(raw)]
+        assert ep.block_calls() == [12]
+        fresh = BlockCache(tmp_path / "fresh")
+        fresh.store(12, raw)
+        assert path.read_bytes() == fresh.path(12).read_bytes()
 
     def test_malformed_block_not_cached(self, tmp_path):
         raw = raw_block(100, [])
