@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from chaingraph.graph import SimpleGraph
+from chaingraph.graph import SimpleGraph, _sorted_adjacency
 from chaingraph.metrics import (
     ExactnessPolicy,
     average_local_clustering,
@@ -22,8 +22,9 @@ from chaingraph.metrics import (
 
 # Up to this many possible pairs, edges are drawn as indices into the
 # lexicographic list of pairs; above it, by rejection sampling. Both draw
-# uniformly without replacement and neither builds the pair list; the
-# limit fixes which draw, and so which graph, each (n, m, seed) gives.
+# uniformly without replacement, as distinct pairs u < v, so the adjacency
+# needs no de-duplication, and neither builds the pair list; the limit
+# fixes which draw, and so which graph, each (n, m, seed) gives.
 _ENUMERATE_LIMIT = 500_000
 
 _TRIAL_SEED_STRIDE = 1_000_003
@@ -88,7 +89,7 @@ def gnm_random_graph(params: GnmParams) -> SimpleGraph:
         # random.sample draws from the population's length alone, so these
         # are the pairs that sampling the enumerated pair list would give.
         edges = [_pair_at(k, n) for k in rng.sample(range(max_edges), m)]
-        return SimpleGraph.from_edges(n, edges)
+        return SimpleGraph(_sorted_adjacency(n, edges), m)
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
         u = rng.randrange(n)
@@ -96,7 +97,7 @@ def gnm_random_graph(params: GnmParams) -> SimpleGraph:
         if u == v:
             continue
         chosen.add((u, v) if u < v else (v, u))
-    return SimpleGraph.from_edges(n, chosen)
+    return SimpleGraph(_sorted_adjacency(n, chosen), m)
 
 
 def small_world_sigma(cc: float, avg_distance: float,

@@ -138,25 +138,40 @@ def largest_component(g: SimpleGraph,
 def _neighbour_links(g: SimpleGraph) -> list[int]:
     """Edges among each node's neighbours, i.e. triangles through it.
 
-    Edge iterator (Schank and Wagner, WEA 2005): each edge u < v adds its
-    common-neighbour count to both endpoints, which counts every edge
-    among a node's neighbours twice. A leaf closes no triangle, so leaves
-    get no set and edges with a leaf endpoint are skipped.
+    Forward listing (Schank and Wagner, WEA 2005): a leaf closes no
+    triangle, so only nodes of degree >= 2 are ranked, by (degree,
+    index), and each gets the set of its higher-ranked neighbours, its
+    out-set. A triangle u, v, w in rank order is found once, at u, as w
+    in out(u) & out(v); it adds 1 to each corner. Orienting edges from
+    low to high degree keeps a hub's out-set small, so hubs that share
+    many neighbours never intersect their long neighbour lists, which
+    suits heavy-tailed graphs (Latapy, TCS 2008). Each edge between
+    non-leaves is held in one set.
     """
     adj = g.adj
-    adj_sets = [set(neigh) if len(neigh) >= 2 else None for neigh in adj]
+    rank = [-1] * g.n
+    # sorted is stable, so equal degrees keep ascending index order.
+    core = sorted((v for v, neigh in enumerate(adj) if len(neigh) >= 2),
+                  key=lambda v: len(adj[v]))
+    for r, v in enumerate(core):
+        rank[v] = r
+    out: list[Optional[set[int]]] = [None] * g.n
+    for u in core:
+        ru = rank[u]
+        out[u] = {v for v in adj[u] if rank[v] > ru}
     counts = [0] * g.n
-    for u, set_u in enumerate(adj_sets):
-        if set_u is None:
-            continue
-        for v in adj[u]:
-            if u < v:
-                set_v = adj_sets[v]
-                if set_v is not None:
-                    common = len(set_u & set_v)
-                    counts[u] += common
-                    counts[v] += common
-    return [c // 2 for c in counts]
+    for u in core:
+        out_u = out[u]
+        for v in out_u:
+            out_v = out[v]
+            if out_u.isdisjoint(out_v):
+                continue
+            common = out_u & out_v
+            counts[u] += len(common)
+            counts[v] += len(common)
+            for w in common:
+                counts[w] += 1
+    return counts
 
 
 def _transitivity(g: SimpleGraph, links: list[int]) -> float:

@@ -343,6 +343,13 @@ def brute_local_clustering(g):
     return values
 
 
+def brute_neighbour_links(g):
+    """Per node, the number of its neighbour pairs that are linked."""
+    adj_sets = [set(neigh) for neigh in g.adj]
+    return [sum(1 for a, b in combinations(neigh, 2) if b in adj_sets[a])
+            for neigh in g.adj]
+
+
 def brute_average_local_clustering(g):
     """Mean local clustering over all nodes; degree-<2 nodes contribute zero."""
     return sum(v or 0.0 for v in brute_local_clustering(g)) / g.n if g.n else 0.0

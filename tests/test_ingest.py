@@ -123,6 +123,23 @@ class TestParseBlockJson:
         with pytest.raises(BlockParseError, match="value"):
             parse_block_json(bad)
 
+    # An int in [0, 2**260) with its number of significant hex digits, 0 to
+    # 65, drawn first: a plain integers(0, 2**260 - 1) favours small values
+    # and rarely crosses 2**256, the 65-digit ones.
+    @given(value=st.integers(0, 65).flatmap(lambda d: st.integers(16**d // 16, 16**d - 1)),
+           zeros=st.integers(0, 3), upper=st.booleans())
+    def test_value_accepted_iff_below_2_256(self, value, zeros, upper):
+        # The column check and the per-transaction parser draw the bound
+        # in the same place, whatever the leading zeros.
+        txs = [raw_tx(i, addr(i), addr(i + 1)) for i in range(3)]
+        txs[1]["value"] = "0x" + "0" * zeros + format(value, "X" if upper else "x")
+        by_column = _parse_txs_by_column(txs)
+        by_row = per_transaction(txs)
+        if value < 2**256:
+            assert by_column is not None and isinstance(by_row, tuple)
+        else:
+            assert by_column is None and by_row == "transactions[1].value"
+
     @pytest.mark.parametrize("last", ["0x" + "f" * 65, "0xg"])
     def test_bad_value_after_leading_zeros_refused_quickly(self, last):
         # Could a field of the value column match in more than one way, a

@@ -30,6 +30,7 @@ from conftest import addr, forest_blocks, make_block, star_blocks
 from oracles import (
     all_pairs_average_and_diameter,
     brute_average_local_clustering,
+    brute_neighbour_links,
     brute_transitivity,
     degree_sum,
     double_sweep_lower_bound,
@@ -232,13 +233,42 @@ class TestClustering:
                 edges.append((tail, n))
                 tail, n = n, n + 1
         g = simple(n, edges)
-        adj_sets = [set(neigh) for neigh in g.adj]
-        assert metrics._neighbour_links(g) == [
-            sum(1 for a, b in combinations(g.adj[v], 2) if b in adj_sets[a])
-            for v in range(g.n)]
+        assert metrics._neighbour_links(g) == brute_neighbour_links(g)
         assert transitivity(g) == pytest.approx(brute_transitivity(g), abs=1e-12)
         assert average_local_clustering(g) == pytest.approx(
             brute_average_local_clustering(g), abs=1e-12)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_tied_hubs_sharing_neighbours_match_brute_force(self, data):
+        # Hubs of one degree, each on a subset of one small pool, so they
+        # share neighbours; edges within the pool and between hubs close
+        # triangles, and leaves hang on hubs and pool nodes. The triangle
+        # kernel ranks nodes by degree and then index, so equal degrees
+        # are where a wrong tie-break would count a triangle twice or not
+        # at all; the node indices are shuffled so ties fall either way.
+        hubs = data.draw(st.integers(2, 5))
+        pool = data.draw(st.integers(2, 8))
+        degree = data.draw(st.integers(2, pool))
+        members = st.lists(st.integers(0, pool - 1), min_size=degree, max_size=degree,
+                           unique=True)
+        edges = [(h, hubs + p) for h in range(hubs) for p in data.draw(members)]
+        if data.draw(st.booleans()):
+            edges += list(combinations(range(hubs), 2))
+        pool_node = st.integers(hubs, hubs + pool - 1)
+        edges += data.draw(st.lists(st.tuples(pool_node, pool_node), max_size=12))
+        n = hubs + pool
+        # Every hub gets the same number of leaves, so hub degrees stay tied.
+        for _ in range(data.draw(st.integers(0, 3))):
+            edges += [(h, n + h) for h in range(hubs)]
+            n += hubs
+        for anchor in data.draw(st.lists(pool_node, max_size=6)):
+            edges.append((anchor, n))
+            n += 1
+        order = data.draw(st.permutations(range(n)))
+        g = simple(n, [(order[u], order[v]) for u, v in edges])
+        assert len({len(g.adj[order[h]]) for h in range(hubs)}) == 1
+        assert metrics._neighbour_links(g) == brute_neighbour_links(g)
 
 
 class TestDistance:

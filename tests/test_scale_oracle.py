@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chaingraph.graph import SimpleGraph
 from chaingraph.metrics import (
     EXACT,
+    _neighbour_links,
     average_local_clustering,
     connected_components,
     distance_summary,
@@ -71,6 +72,8 @@ def test_matches_networkx(g):
     assert comps.members(comps.largest_id) == sorted(main_nodes)
     main = largest_component(g, comps)
 
+    triangles = nx.triangles(G)
+    assert _neighbour_links(g) == [triangles[v] for v in range(g.n)]
     assert transitivity(g) == pytest.approx(nx.transitivity(G), abs=1e-12)
     assert average_local_clustering(g) == pytest.approx(nx.average_clustering(G), abs=1e-12)
 
