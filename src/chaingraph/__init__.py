@@ -10,7 +10,6 @@ from chaingraph.ingest import (
     BlockRecord,
     JsonRpcEndpoint,
     SnapshotSpec,
-    TxRecord,
     fetch_range,
     parse_block_json,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "SmallWorldReport",
     "SnapshotSpec",
     "TransactionGraph",
-    "TxRecord",
     "UNDEFINED",
     "average_local_clustering",
     "build_graph",

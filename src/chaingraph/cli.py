@@ -4,7 +4,11 @@ export.
 Offline-first: blocks are read from the cache and only fetched on a miss;
 --offline turns misses into errors. Every output file starts with a
 provenance comment header (tool version, config hash, seed, snapshot), and
-runs with equal headers are byte-identical below it.
+runs with equal headers are byte-identical below it. Every table of
+results is written by _write_csv; the graph exports (graph.net, edges.csv)
+have writers of their own in the graph module. --seed draws the sampled
+distance sources and the G(n,m) baselines, so only analyze, smallworld and
+snapshots take it; the other commands record the default seed.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from chaingraph import __version__
 from chaingraph.baseline import UNDEFINED, small_world_report
@@ -41,10 +46,8 @@ from chaingraph.metrics import (
     distance_summary,
     general_metrics,
     largest_component,
-    write_degree_csv,
-    write_degree_loglog_csv,
 )
-from chaingraph.miners import miner_distribution, write_distribution_csv, write_miner_csv
+from chaingraph.miners import miner_distribution
 
 RPC_URL_ENV = "CHAINGRAPH_RPC_URL"
 DEFAULT_CACHE_DIR = "./chaincache"
@@ -113,7 +116,7 @@ def _write_file(cfg: RunConfig, name: str, body: Callable[[TextIO], None],
         body(sink)
 
 
-def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[list]) -> None:
+def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[Sequence]) -> None:
     def body(sink: TextIO) -> None:
         sink.write(",".join(columns) + "\n")
         for row in rows:
@@ -122,7 +125,7 @@ def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[list]) 
     _write_file(cfg, name, body)
 
 
-def _print_table(columns: list[str], rows: list[list]) -> None:
+def _print_table(columns: list[str], rows: list[Sequence]) -> None:
     cells = [columns] + [[_fmt(v) for v in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
     for r in cells:
@@ -184,14 +187,18 @@ def cmd_fetch(cfg: RunConfig) -> int:
 def cmd_analyze(cfg: RunConfig) -> int:
     policy = cfg.policy()
 
-    def write_graph_outputs(g: TransactionGraph) -> None:
+    def graph_outputs(g: TransactionGraph) -> None:
         hist, weighted = degree_distribution(g)
-        _write_file(cfg, "degree.csv", lambda sink: write_degree_csv(hist, sink))
-        _write_file(cfg, "degree_loglog.csv", lambda sink: write_degree_loglog_csv(hist, sink))
-        _write_file(cfg, "degree_weighted.csv", lambda sink: write_degree_csv(weighted, sink))
+        degrees = sorted(hist.items())
+        _write_csv(cfg, "degree.csv", ["degree", "count"], degrees)
+        # Every node is an endpoint of some transaction, so no degree or
+        # count is 0 and each has a logarithm.
+        _write_csv(cfg, "degree_loglog.csv", ["log10_degree", "log10_count"],
+                   [[math.log10(d), math.log10(c)] for d, c in degrees])
+        _write_csv(cfg, "degree_weighted.csv", ["degree", "count"], sorted(weighted.items()))
         _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
 
-    spec, simple, comps, main = _snapshot(cfg, cfg.snapshots[0], write_graph_outputs)
+    spec, simple, comps, main = _snapshot(cfg, cfg.snapshots[0], graph_outputs)
     summary = _distances(main, policy)
     dist_row = [main.n, summary.average_distance, summary.diameter, summary.l_method,
                 summary.diameter_method, summary.sample_sources, summary.seed]
@@ -256,11 +263,12 @@ def cmd_snapshots(cfg: RunConfig) -> int:
 
 def cmd_miners(cfg: RunConfig) -> int:
     hist = miner_distribution(_load_blocks(cfg, cfg.snapshots[0]))
-    _write_file(cfg, "miners.csv", lambda sink: write_miner_csv(hist, sink))
-    _write_file(cfg, "miner_histogram.csv", lambda sink: write_distribution_csv(hist, sink))
+    _write_csv(cfg, "miners.csv", ["miner", "blocks"], sorted(hist.per_miner.items()))
+    columns = ["blocks_mined", "num_miners"]
+    rows = sorted(hist.distribution.items())
+    _write_csv(cfg, "miner_histogram.csv", columns, rows)
     if cfg.pretty:
-        rows = [[k, hist.distribution[k]] for k in sorted(hist.distribution)]
-        _print_table(["blocks_mined", "num_miners"], rows)
+        _print_table(columns, rows)
     return 0
 
 
@@ -299,8 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="never touch the network; cache misses are errors")
     outputs = argparse.ArgumentParser(add_help=False)
     outputs.add_argument("--out-dir", type=Path, default=RunConfig.out_dir)
-    outputs.add_argument("--seed", type=int, default=RunConfig.seed,
-                         help="recorded in every output header")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=RunConfig.seed,
+                      help="draws sampled sources and random baselines; "
+                           "recorded in every output header")
     block_range = argparse.ArgumentParser(add_help=False)
     block_range.add_argument("--start-block", type=int)
     block_range.add_argument("--num-blocks", type=int)
@@ -314,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fetch", help="populate the block cache for a range",
                    parents=[common, block_range])
     sub.add_parser("analyze", help="metrics, degree histograms, distances, Pajek export",
-                   parents=[common, outputs, block_range, distances, pretty])
+                   parents=[common, outputs, seed, block_range, distances, pretty])
     p = sub.add_parser("smallworld", help="small-world sigma vs. G(n,m) baselines",
-                       parents=[common, outputs, block_range, distances, pretty])
+                       parents=[common, outputs, seed, block_range, distances, pretty])
     p.add_argument("--trials", type=int, default=RunConfig.trials)
     p = sub.add_parser("snapshots", help="per-snapshot series over multiple block ranges",
-                       parents=[common, outputs, distances, pretty])
+                       parents=[common, outputs, seed, distances, pretty])
     p.add_argument("--snapshot", action="append", default=[],
                    metavar="START:COUNT", help="repeatable snapshot spec")
     sub.add_parser("miners", help="blocks-mined-per-miner distribution",

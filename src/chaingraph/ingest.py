@@ -16,8 +16,7 @@ A ``BlockRecord`` holds its transactions column-wise, in the cache's own
 layout: the sender and recipient columns as 0x strings, which the graph
 reads, and the tx-hash column as the raw bytes the cache stores, which a
 warm load slices out without decoding. No per-transaction object is built
-on the way from the cache to the graph; the ``transactions`` property
-builds ``TxRecord`` rows for readers that want them.
+on the way from the cache to the graph.
 
 A block's transactions are validated column by column: each of the hash,
 from, to and value columns is joined with spaces and checked by one
@@ -26,9 +25,10 @@ runs per transaction. Values are checked but not kept: the networks read
 only who sent to whom. Any transaction outside the common shape sends the
 whole list to the per-transaction parser ``_parse_tx``, which alone
 defines what is accepted: it names the first faulty field or accepts a
-rarer shape, and its rows are transposed into columns once. Every field
-must match in full, so trailing whitespace (a final newline included) is
-refused. A cache entry is written by concatenating the record's columns.
+rarer shape, and its (hash, sender, recipient) rows are transposed into
+columns once. Every field must match in full, so trailing whitespace (a
+final newline included) is refused. A cache entry is written by
+concatenating the record's columns.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import is_, itemgetter, lt
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -72,7 +72,6 @@ def _column_re(field: str) -> re.Pattern:
 
 _HASH32_COLUMN_RE = _column_re(_HASH32_FIELD)
 _ADDRESS_COLUMN_RE = _column_re(_ADDRESS_FIELD)
-_RECIPIENT_COLUMN_RE = _column_re(f"(?:{_ADDRESS_FIELD}|-)")
 _VALUE_COLUMN_RE = _column_re(_VALUE_FIELD)
 
 MAX_UINT256 = 2**256 - 1
@@ -149,17 +148,6 @@ class OfflineMissError(IngestError):
     """Cache miss with no endpoint to fetch the block from."""
 
 
-class TxRecord(NamedTuple):
-    """One transaction as a row: the view ``BlockRecord.transactions`` builds.
-
-    ``recipient`` is None for contract creations.
-    """
-
-    tx_hash: str
-    sender: str
-    recipient: Optional[str]
-
-
 class BlockRecord(NamedTuple):
     """A validated block, its transactions held column-wise.
 
@@ -180,23 +168,6 @@ class BlockRecord(NamedTuple):
     recipients: tuple[Optional[str], ...]
     creations: tuple[int, ...]
     tx_hashes: bytes
-
-    @property
-    def transactions(self) -> tuple[TxRecord, ...]:
-        """The transactions as ``TxRecord`` rows, decoded on each access."""
-        if not self.senders:
-            return ()
-        rows = zip(_hex_column(self.tx_hashes, 32), self.senders, self.recipients)
-        return tuple(map(tuple.__new__, repeat(TxRecord), rows))
-
-    @classmethod
-    def from_transactions(cls, number: int, hash: str, timestamp: int, miner: str,
-                          transactions: Iterable[TxRecord]) -> "BlockRecord":
-        """The record of a block with these rows, given as ``_parse_tx``
-        builds them (lowercase hex): the inverse of ``transactions``."""
-        hashes, senders, recipients = tuple(zip(*transactions)) or ((),) * 3
-        return cls(number, hash, timestamp, miner, senders, recipients, _creations(recipients),
-                   unhexlify("".join(hashes).replace("0x", "")))
 
 
 def _creations(recipients) -> tuple[int, ...]:
@@ -265,8 +236,10 @@ def _parse_u64(value, field: str) -> int:
     return quantity
 
 
-def _parse_tx(obj, index: int) -> TxRecord:
-    # The value is checked, as outside input, but not kept.
+def _parse_tx(obj, index: int) -> tuple[str, str, Optional[str]]:
+    # The transaction's (hash, sender, recipient), lowercase, with None as
+    # a creation's recipient. The value is checked, as outside input, but
+    # not kept.
     where = f"transactions[{index}]"
     if not isinstance(obj, dict):
         raise BlockParseError(where, "transaction is not an object")
@@ -277,17 +250,13 @@ def _parse_tx(obj, index: int) -> TxRecord:
     value = parse_quantity(obj.get("value", "0x0"), f"{where}.value")
     if value > MAX_UINT256:
         raise BlockParseError(f"{where}.value", "exceeds 256-bit range")
-    return TxRecord(
-        tx_hash=_canonical_hash(obj["hash"], f"{where}.hash"),
-        sender=canonical_address(obj["from"], f"{where}.from"),
-        recipient=None if recipient is None else canonical_address(recipient, f"{where}.to"),
-    )
+    return (_canonical_hash(obj["hash"], f"{where}.hash"),
+            canonical_address(obj["from"], f"{where}.from"),
+            None if recipient is None else canonical_address(recipient, f"{where}.to"))
 
 
 _TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
 _RECIPIENT_TYPES = {str, type(None)}
-_DASH = {None: "-"}
-_CREATION = {"-": None}
 _NO_COLUMNS = ((), (), (), b"")
 
 
@@ -314,10 +283,8 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple]:
         hashes, senders, recipients, values = [list(map(get, txs)) for get in _TX_FIELDS]
     except KeyError:
         return None
-    # "-" stands for None in the recipient column, so a real "-" (which
-    # _parse_tx refuses) must not reach it.
     if (set(map(type, hashes + senders + values)) != {str}
-            or not set(map(type, recipients)) <= _RECIPIENT_TYPES or "-" in recipients):
+            or not set(map(type, recipients)) <= _RECIPIENT_TYPES):
         return None
     text = " ".join(hashes)
     if _HASH32_COLUMN_RE.fullmatch(text) is None:
@@ -330,20 +297,23 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple]:
     text = " ".join(values)
     if _VALUE_COLUMN_RE.fullmatch(text) is None or text.count(" ") != n - 1:
         return None
-    columns = ((senders, _ADDRESS_COLUMN_RE),
-               (map(_DASH.get, recipients, recipients), _RECIPIENT_COLUMN_RE))
+    # A creation's recipient is checked as the zero address, as _encode
+    # stores it, and put back as None at the indices taken from the raw
+    # column: a real zero-address recipient stays a payment.
+    creations = _creations(recipients)
     split = []
-    for column, pattern in columns:
+    for column in (senders, map(_NO_RECIPIENT_FOR.get, recipients, recipients)):
         text = " ".join(column)
-        if pattern.fullmatch(text) is None:
+        if _ADDRESS_COLUMN_RE.fullmatch(text) is None:
             return None
         pieces = text.lower().split(" ")
         if len(pieces) != n:
             return None
         split.append(pieces)
     senders, recipients = split
-    recipients = tuple(map(_CREATION.get, recipients, recipients))
-    return tuple(senders), recipients, _creations(recipients), tx_hashes
+    for i in creations:
+        recipients[i] = None
+    return tuple(senders), tuple(recipients), creations, tx_hashes
 
 
 def parse_block_json(raw) -> BlockRecord:
@@ -376,9 +346,10 @@ def parse_block_json(raw) -> BlockRecord:
     miner = canonical_address(obj["miner"], "miner")
     columns = _parse_txs_by_column(txs_raw)
     if columns is None:
-        return BlockRecord.from_transactions(
-            number, block_hash, timestamp, miner,
-            [_parse_tx(t, i) for i, t in enumerate(txs_raw)])
+        # Not reached for an empty list, so the rows transpose to three columns.
+        hashes, senders, recipients = zip(*[_parse_tx(t, i) for i, t in enumerate(txs_raw)])
+        columns = (senders, recipients, _creations(recipients),
+                   unhexlify("".join(hashes).replace("0x", "")))
     return BlockRecord(number, block_hash, timestamp, miner, *columns)
 
 

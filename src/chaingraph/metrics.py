@@ -15,11 +15,10 @@ multi-source BFS and the double sweep behind the sampled diameter.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Optional
 
 from chaingraph.graph import SimpleGraph, TransactionGraph
 
@@ -383,19 +382,3 @@ def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsRep
         largest_component_edges=largest_edges,
     )
 
-
-def write_degree_csv(hist: dict[int, int], sink: TextIO) -> None:
-    sink.write("degree,count\n")
-    for deg in sorted(hist):
-        sink.write(f"{deg},{hist[deg]}\n")
-
-
-def write_degree_loglog_csv(hist: dict[int, int], sink: TextIO) -> None:
-    """Plot-ready log-log points; zero-degree and zero-count bins have no
-    logarithm and are skipped."""
-    sink.write("log10_degree,log10_count\n")
-    for deg in sorted(hist):
-        count = hist[deg]
-        if deg <= 0 or count <= 0:
-            continue
-        sink.write(f"{math.log10(deg)!r},{math.log10(count)!r}\n")

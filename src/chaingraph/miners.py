@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from chaingraph.ingest import BlockRecord
 
@@ -25,14 +25,3 @@ def miner_distribution(blocks: Iterable[BlockRecord]) -> MinerHistogram:
         distribution[count] = distribution.get(count, 0) + 1
     return MinerHistogram(per_miner=per_miner, distribution=distribution)
 
-
-def write_miner_csv(hist: MinerHistogram, sink: TextIO) -> None:
-    sink.write("miner,blocks\n")
-    for miner in sorted(hist.per_miner):
-        sink.write(f"{miner},{hist.per_miner[miner]}\n")
-
-
-def write_distribution_csv(hist: MinerHistogram, sink: TextIO) -> None:
-    sink.write("blocks_mined,num_miners\n")
-    for mined in sorted(hist.distribution):
-        sink.write(f"{mined},{hist.distribution[mined]}\n")

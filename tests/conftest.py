@@ -8,7 +8,6 @@ from chaingraph.ingest import (
     JsonRpcEndpoint,
     RpcError,
     TransportError,
-    TxRecord,
     parse_block_json,
 )
 
@@ -43,15 +42,32 @@ def raw_block(number: int, txs: list[dict], miner: str = addr(0xFEED),
     }
 
 
+def block_from_rows(number: int, block_hash: str, timestamp: int, miner: str,
+                    rows) -> BlockRecord:
+    """The BlockRecord of a block with these (hash, sender, recipient)
+    transaction rows, given in lowercase 0x hex with None as a creation's
+    recipient: each column built from the rows, one field at a time."""
+    rows = list(rows)
+    return BlockRecord(number, block_hash, timestamp, miner,
+                       tuple(sender for _, sender, _ in rows),
+                       tuple(recipient for _, _, recipient in rows),
+                       tuple(i for i, (_, _, recipient) in enumerate(rows) if recipient is None),
+                       b"".join(bytes.fromhex(h[2:]) for h, _, _ in rows))
+
+
+def tx_rows(block: BlockRecord) -> tuple:
+    """A record's transactions as (hash, sender, recipient) rows, the hash
+    in 0x hex: its columns zipped, the inverse of block_from_rows."""
+    hashes = ["0x" + block.tx_hashes[i:i + 32].hex() for i in range(0, len(block.tx_hashes), 32)]
+    return tuple(zip(hashes, block.senders, block.recipients))
+
+
 def make_block(number: int, pairs: list[tuple[str, str]], miner: str = addr(0xFEED),
                tx_base: int = 0) -> BlockRecord:
     """BlockRecord whose transactions connect the given (sender, recipient)
     address pairs."""
-    txs = [TxRecord(tx_hash=tx_hash(tx_base + i), sender=s, recipient=r)
-           for i, (s, r) in enumerate(pairs)]
-    return BlockRecord.from_transactions(number=number, hash=tx_hash(0xB000 + number),
-                                         timestamp=1_500_000_000, miner=miner,
-                                         transactions=txs)
+    rows = [(tx_hash(tx_base + i), s, r) for i, (s, r) in enumerate(pairs)]
+    return block_from_rows(number, tx_hash(0xB000 + number), 1_500_000_000, miner, rows)
 
 
 class MockEndpoint:
@@ -206,13 +222,14 @@ def _odd_value(valid: str) -> st.SearchStrategy:
 @st.composite
 def rpc_transactions(draw, max_size: int = 6, faults: bool = True) -> list:
     """A block's "transactions" list: valid objects (mixed-case hex,
-    contract creations, leading zeros in values). With ``faults``, some
+    contract creations, payments to the zero address, leading zeros in
+    values). With ``faults``, some
     may be changed in one of the ways RPC payloads go wrong: an odd field,
     a missing key, a non-object entry or a dict subclass."""
     txs = draw(st.lists(st.fixed_dictionaries({
         "hash": _hex(64),
         "from": _hex(40),
-        "to": st.one_of(st.none(), _hex(40)),
+        "to": st.one_of(st.none(), st.just("0x" + "0" * 40), _hex(40)),
         "value": _quantities,
     }), max_size=max_size))
     for _ in range(draw(st.integers(0, 3)) if txs and faults else 0):

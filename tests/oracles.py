@@ -35,16 +35,14 @@ def write_entry(path, body, header):
 def record_encode(block):
     """A format-4 cache entry body built one field at a time from the
     format's description: the byte-identity reference for ingest._encode."""
-    txs = block.transactions
-    out = struct.pack(">QQI", block.number, block.timestamp, len(txs))
+    out = struct.pack(">QQI", block.number, block.timestamp, len(block.senders))
     out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
-    for tx in txs:
-        out += bytes.fromhex(tx.tx_hash[2:])
-    for tx in txs:
-        out += bytes.fromhex(tx.sender[2:])
-    for tx in txs:
-        out += bytes(20) if tx.recipient is None else bytes.fromhex(tx.recipient[2:])
-    creations = [i for i, tx in enumerate(txs) if tx.recipient is None]
+    out += block.tx_hashes
+    for sender in block.senders:
+        out += bytes.fromhex(sender[2:])
+    for recipient in block.recipients:
+        out += bytes(20) if recipient is None else bytes.fromhex(recipient[2:])
+    creations = [i for i, recipient in enumerate(block.recipients) if recipient is None]
     out += struct.pack(">I", len(creations))
     for i in creations:
         out += struct.pack(">I", i)
@@ -84,10 +82,11 @@ def add_interaction(g, sender, recipient, count=1):
     g.edges[key] = g.edges.get(key, 0) + count
 
 
-def recipient_node(tx):
-    """A TxRecord's recipient node, from the row: the recipient, or
-    `created!` and the first 16 hex digits of the hash for a creation."""
-    return "created!" + tx.tx_hash[2:18] if tx.recipient is None else tx.recipient
+def recipient_node(tx_hash, recipient):
+    """A transaction's recipient node, from its 0x hash and recipient: the
+    recipient, or `created!` and the first 16 hex digits of the hash for a
+    creation."""
+    return "created!" + tx_hash[2:18] if recipient is None else recipient
 
 
 class PajekError(ValueError):

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,8 +15,7 @@ import pytest
 import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
-from chaingraph.ingest import (CACHE_FORMAT, BlockCache, BlockRecord, JsonRpcEndpoint,
-                               parse_block_json)
+from chaingraph.ingest import CACHE_FORMAT, BlockCache, JsonRpcEndpoint, parse_block_json
 
 from conftest import (
     MockEndpoint,
@@ -27,6 +28,7 @@ from conftest import (
     seed_cache,
     star_pairs,
     stub_endpoint,
+    tx_rows,
 )
 from oracles import LabelKeyedGraph, recipient_node, write_v3_entry
 
@@ -258,14 +260,22 @@ def test_zero_trials_refused_before_loading(tmp_path, capsys):
 
 
 class TestMiners:
-    def test_outputs(self, forest_cache):
-        assert run(["miners", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 0
-        out = forest_cache / "out"
-        miners = strip_header(out / "miners.csv")
-        assert miners[0] == "miner,blocks"
-        assert miners[1].endswith(",3")  # all fixture blocks share one miner
-        hist = strip_header(out / "miner_histogram.csv")
-        assert hist == ["blocks_mined,num_miners", "3,1"]
+    def test_outputs(self, tmp_path, capsys):
+        # Two miners, the first block's miner after the second's in address
+        # order: both files are sorted by their first column, and --pretty
+        # prints the histogram's rows.
+        miners = [addr(0xB), addr(0xA), addr(0xB)]
+        seed_cache(tmp_path / "cache", {n: raw_block(n, [], miner=m)
+                                        for n, m in enumerate(miners, start=1)})
+        argv = ["miners", "--start-block", "1", "--num-blocks", "3", "--pretty"]
+        assert run(argv, tmp_path) == 0
+        out = tmp_path / "out"
+        assert strip_header(out / "miners.csv") == [
+            "miner,blocks", f"{addr(0xA)},1", f"{addr(0xB)},2"]
+        assert strip_header(out / "miner_histogram.csv") == [
+            "blocks_mined,num_miners", "1,1", "2,1"]
+        assert capsys.readouterr().out.split() == ["blocks_mined", "num_miners",
+                                                   "1", "1", "2", "1"]
 
 
 class TestExport:
@@ -409,22 +419,6 @@ def test_offline_commands_never_load_http_stack(forest_cache):
         "[]", "[]", "1 fetched, 3 cache hits", "['concurrent.futures', 'requests', 'urllib3']"]
 
 
-def test_warm_commands_never_build_transaction_rows(tmp_path, monkeypatch):
-    # Warm runs feed the cached address columns to the graph: no command
-    # reads the TxRecord view, on a range with creations and loops too.
-    seed_cache(tmp_path / "cache", pairs_to_raw_blocks(TestPinnedOutputs.mixed_pairs(), start=1))
-
-    def refuse(block):
-        raise AssertionError("BlockRecord.transactions read")
-
-    monkeypatch.setattr(BlockRecord, "transactions", property(refuse))
-    blocks = ["--start-block", "1", "--num-blocks", "3"]
-    for argv in (["analyze", *blocks], ["smallworld", *blocks, "--trials", "2"],
-                 ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
-                 ["miners", *blocks], ["export", *blocks]):
-        assert run(argv, tmp_path) == 0, argv
-
-
 def test_traced_analyze_counts_the_fixture(forest_cache):
     # The benchmark's tracer wraps library functions by name; a rename
     # must fail here, not only in a traced benchmark run. A fresh
@@ -489,6 +483,8 @@ class TestCliSurface:
         ["export", "--start-block", "1", "--format", "pretty"],
         ["snapshots", "--start-block", "1"],
         ["fetch", "--start-block", "1", "--out-dir", "x"],
+        ["miners", "--start-block", "1", "--seed", "1"],
+        ["export", "--start-block", "1", "--seed", "1"],
     ])
     def test_flag_of_another_command_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):
@@ -502,7 +498,7 @@ def test_public_names_pinned():
     assert sorted(chaingraph.__all__) == [
         "BlockCache", "BlockRecord", "ComponentSet", "DistanceSummary", "ExactnessPolicy",
         "GnmParams", "JsonRpcEndpoint", "MetricsReport", "MinerHistogram", "SimpleGraph",
-        "SmallWorldReport", "SnapshotSpec", "TransactionGraph", "TxRecord", "UNDEFINED",
+        "SmallWorldReport", "SnapshotSpec", "TransactionGraph", "UNDEFINED",
         "average_local_clustering", "build_graph", "connected_components",
         "degree_distribution", "distance_summary", "export_pajek", "fetch_range",
         "general_metrics", "gnm_random_graph", "largest_component", "miner_distribution",
@@ -513,6 +509,22 @@ def test_public_names_pinned():
     exec("from chaingraph import *", namespace)
     for name in chaingraph.__all__:
         assert namespace[name] is getattr(chaingraph, name), name
+
+
+def test_runtime_imports_only_stdlib_and_requests():
+    # The runtime is the standard library plus requests: numpy, scipy and
+    # networkx may serve the tests and the benchmark, never the package.
+    allowed = set(sys.stdlib_module_names) | {"chaingraph", "requests"}
+    imported = set()
+    for path in sorted(Path(chaingraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    assert ("ingest.py", "requests") in imported
+    assert [(name, module) for name, module in sorted(imported)
+            if module.partition(".")[0] not in allowed] == []
 
 
 def test_paper_anchors_script_runs():
@@ -745,8 +757,8 @@ class TestPinnedOutputs:
         assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], tmp_path) == 0
         ref = LabelKeyedGraph()
         for number in sorted(raw_blocks):
-            for tx in parse_block_json(raw_blocks[number]).transactions:
-                ref.add_interaction(tx.sender, recipient_node(tx))
+            for h, sender, recipient in tx_rows(parse_block_json(raw_blocks[number])):
+                ref.add_interaction(sender, recipient_node(h, recipient))
         for name, weighted in (("degree.csv", False), ("degree_weighted.csv", True)):
             header, *rows = strip_header(tmp_path / "out" / name)
             assert header == "degree,count"
@@ -754,3 +766,9 @@ class TestPinnedOutputs:
             assert list(hist) == sorted(hist)
             assert hist == ref.degree_entries(weighted), name
         assert ref.degree_entries(True) != ref.degree_entries(False)
+        # degree_loglog.csv holds the repr of both logarithms of each
+        # degree.csv row, in the same order.
+        header, *rows = strip_header(tmp_path / "out" / "degree_loglog.csv")
+        assert header == "log10_degree,log10_count"
+        assert rows == [f"{math.log10(deg)!r},{math.log10(count)!r}"
+                        for deg, count in sorted(ref.degree_entries(False).items())]

@@ -13,10 +13,9 @@ from chaingraph.graph import (
     project_simple,
     recipient_nodes,
 )
-from chaingraph.ingest import BlockRecord, TxRecord
 from chaingraph.metrics import degree_distribution
 
-from conftest import addr, forest_blocks, make_block, tx_hash
+from conftest import addr, block_from_rows, forest_blocks, make_block, tx_hash, tx_rows
 from oracles import (
     LabelKeyedGraph,
     PajekError,
@@ -37,7 +36,8 @@ def graph_from_pairs(pairs):
 
 
 def block_of(*txs):
-    return BlockRecord.from_transactions(1, tx_hash(0xB001), 1_500_000_000, addr(0xFEED), txs)
+    """Block 1 with these (hash, sender, recipient) transaction rows."""
+    return block_from_rows(1, tx_hash(0xB001), 1_500_000_000, addr(0xFEED), txs)
 
 
 class TestBuildGraph:
@@ -78,25 +78,23 @@ class TestBuildGraph:
         assert canonical_form(build_graph(blocks)) == canonical_form(build_graph(shuffled))
 
     def test_contract_creation_gets_synthetic_node(self):
-        g = build_graph([block_of(TxRecord(tx_hash(0xDEADBEEF), addr(1), None))])
+        g = build_graph([block_of((tx_hash(0xDEADBEEF), addr(1), None))])
         assert g.n == 2
         assert any(label.startswith("created!") for label in g.labels)
 
 
 class TestRecipientNodes:
     def test_present_recipient_passthrough(self):
-        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2)))
+        block = block_of((tx_hash(1), addr(1), addr(2)))
         assert recipient_nodes(block) == (addr(2),)
 
     def test_absent_recipient_uses_hash_prefix(self):
         h = "0xdeadbeef" + "0" * 56
-        block = block_of(TxRecord(tx_hash(1), addr(1), addr(2)),
-                         TxRecord(h, addr(1), None))
+        block = block_of((tx_hash(1), addr(1), addr(2)), (h, addr(1), None))
         assert list(recipient_nodes(block)) == [addr(2), "created!deadbeef00000000"]
 
     def test_distinct_hashes_distinct_nodes(self):
-        block = block_of(TxRecord("0x" + "a" * 64, addr(1), None),
-                         TxRecord("0x" + "b" * 64, addr(1), None))
+        block = block_of(("0x" + "a" * 64, addr(1), None), ("0x" + "b" * 64, addr(1), None))
         first, second = recipient_nodes(block)
         assert first != second
 
@@ -239,8 +237,8 @@ def test_property_weight_sum_and_order_insensitivity(raw_pairs, rng):
 # node. Small ranges give self-transfers and both directions of a pair, in
 # insertion orders unlike label order.
 _txs = st.builds(
-    lambda prefix, rest, u, v: TxRecord("0x" + format(prefix, "016x") + rest.hex(), addr(u),
-                                        None if v is None else addr(v)),
+    lambda prefix, rest, u, v: ("0x" + format(prefix, "016x") + rest.hex(), addr(u),
+                                None if v is None else addr(v)),
     st.integers(0, 3), st.binary(min_size=24, max_size=24),
     st.integers(0, 9), st.one_of(st.none(), st.integers(0, 9)))
 
@@ -248,13 +246,13 @@ _txs = st.builds(
 @settings(max_examples=80)
 @given(st.lists(st.lists(_txs, max_size=40), max_size=4))
 def test_property_columnar_build_matches_label_keyed_reference(txs_per_block):
-    blocks = [BlockRecord.from_transactions(k, tx_hash(k), 1_500_000_000, addr(0xFEED), txs)
+    blocks = [block_from_rows(k, tx_hash(k), 1_500_000_000, addr(0xFEED), txs)
               for k, txs in enumerate(txs_per_block)]
     g = build_graph(blocks)
     ref = LabelKeyedGraph()
     for block in blocks:
-        for tx in block.transactions:
-            ref.add_interaction(tx.sender, recipient_node(tx))
+        for h, sender, recipient in tx_rows(block):
+            ref.add_interaction(sender, recipient_node(h, recipient))
     assert g.labels == ref.labels
     assert list(labelled_edges(g).items()) == list(ref.edges.items())
     assert list(labelled_loops(g).items()) == list(ref.loops.items())

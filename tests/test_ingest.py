@@ -23,7 +23,6 @@ from chaingraph.ingest import (
     RpcError,
     SnapshotSpec,
     TransportError,
-    TxRecord,
     _encode,
     _parse_tx,
     _parse_txs_by_column,
@@ -33,14 +32,15 @@ from chaingraph.ingest import (
     canonical_address,
 )
 
-from conftest import (FIXTURES, MockEndpoint, StubSession, TxDict, addr, raw_block, raw_tx,
-                      rpc_transactions, stub_endpoint, tx_hash)
+from conftest import (FIXTURES, MockEndpoint, StubSession, TxDict, addr, block_from_rows,
+                      raw_block, raw_tx, rpc_transactions, stub_endpoint, tx_hash, tx_rows)
 from oracles import FORMAT_3, chain_head, encode_v3, record_encode, write_entry
 
 
 def per_transaction(txs):
     """parse_block_json's transactions by the per-transaction parser alone:
-    the records, or the field named by the BlockParseError it raises."""
+    the (hash, sender, recipient) rows, or the field named by the
+    BlockParseError it raises."""
     try:
         return tuple(_parse_tx(t, i) for i, t in enumerate(txs))
     except BlockParseError as exc:
@@ -48,20 +48,21 @@ def per_transaction(txs):
 
 
 def parsed_transactions(raw):
-    """parse_block_json's transactions, or the field its BlockParseError names."""
+    """parse_block_json's transactions as rows, or the field its
+    BlockParseError names."""
     try:
         block = parse_block_json(raw)
     except BlockParseError as exc:
         return exc.field
-    assert all(type(tx) is TxRecord for tx in block.transactions)
-    return block.transactions
+    return tx_rows(block)
 
 
 class TestParseBlockJson:
     def test_empty_transactions(self):
         rec = parse_block_json(raw_block(5, []))
         assert rec.number == 5
-        assert rec.transactions == ()
+        assert tx_rows(rec) == ()
+        assert rec.creations == () and rec.tx_hashes == b""
 
     def test_fixture_a(self, fixture_a_record):
         rec = fixture_a_record
@@ -69,34 +70,30 @@ class TestParseBlockJson:
         assert rec.number == 68943
         assert rec.timestamp == 1439799105
         assert rec.miner == "0xbb7b8287f3f0a933474a79eae42cbca977791171"
-        assert len(rec.transactions) == 3
-        assert rec.transactions[1].recipient is None
-        assert rec.transactions[0].sender == "0x32be343b94f860124dc4fee278fdcbd38c102d88"
+        assert len(rec.senders) == len(rec.recipients) == 3 and len(rec.tx_hashes) == 96
+        assert rec.recipients[1] is None and rec.creations == (1,)
+        assert rec.senders[0] == "0x32be343b94f860124dc4fee278fdcbd38c102d88"
 
     def test_records_immutable_and_hashable(self, fixture_a_record):
         rec = fixture_a_record
-        tx = rec.transactions[0]
-        for obj, field in ((rec, "number"), (tx, "sender"), (tx, "not_a_field")):
+        for field in ("number", "senders", "not_a_field"):
             with pytest.raises(AttributeError):
-                setattr(obj, field, 1)
-        copy = BlockRecord.from_transactions(
-            number=rec.number, hash=rec.hash, timestamp=rec.timestamp, miner=rec.miner,
-            transactions=[TxRecord(tx_hash=t.tx_hash, sender=t.sender, recipient=t.recipient)
-                          for t in rec.transactions])
+                setattr(rec, field, 1)
+        copy = block_from_rows(rec.number, rec.hash, rec.timestamp, rec.miner, tx_rows(rec))
         assert copy == rec and hash(copy) == hash(rec)
-        assert len({rec, copy, tx}) == 2
+        assert len({rec, copy}) == 1
 
     def test_hex_quantity(self):
         assert parse_quantity("0x10", "number") == 16
 
     def test_contract_creation_to_null(self):
         rec = parse_block_json(raw_block(1, [raw_tx(1, addr(1), None)]))
-        assert rec.transactions[0].recipient is None
+        assert rec.recipients == (None,) and rec.creations == (0,)
 
     def test_mixed_case_address_canonicalized(self):
         mixed = "0xAbC" + "0" * 37
         rec = parse_block_json(raw_block(1, [raw_tx(1, mixed, addr(2))]))
-        assert rec.transactions[0].sender == mixed.lower()
+        assert rec.senders == (mixed.lower(),)
 
     def test_accepts_raw_bytes(self):
         raw = json.dumps(raw_block(2, [])).encode()
@@ -213,7 +210,7 @@ class TestParseBlockJson:
         assert exc.value.field == f"transactions[1].{key}"
 
     def test_dash_recipient_refused(self):
-        # The cache writes "-" for a creation; as an RPC "to" it is no address.
+        # As an RPC "to", "-" is no address, also next to a creation.
         txs = [raw_tx(1, addr(1), None), raw_tx(2, addr(2), "-")]
         with pytest.raises(BlockParseError) as exc:
             parse_block_json(raw_block(1, txs))
@@ -228,7 +225,7 @@ class TestParseBlockJson:
     def test_rare_shapes_accepted(self, change):
         txs = [raw_tx(i, addr(i), addr(i + 1), value=i) for i in range(3)]
         txs[1] = change(txs[1])
-        assert parse_block_json(raw_block(1, txs)).transactions == per_transaction(txs)
+        assert tx_rows(parse_block_json(raw_block(1, txs))) == per_transaction(txs)
 
     @settings(max_examples=300)
     @given(txs=rpc_transactions())
@@ -238,13 +235,12 @@ class TestParseBlockJson:
 
     @given(txs=rpc_transactions(max_size=20, faults=False))
     def test_common_shape_parsed_by_column(self, txs):
-        # The columns, and the rows they view, are those of the
-        # per-transaction parser's rows transposed.
+        # The columns are those of the per-transaction parser's rows
+        # transposed.
         rows = per_transaction(txs)
         block = BlockRecord(1, tx_hash(1), 0, addr(1), *_parse_txs_by_column(txs))
-        assert block == BlockRecord.from_transactions(1, tx_hash(1), 0, addr(1), rows)
-        assert block.transactions == rows
-        assert all(type(tx) is TxRecord for tx in block.transactions)
+        assert block == block_from_rows(1, tx_hash(1), 0, addr(1), rows)
+        assert tx_rows(block) == rows
 
 
 class TestSnapshotSpec:
@@ -280,7 +276,7 @@ class TestFetchBlock:
         ep = MockEndpoint({7: raw_block(7, [raw_tx(1, addr(1), addr(2))])})
         rec = fetch_one(ep, 7, tmp_path)
         assert rec.number == 7
-        assert len(rec.transactions) == 1
+        assert rec.senders == (addr(1),) and rec.recipients == (addr(2),)
 
     def test_beyond_head(self, tmp_path):
         ep = MockEndpoint({7: raw_block(7, [])})
@@ -390,8 +386,8 @@ def rpc_result(block: BlockRecord) -> dict:
     return {
         "number": hex(block.number), "hash": block.hash,
         "timestamp": hex(block.timestamp), "miner": block.miner,
-        "transactions": [{"hash": tx.tx_hash, "from": tx.sender, "to": tx.recipient,
-                          "value": "0x0"} for tx in block.transactions],
+        "transactions": [{"hash": h, "from": sender, "to": recipient, "value": "0x0"}
+                         for h, sender, recipient in tx_rows(block)],
     }
 
 
@@ -404,16 +400,15 @@ def _hex_bytes(size: int) -> st.SearchStrategy[str]:
 
 _uint64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 _values = st.one_of(st.sampled_from([0, 1, 2**256 - 1]), st.integers(0, 2**256 - 1))
-_creations = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), st.none())
-_transfers = st.builds(TxRecord, _hex_bytes(32), _hex_bytes(20), _hex_bytes(20))
+_creations = st.tuples(_hex_bytes(32), _hex_bytes(20), st.none())
+_transfers = st.tuples(_hex_bytes(32), _hex_bytes(20), _hex_bytes(20))
 
 
 def block_records() -> st.SearchStrategy[BlockRecord]:
     """Valid blocks: none, some or all of their transactions creations."""
     txs = st.one_of(st.lists(st.one_of(_transfers, _creations), max_size=8),
                     st.lists(_creations, min_size=1, max_size=4))
-    return st.builds(BlockRecord.from_transactions, _uint64, _hex_bytes(32), _uint64,
-                     _hex_bytes(20), txs)
+    return st.builds(block_from_rows, _uint64, _hex_bytes(32), _uint64, _hex_bytes(20), txs)
 
 
 def v4_body(number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"), creations=(1,)) -> bytes:
@@ -441,13 +436,12 @@ class TestCache:
         cache.store(12, result)
         block = cache.load(12)
         assert block == parse_block_json(result)
-        # Equal tuples are not enough: loads build TxRecord named tuples.
-        tx = block.transactions[0]
-        assert type(tx) is TxRecord and type(block) is BlockRecord
-        assert (tx.sender, tx.recipient) == (addr(1), addr(2))
+        # Equal tuples are not enough: loads build BlockRecord named tuples.
+        assert type(block) is BlockRecord
+        assert (block.senders, block.recipients) == ((addr(1),), (addr(2),))
         assert hash(block) == hash(parse_block_json(result))
         with pytest.raises(AttributeError):
-            tx.sender = addr(4)
+            block.senders = (addr(4),)
 
     @given(txs=st.lists(st.tuples(
         st.integers(min_value=0, max_value=2**160 - 1),
@@ -471,7 +465,7 @@ class TestCache:
             assert stored == parse_block_json(raw)
             loaded = cache.load(number)
             assert loaded == stored
-            assert all(type(tx) is TxRecord for tx in loaded.transactions)
+            assert type(loaded) is BlockRecord
 
     @settings(max_examples=200)
     @given(txs=rpc_transactions(),
@@ -492,7 +486,7 @@ class TestCache:
                 return
             loaded = cache.load(12)
             assert loaded == stored == parse_block_json(raw)
-            assert loaded.transactions == per_transaction(txs)
+            assert tx_rows(loaded) == per_transaction(txs)
 
     @given(block=block_records())
     def test_encode_matches_record_reference(self, block):
@@ -565,15 +559,14 @@ class TestCache:
         cache, fresh = BlockCache(tmp_path / "old"), BlockCache(tmp_path / "new")
         write_entry(cache.path(12), v3_body(), FORMAT_3)
         block = cache.load(12)
-        assert [tx.recipient for tx in block.transactions] == [
-            "0x" + "21" * 20, None, "0x" + "00" * 20]
+        assert block.recipients == ("0x" + "21" * 20, None, "0x" + "00" * 20)
         assert _encode(block) == v4_body()
         fresh.store(12, rpc_result(block))
         assert cache.path(12).read_bytes() == fresh.path(12).read_bytes()
         assert cache.load(12) == block
         # A zero slot outside the creation list is the zero address.
         write_entry(cache.path(12), v3_body(creations=()), FORMAT_3)
-        assert cache.load(12).transactions[1].recipient == "0x" + "00" * 20
+        assert cache.load(12).recipients[1] == "0x" + "00" * 20
 
     @pytest.mark.parametrize("header,body", [(FORMAT_3, v3_body()), (CACHE_FORMAT, v4_body())],
                              ids=["v3", "v4"])

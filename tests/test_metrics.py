@@ -1,4 +1,3 @@
-import io
 import math
 import random
 from itertools import combinations
@@ -22,8 +21,6 @@ from chaingraph.metrics import (
     general_metrics,
     largest_component,
     transitivity,
-    write_degree_csv,
-    write_degree_loglog_csv,
 )
 
 from conftest import addr, forest_blocks, make_block, star_blocks
@@ -530,18 +527,14 @@ class TestGeneralMetrics:
 
 
 class TestCsvWriters:
-    def test_degree_csv_sorted(self):
-        g = graph_from_pairs([(addr(0), addr(i + 1)) for i in range(3)])
-        sink = io.StringIO()
-        write_degree_csv(degree_distribution(g)[0], sink)
-        assert sink.getvalue() == "degree,count\n1,3\n3,1\n"
-
-    def test_loglog_skips_zero_degree(self):
-        sink = io.StringIO()
-        hist, _ = degree_distribution(graph_from_pairs([(addr(1), addr(2))]))
-        hist[0] = 2  # degenerate bin must be dropped, log10(0) undefined
-        write_degree_loglog_csv(hist, sink)
-        lines = sink.getvalue().splitlines()
-        assert lines[0] == "log10_degree,log10_count"
-        assert len(lines) == 2
-        assert lines[1].startswith("0.0,")
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.one_of(st.none(), st.integers(0, 6))),
+                    max_size=30))
+    def test_loglog_skips_zero_degree(self, raw_pairs):
+        # degree_loglog.csv takes log10 of every degree.csv row with no
+        # zero-bin guard: every node, a loop-only sender or a creation's
+        # node included, is an endpoint of some transaction, so no bin has
+        # degree 0 or count 0.
+        pairs = [(addr(u), None if v is None else addr(v)) for u, v in raw_pairs]
+        for hist in degree_distribution(graph_from_pairs(pairs)):
+            assert all(degree > 0 and count > 0 for degree, count in hist.items()), hist

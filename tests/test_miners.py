@@ -1,8 +1,6 @@
-import io
-
 from hypothesis import given, strategies as st
 
-from chaingraph.miners import miner_distribution, write_distribution_csv, write_miner_csv
+from chaingraph.miners import miner_distribution
 
 from conftest import addr, make_block
 from oracles import total_blocks
@@ -39,14 +37,3 @@ def test_order_insensitive(miner_ids, rng):
     rng.shuffle(shuffled)
     assert miner_distribution(blocks).per_miner == miner_distribution(shuffled).per_miner
 
-
-def test_csv_outputs_sorted():
-    hist = miner_distribution(blocks_by_miners([addr(2), addr(1), addr(2)]))
-    miners_csv = io.StringIO()
-    write_miner_csv(hist, miners_csv)
-    assert miners_csv.getvalue() == (
-        f"miner,blocks\n{addr(1)},1\n{addr(2)},2\n"
-    )
-    dist_csv = io.StringIO()
-    write_distribution_csv(hist, dist_csv)
-    assert dist_csv.getvalue() == "blocks_mined,num_miners\n1,1\n2,1\n"
