@@ -41,7 +41,7 @@ from chaingraph.baseline import (
     small_world_report,
     small_world_sigma,
 )
-from chaingraph.miners import MinerHistogram, miner_distribution
+from chaingraph.miners import miner_distribution
 
 __all__ = [
     "BlockCache",
@@ -52,7 +52,6 @@ __all__ = [
     "GnmParams",
     "JsonRpcEndpoint",
     "MetricsReport",
-    "MinerHistogram",
     "SimpleGraph",
     "SmallWorldReport",
     "SnapshotSpec",

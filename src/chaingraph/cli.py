@@ -255,17 +255,19 @@ def cmd_snapshots(cfg: RunConfig) -> int:
             del simple, comps, main  # not held while the next range is built
         except (IngestError, ValueError, OSError) as exc:
             print(f"snapshot {spec.label()} failed: {exc}", file=sys.stderr)
+    if not rows:  # like every command that fails, write nothing
+        return 1
     _write_csv(cfg, "snapshots.csv", columns, rows)
     if cfg.pretty:
         _print_table(columns, rows)
-    return 0 if rows else 1
+    return 0
 
 
 def cmd_miners(cfg: RunConfig) -> int:
-    hist = miner_distribution(_load_blocks(cfg, cfg.snapshots[0]))
-    _write_csv(cfg, "miners.csv", ["miner", "blocks"], sorted(hist.per_miner.items()))
+    per_miner, distribution = miner_distribution(_load_blocks(cfg, cfg.snapshots[0]))
+    _write_csv(cfg, "miners.csv", ["miner", "blocks"], sorted(per_miner.items()))
     columns = ["blocks_mined", "num_miners"]
-    rows = sorted(hist.distribution.items())
+    rows = sorted(distribution.items())
     _write_csv(cfg, "miner_histogram.csv", columns, rows)
     if cfg.pretty:
         _print_table(columns, rows)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
-from chaingraph.ingest import BlockRecord
+from chaingraph.ingest import BlockRecord, _creations
 
 SYNTHETIC_PREFIX = "created!"
 
@@ -104,13 +104,16 @@ def _sorted_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int
 
 def recipient_nodes(block: BlockRecord) -> Sequence[str]:
     """Each transaction's recipient node: the recipient's address, or for
-    a contract creation `created!<16 hex chars>`, the first 8 bytes of
-    the transaction hash."""
-    if not block.creations:
-        return block.recipients
-    nodes = list(block.recipients)
+    a contract creation (a None recipient) `created!<16 hex chars>`, the
+    first 8 bytes of the transaction hash. A payment to the zero address
+    links to the zero-address node."""
+    recipients = block.recipients
+    # One C-level scan; a block without a creation returns its column.
+    if None not in recipients:
+        return recipients
+    nodes = list(recipients)
     hashes = block.tx_hashes
-    for i in block.creations:
+    for i in _creations(recipients):
         nodes[i] = SYNTHETIC_PREFIX + hashes[32 * i:32 * i + 8].hex()
     return nodes
 

@@ -5,7 +5,9 @@ transaction objects come back in one call; receipts are never requested.
 ``fetch_range`` is the one entry point: it serves cached blocks and
 fetches the rest, retrying transport errors. Every fetched block is
 validated and persisted to the cache before being handed to the caller,
-so re-runs and interrupted runs are served offline.
+so re-runs and interrupted runs are served offline. ``BlockCache.get``
+reads one cached block, and ``parse_block_json`` turns one decoded
+JSON-RPC block result into a record.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
 as raw bytes, so a load checks lengths, not every hex character. Entries
@@ -14,9 +16,11 @@ rewritten in the current format on first load; older entries are corrupt.
 
 A ``BlockRecord`` holds its transactions column-wise, in the cache's own
 layout: the sender and recipient columns as 0x strings, which the graph
-reads, and the tx-hash column as the raw bytes the cache stores, which a
-warm load slices out without decoding. No per-transaction object is built
-on the way from the cache to the graph.
+reads, with None as a contract creation's recipient, and the tx-hash
+column as the raw bytes the cache stores, which a warm load slices out
+without decoding. No per-transaction object is built on the way from the
+cache to the graph. The cache's creation list is derived from the None
+recipients on a write and turned back into them on a read.
 
 A block's transactions are validated column by column: each of the hash,
 from, to and value columns is joined with spaces and checked by one
@@ -34,7 +38,6 @@ concatenating the record's columns.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import struct
@@ -152,12 +155,13 @@ class BlockRecord(NamedTuple):
     """A validated block, its transactions held column-wise.
 
     ``senders`` and ``recipients`` hold one lowercase 0x address per
-    transaction, with None as the recipient of a contract creation;
-    ``creations`` lists those transactions' indices in increasing order.
-    ``tx_hashes`` is the transactions' 32-byte hashes back to back: the
-    raw bytes the cache stores, kept as they are, since the graph reads
-    only 8 bytes of a creation's hash. Records are immutable, hashable and
-    compare by value.
+    transaction, with None as the recipient of a contract creation: None
+    is the only creation marker, so a payment to the zero address stays a
+    payment (``_creations`` gives the creations' indices). ``tx_hashes``
+    is the transactions' 32-byte hashes back to back: the raw bytes the
+    cache stores, kept as they are, since the graph reads only 8 bytes of
+    a creation's hash. Records are immutable, hashable and compare by
+    value.
     """
 
     number: int
@@ -166,7 +170,6 @@ class BlockRecord(NamedTuple):
     miner: str
     senders: tuple[str, ...]
     recipients: tuple[Optional[str], ...]
-    creations: tuple[int, ...]
     tx_hashes: bytes
 
 
@@ -257,12 +260,12 @@ def _parse_tx(obj, index: int) -> tuple[str, str, Optional[str]]:
 
 _TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
 _RECIPIENT_TYPES = {str, type(None)}
-_NO_COLUMNS = ((), (), (), b"")
+_NO_COLUMNS = ((), (), b"")
 
 
 def _parse_txs_by_column(txs: list) -> Optional[tuple]:
     """The transaction columns of a ``BlockRecord`` (senders, recipients,
-    creations, tx_hashes) that _parse_tx's rows give, or None.
+    tx_hashes) that _parse_tx's rows give, or None.
 
     Each field is checked a column at a time, by builtins, with no
     Python-level call per transaction: one fullmatch over the column's
@@ -313,25 +316,16 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple]:
     senders, recipients = split
     for i in creations:
         recipients[i] = None
-    return tuple(senders), tuple(recipients), creations, tx_hashes
+    return tuple(senders), tuple(recipients), tx_hashes
 
 
-def parse_block_json(raw) -> BlockRecord:
-    """Parse a JSON-RPC block result (with full transaction objects).
+def parse_block_json(obj: dict) -> BlockRecord:
+    """Parse a decoded JSON-RPC block result (with full transaction
+    objects), the dict ``JsonRpcEndpoint.call`` returns.
 
-    Accepts raw bytes/str JSON or an already-decoded dict. All hex
-    quantities are decoded, addresses are canonicalized to lowercase, and
-    transaction order is preserved.
+    All hex quantities are decoded, addresses are canonicalized to
+    lowercase, and transaction order is preserved.
     """
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
-    if isinstance(raw, str):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BlockParseError("<root>", f"invalid JSON: {exc}") from exc
-    else:
-        obj = raw
     if not isinstance(obj, dict):
         raise BlockParseError("<root>", "block result is not an object")
     for key in ("number", "hash", "timestamp", "miner", "transactions"):
@@ -348,8 +342,7 @@ def parse_block_json(raw) -> BlockRecord:
     if columns is None:
         # Not reached for an empty list, so the rows transpose to three columns.
         hashes, senders, recipients = zip(*[_parse_tx(t, i) for i, t in enumerate(txs_raw)])
-        columns = (senders, recipients, _creations(recipients),
-                   unhexlify("".join(hashes).replace("0x", "")))
+        columns = (senders, recipients, unhexlify("".join(hashes).replace("0x", "")))
     return BlockRecord(number, block_hash, timestamp, miner, *columns)
 
 
@@ -421,8 +414,9 @@ def _fetch_block_result(endpoint, number: int) -> dict:
 def _encode(block: BlockRecord) -> bytes:
     # The record's columns, concatenated: the tx hashes are already as
     # stored, and the senders and recipients (20 zero bytes for a
-    # creation) are one unhexlify of their joined digits.
-    creations = block.creations
+    # creation) are one unhexlify of their joined digits, and the creation
+    # list is the indices of the None recipients.
+    creations = _creations(block.recipients)
     head = _HEAD.pack(block.number, block.timestamp, len(block.senders),
                       unhexlify(block.hash[2:]), unhexlify(block.miner[2:]))
     addresses = "".join(chain(block.senders,
@@ -476,7 +470,7 @@ def _unpack(body: bytes, with_values: bool) -> BlockRecord:
         for i in creations:
             recipients[i] = None
     return BlockRecord(number, block_hash, timestamp, miner, tuple(addresses[:n]),
-                       tuple(recipients), creations, body[_HEAD.size:senders_at])
+                       tuple(recipients), body[_HEAD.size:senders_at])
 
 
 class BlockCache:
@@ -490,6 +484,7 @@ class BlockCache:
     entry is verified, read and rewritten in the current format on first
     load; a read-only cache keeps serving it. Entries in any other format
     are corrupt. Files keep the ``.json`` name of the oldest format.
+    ``get`` is the one read: it returns None on a miss.
     """
 
     def __init__(self, directory):
@@ -540,12 +535,15 @@ class BlockCache:
                 pass
             raise
 
-    def load(self, number: int) -> BlockRecord:
-        """Load and verify a cached block; raises FileNotFoundError on a
-        miss and CacheCorruptError on a corrupt entry."""
+    def get(self, number: int) -> Optional[BlockRecord]:
+        """Load and verify a cached block; returns None on a miss and
+        raises CacheCorruptError on a corrupt entry."""
         path = self._file(number)
-        with open(path, "rb") as f:
-            header, _, body = f.read().partition(b"\n")
+        try:
+            with open(path, "rb") as f:
+                header, _, body = f.read().partition(b"\n")
+        except FileNotFoundError:
+            return None
         name, _, checksum = header.partition(b" ")
         migrate = name == _FORMAT_3
         if name != CACHE_FORMAT and not migrate:
@@ -565,14 +563,6 @@ class BlockCache:
             except OSError:
                 pass  # a read-only cache keeps serving the old entry
         return block
-
-    def get(self, number: int) -> Optional[BlockRecord]:
-        """Like load(), but a miss returns None; a corrupt entry still
-        raises CacheCorruptError."""
-        try:
-            return self.load(number)
-        except FileNotFoundError:
-            return None
 
 
 def fetch_range(endpoint, spec: SnapshotSpec, cache: BlockCache,

@@ -2,26 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from typing import Iterable
 
 from chaingraph.ingest import BlockRecord
 
 
-@dataclass
-class MinerHistogram:
-    per_miner: dict[str, int]
-    distribution: dict[int, int]
-
-
-def miner_distribution(blocks: Iterable[BlockRecord]) -> MinerHistogram:
-    """Count blocks per beneficiary address and invert into
-    blocks-mined -> number-of-miners."""
-    per_miner: dict[str, int] = {}
-    for block in blocks:
-        per_miner[block.miner] = per_miner.get(block.miner, 0) + 1
-    distribution: dict[int, int] = {}
-    for count in per_miner.values():
-        distribution[count] = distribution.get(count, 0) + 1
-    return MinerHistogram(per_miner=per_miner, distribution=distribution)
-
+def miner_distribution(blocks: Iterable[BlockRecord]) -> tuple[dict[str, int], dict[int, int]]:
+    """Blocks per beneficiary address, and that inverted into
+    blocks-mined -> number-of-miners: two histograms, as
+    ``degree_distribution`` returns."""
+    per_miner = Counter(block.miner for block in blocks)
+    return per_miner, Counter(per_miner.values())

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,6 @@ def block_from_rows(number: int, block_hash: str, timestamp: int, miner: str,
     return BlockRecord(number, block_hash, timestamp, miner,
                        tuple(sender for _, sender, _ in rows),
                        tuple(recipient for _, _, recipient in rows),
-                       tuple(i for i, (_, _, recipient) in enumerate(rows) if recipient is None),
                        b"".join(bytes.fromhex(h[2:]) for h, _, _ in rows))
 
 
@@ -182,7 +182,7 @@ def seed_cache(cache_dir, raw_blocks: dict[int, dict]) -> None:
 
 @pytest.fixture
 def fixture_a_record():
-    return parse_block_json(FIXTURES.joinpath("block_fixture_a.json").read_text())
+    return parse_block_json(json.loads(FIXTURES.joinpath("block_fixture_a.json").read_text()))
 
 
 # JSON-RPC transaction objects for property tests of parse_block_json.

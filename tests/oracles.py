@@ -236,9 +236,9 @@ def total_transactions(g):
     return sum(g.edges.values()) + sum(g.loops.values())
 
 
-def total_blocks(hist):
-    """Blocks counted in a MinerHistogram: the sum over its miners."""
-    return sum(hist.per_miner.values())
+def total_blocks(per_miner):
+    """Blocks counted in a blocks-per-miner histogram: the sum over its miners."""
+    return sum(per_miner.values())
 
 
 def index_of(g, label):

@@ -15,7 +15,8 @@ import pytest
 import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
-from chaingraph.ingest import CACHE_FORMAT, BlockCache, JsonRpcEndpoint, parse_block_json
+from chaingraph.ingest import (CACHE_FORMAT, BlockCache, BlockRecord, JsonRpcEndpoint,
+                              parse_block_json)
 
 from conftest import (
     MockEndpoint,
@@ -209,6 +210,13 @@ class TestSnapshots:
         assert "900:1 failed" in capsys.readouterr().err
         body = strip_header(forest_cache / "out" / "snapshots.csv")
         assert len(body) == 2  # header + the snapshot that worked
+
+    def test_every_snapshot_failed_writes_nothing(self, forest_cache, capsys):
+        args = ["snapshots", "--snapshot", "900:1", "--snapshot", "901:2"]
+        assert run(args, forest_cache) == 1
+        err = capsys.readouterr().err
+        assert "900:1 failed" in err and "901:2 failed" in err
+        assert not (forest_cache / "out").exists()
 
 
 class TestDegenerateRanges:
@@ -497,7 +505,7 @@ def test_public_names_pinned():
     # purpose, not as a side effect.
     assert sorted(chaingraph.__all__) == [
         "BlockCache", "BlockRecord", "ComponentSet", "DistanceSummary", "ExactnessPolicy",
-        "GnmParams", "JsonRpcEndpoint", "MetricsReport", "MinerHistogram", "SimpleGraph",
+        "GnmParams", "JsonRpcEndpoint", "MetricsReport", "SimpleGraph",
         "SmallWorldReport", "SnapshotSpec", "TransactionGraph", "UNDEFINED",
         "average_local_clustering", "build_graph", "connected_components",
         "degree_distribution", "distance_summary", "export_pajek", "fetch_range",
@@ -509,6 +517,16 @@ def test_public_names_pinned():
     exec("from chaingraph import *", namespace)
     for name in chaingraph.__all__:
         assert namespace[name] is getattr(chaingraph, name), name
+
+
+def test_block_layer_form_pinned():
+    # A record's fields and the cache's public methods, pinned like
+    # __all__: None in recipients is the only creation marker, and get is
+    # the only read.
+    assert BlockRecord._fields == ("number", "hash", "timestamp", "miner", "senders",
+                                   "recipients", "tx_hashes")
+    assert sorted(name for name in vars(BlockCache) if not name.startswith("_")) == [
+        "get", "path", "store"]
 
 
 def test_runtime_imports_only_stdlib_and_requests():

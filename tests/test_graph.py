@@ -13,9 +13,11 @@ from chaingraph.graph import (
     project_simple,
     recipient_nodes,
 )
+from chaingraph.ingest import BlockCache
 from chaingraph.metrics import degree_distribution
 
-from conftest import addr, block_from_rows, forest_blocks, make_block, tx_hash, tx_rows
+from conftest import (addr, block_from_rows, forest_blocks, make_block, raw_block, raw_tx,
+                      tx_hash, tx_rows)
 from oracles import (
     LabelKeyedGraph,
     PajekError,
@@ -81,6 +83,25 @@ class TestBuildGraph:
         g = build_graph([block_of((tx_hash(0xDEADBEEF), addr(1), None))])
         assert g.n == 2
         assert any(label.startswith("created!") for label in g.labels)
+
+    def test_zero_address_payment_beside_creation(self, tmp_path):
+        # None is the only creation marker: through the cache and back, a
+        # null "to" becomes a synthetic node and a payment to the zero
+        # address links to the zero-address account.
+        zero = "0x" + "0" * 40
+        creation = "0x0123456789abcdef" + "f" * 48
+        txs = [raw_tx(1, addr(1), zero), {**raw_tx(2, addr(2), None), "hash": creation},
+               raw_tx(3, addr(3), addr(4))]
+        cache = BlockCache(tmp_path)
+        cache.store(9, raw_block(9, txs))
+        block = cache.get(9)
+        assert block.recipients == (zero, None, addr(4))
+        g = build_graph([block])
+        assert g.labels == [addr(1), zero, addr(2), "created!0123456789abcdef",
+                            addr(3), addr(4)]
+        assert labelled_edges(g) == {(zero, addr(1)): 1,
+                                     (addr(2), "created!0123456789abcdef"): 1,
+                                     (addr(3), addr(4)): 1}
 
 
 class TestRecipientNodes:
