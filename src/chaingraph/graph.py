@@ -70,13 +70,6 @@ class SimpleGraph:
     def n(self) -> int:
         return len(self.adj)
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        """Nodes 0..n-1 and any index pairs: repeats, both directions of a
-        pair and loops fold away."""
-        pairs = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
-        return cls(_sorted_adjacency(n, pairs), len(pairs))
-
     def subgraph(self, node_indices: list[int]) -> "SimpleGraph":
         """Induced subgraph on distinct nodes, reindexed in the given order."""
         remap = [-1] * self.n  # old index -> new index, -1 outside the subgraph

@@ -5,34 +5,36 @@ transaction objects come back in one call; receipts are never requested.
 ``fetch_range`` is the one entry point: it serves cached blocks and
 fetches the rest, retrying transport errors. Every fetched block is
 validated and persisted to the cache before being handed to the caller,
-so re-runs and interrupted runs are served offline. ``BlockCache.get``
-reads one cached block, and ``parse_block_json`` turns one decoded
-JSON-RPC block result into a record.
+so re-runs and interrupted runs are served offline. A block goes one
+way: a decoded JSON-RPC result is checked straight into its cache body,
+and ``_unpack`` turns a body into a record. It builds every
+``BlockRecord`` (``parse_block_json`` unpacks the body ``store`` would
+write), and nothing turns a record back into bytes.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
 as raw bytes, so a load checks lengths, not every hex character. Entries
-in format 3, which also stored each transaction's value, are read and
-rewritten in the current format on first load; older entries are corrupt.
+in format 3, which also stored each transaction's value, are verified on
+first load and their format-4 prefix is written back; older entries are
+corrupt.
 
 A ``BlockRecord`` holds its transactions column-wise, in the cache's own
 layout: the sender and recipient columns as 0x strings, which the graph
 reads, with None as a contract creation's recipient, and the tx-hash
 column as the raw bytes the cache stores, which a warm load slices out
 without decoding. No per-transaction object is built on the way from the
-cache to the graph. The cache's creation list is derived from the None
-recipients on a write and turned back into them on a read.
+cache to the graph. The cache's creation list is taken from the null
+recipients of the RPC result and turned into None recipients on a read.
 
 A block's transactions are validated column by column: each of the hash,
 from, to and value columns is joined with spaces and checked by one
-fullmatch, and the kept columns are converted once, so no Python function
-runs per transaction. Values are checked but not kept: the networks read
-only who sent to whom. Any transaction outside the common shape sends the
-whole list to the per-transaction parser ``_parse_tx``, which alone
-defines what is accepted: it names the first faulty field or accepts a
-rarer shape, and its (hash, sender, recipient) rows are transposed into
-columns once. Every field must match in full, so trailing whitespace (a
-final newline included) is refused. A cache entry is written by
-concatenating the record's columns.
+fullmatch, and the kept columns are converted to the body's bytes once,
+so no Python function runs per transaction. Values are checked but not
+kept: the networks read only who sent to whom. Any transaction outside
+the common shape sends the whole list to the per-transaction parser
+``_parse_tx``, which alone defines what is accepted: it names the first
+faulty field or accepts a rarer shape, and its (hash, sender, recipient)
+rows are converted to the same bytes at once. Every field must match in
+full, so trailing whitespace (a final newline included) is refused.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ MAX_UINT64 = 2**64 - 1
 # Integers are big-endian. Any 32 or 20 bytes are a valid hash or address,
 # so _unpack checks no character of them: it checks that the length is
 # exactly what n and the creation count imply, and the creation list. It
-# accepts exactly the bodies that _encode writes. A changed byte of a hash
+# accepts exactly the bodies that _block_body writes. A changed byte of a hash
 # leaves the body of another block, which only the checksum tells apart.
 #
 # Format 3, read only to migrate it, is format 4 followed by the values:
@@ -260,26 +262,25 @@ def _parse_tx(obj, index: int) -> tuple[str, str, Optional[str]]:
 
 _TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
 _RECIPIENT_TYPES = {str, type(None)}
-_NO_COLUMNS = ((), (), b"")
 
 
-def _parse_txs_by_column(txs: list) -> Optional[tuple]:
-    """The transaction columns of a ``BlockRecord`` (senders, recipients,
-    tx_hashes) that _parse_tx's rows give, or None.
+def _parse_txs_by_column(txs: list) -> Optional[tuple[bytes, tuple[int, ...]]]:
+    """The tx-hash, sender and recipient columns of a cache body, back to
+    back, and the creation indices, as _parse_tx's rows give them; or None.
 
     Each field is checked a column at a time, by builtins, with no
     Python-level call per transaction: one fullmatch over the column's
-    space-joined text, then one lower() and split() for the addresses, or
-    one bytes.fromhex for the hashes; the values are only checked. None
-    means some transaction is outside the common shape (a plain dict with
-    all four fields, strings or a None recipient, a value below 2**256),
-    and nothing was accepted: the caller then parses one transaction at a
-    time, which names the fault or accepts a rarer shape (an int value, a
-    missing "to" or "value", a dict subclass).
+    space-joined text, then one bytes.fromhex for the hashes and for each
+    address column; the values are only checked. None means some
+    transaction is outside the common shape (a plain dict with all four
+    fields, strings or a None recipient, a value below 2**256), and nothing
+    was accepted: the caller then parses one transaction at a time, which
+    names the fault or accepts a rarer shape (an int value, a missing "to"
+    or "value", a dict subclass).
     """
     n = len(txs)
     if n == 0:
-        return _NO_COLUMNS
+        return b"", ()
     if set(map(type, txs)) != {dict}:
         return None
     try:
@@ -289,61 +290,65 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple]:
     if (set(map(type, hashes + senders + values)) != {str}
             or not set(map(type, recipients)) <= _RECIPIENT_TYPES):
         return None
-    text = " ".join(hashes)
-    if _HASH32_COLUMN_RE.fullmatch(text) is None:
-        return None
-    tx_hashes = bytes.fromhex(text.replace("0x", ""))
-    # A field holding a space still matches as two fields, and would
-    # shift every later transaction by one: the counts guard against that.
-    if len(tx_hashes) != 32 * n:
-        return None
     text = " ".join(values)
     if _VALUE_COLUMN_RE.fullmatch(text) is None or text.count(" ") != n - 1:
         return None
-    # A creation's recipient is checked as the zero address, as _encode
-    # stores it, and put back as None at the indices taken from the raw
-    # column: a real zero-address recipient stays a payment.
-    creations = _creations(recipients)
-    split = []
-    for column in (senders, map(_NO_RECIPIENT_FOR.get, recipients, recipients)):
+    # A creation's recipient is checked as the zero address, as the body
+    # stores it; the creation indices come from the raw column, so a real
+    # zero-address recipient stays a payment.
+    columns = []
+    for pattern, width, column in (
+            (_HASH32_COLUMN_RE, 32, hashes), (_ADDRESS_COLUMN_RE, 20, senders),
+            (_ADDRESS_COLUMN_RE, 20, map(_NO_RECIPIENT_FOR.get, recipients, recipients))):
         text = " ".join(column)
-        if _ADDRESS_COLUMN_RE.fullmatch(text) is None:
+        if pattern.fullmatch(text) is None:
             return None
-        pieces = text.lower().split(" ")
-        if len(pieces) != n:
+        data = bytes.fromhex(text.replace("0x", ""))
+        # A field holding a space still matches as two fields, and would
+        # shift every later transaction by one: the lengths guard against that.
+        if len(data) != width * n:
             return None
-        split.append(pieces)
-    senders, recipients = split
-    for i in creations:
-        recipients[i] = None
-    return tuple(senders), tuple(recipients), tx_hashes
+        columns.append(data)
+    return b"".join(columns), _creations(recipients)
 
 
-def parse_block_json(obj: dict) -> BlockRecord:
-    """Parse a decoded JSON-RPC block result (with full transaction
-    objects), the dict ``JsonRpcEndpoint.call`` returns.
-
-    All hex quantities are decoded, addresses are canonicalized to
-    lowercase, and transaction order is preserved.
-    """
+def _block_body(obj) -> bytes:
+    # The format-4 cache body of a decoded JSON-RPC block result; a
+    # BlockParseError names the first faulty field.
     if not isinstance(obj, dict):
         raise BlockParseError("<root>", "block result is not an object")
     for key in ("number", "hash", "timestamp", "miner", "transactions"):
         if key not in obj:
             raise BlockParseError(key, "missing")
-    txs_raw = obj["transactions"]
-    if not isinstance(txs_raw, list):
+    txs = obj["transactions"]
+    if not isinstance(txs, list):
         raise BlockParseError("transactions", "not a list")
     number = _parse_u64(obj["number"], "number")
     block_hash = _canonical_hash(obj["hash"], "hash")
     timestamp = _parse_u64(obj["timestamp"], "timestamp")
     miner = canonical_address(obj["miner"], "miner")
-    columns = _parse_txs_by_column(txs_raw)
-    if columns is None:
+    parsed = _parse_txs_by_column(txs)
+    if parsed is None:
         # Not reached for an empty list, so the rows transpose to three columns.
-        hashes, senders, recipients = zip(*[_parse_tx(t, i) for i, t in enumerate(txs_raw)])
-        columns = (senders, recipients, unhexlify("".join(hashes).replace("0x", "")))
-    return BlockRecord(number, block_hash, timestamp, miner, *columns)
+        hashes, senders, recipients = zip(*[_parse_tx(t, i) for i, t in enumerate(txs)])
+        digits = "".join(chain(hashes, senders,
+                               map(_NO_RECIPIENT_FOR.get, recipients, recipients)))
+        parsed = unhexlify(digits.replace("0x", "")), _creations(recipients)
+    columns, creations = parsed
+    return (_HEAD.pack(number, timestamp, len(txs), unhexlify(block_hash[2:]),
+                       unhexlify(miner[2:]))
+            + columns + struct.pack(f">I{len(creations)}I", len(creations), *creations))
+
+
+def parse_block_json(obj: dict) -> BlockRecord:
+    """Parse a decoded JSON-RPC block result (with full transaction
+    objects), the dict ``JsonRpcEndpoint.call`` returns: the record that
+    its cache body loads as.
+
+    All hex quantities are decoded, addresses are canonicalized to
+    lowercase, and transaction order is preserved.
+    """
+    return _unpack(_block_body(obj), False)[0]
 
 
 class JsonRpcEndpoint:
@@ -411,30 +416,18 @@ def _fetch_block_result(endpoint, number: int) -> dict:
     return result
 
 
-def _encode(block: BlockRecord) -> bytes:
-    # The record's columns, concatenated: the tx hashes are already as
-    # stored, and the senders and recipients (20 zero bytes for a
-    # creation) are one unhexlify of their joined digits, and the creation
-    # list is the indices of the None recipients.
-    creations = _creations(block.recipients)
-    head = _HEAD.pack(block.number, block.timestamp, len(block.senders),
-                      unhexlify(block.hash[2:]), unhexlify(block.miner[2:]))
-    addresses = "".join(chain(block.senders,
-                              map(_NO_RECIPIENT_FOR.get, block.recipients, block.recipients)))
-    return (head + block.tx_hashes + unhexlify(addresses.replace("0x", ""))
-            + struct.pack(f">I{len(creations)}I", len(creations), *creations))
-
-
 def _hex_column(data: bytes, width: int) -> list[str]:
     """Split a column of ``width``-byte fields (at least one) into 0x hex."""
     return ("0x" + data.hex(" ", width).replace(" ", " 0x")).split(" ")
 
 
-def _unpack(body: bytes, with_values: bool) -> BlockRecord:
-    # A format-4 body, or with_values a format-3 one, checked column-wise;
-    # ValueError names the first part that is not as _encode writes it.
-    # Only the two address columns are decoded: the tx hashes are kept as
-    # stored, and a format-3 value text is checked, then dropped.
+def _unpack(body: bytes, with_values: bool) -> tuple[BlockRecord, int]:
+    # A format-4 body, or with_values a format-3 one, checked column-wise,
+    # as its record and the offset where a format-3 value text begins (the
+    # end of a format-4 body); ValueError names the first part that is not
+    # as _block_body writes it. Only the two address columns are decoded:
+    # the tx hashes are kept as stored, and a value text is checked, then
+    # dropped.
     size = len(body)
     if size < _HEAD.size + _U32.size:
         raise ValueError("body shorter than its header")
@@ -444,7 +437,7 @@ def _unpack(body: bytes, with_values: bool) -> BlockRecord:
     if n == 0:
         if body[_HEAD.size:] != bytes(_U32.size):
             raise ValueError("a block without transactions has more than its header")
-        return BlockRecord(number, block_hash, timestamp, miner, *_NO_COLUMNS)
+        return BlockRecord(number, block_hash, timestamp, miner, (), (), b""), size
     senders_at = _HEAD.size + 32 * n
     creations_at = senders_at + 40 * n
     if size < creations_at + _U32.size:
@@ -470,7 +463,7 @@ def _unpack(body: bytes, with_values: bool) -> BlockRecord:
         for i in creations:
             recipients[i] = None
     return BlockRecord(number, block_hash, timestamp, miner, tuple(addresses[:n]),
-                       tuple(recipients), body[_HEAD.size:senders_at])
+                       tuple(recipients), body[_HEAD.size:senders_at]), end
 
 
 class BlockCache:
@@ -478,18 +471,20 @@ class BlockCache:
 
     Each file holds a header line (format name and the body's sha256) and
     the block's validated fields (see ``CACHE_FORMAT``), so partial runs
-    resume and replays never hit the network. Entries are validated before
-    they are written and checked on every read. Writes are atomic: each
-    writer writes a temp file of its own, then renames it. A format-3
-    entry is verified, read and rewritten in the current format on first
-    load; a read-only cache keeps serving it. Entries in any other format
-    are corrupt. Files keep the ``.json`` name of the oldest format.
-    ``get`` is the one read: it returns None on a miss.
+    resume and replays never hit the network. ``store`` checks a JSON-RPC
+    result straight into the body it writes and returns the record that
+    body loads as; ``get`` is the one read, and returns None on a miss.
+    Every read checks the entry. Writes are atomic: each writer writes a
+    temp file of its own, then renames it. The directory is made by the
+    first store, so a command that only reads leaves nothing behind. A
+    format-3 entry is verified and its format-4 prefix, all but the value
+    text, is written back on first load; a read-only cache keeps serving
+    it. Entries in any other format are corrupt. Files keep the ``.json``
+    name of the oldest format.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         # Reads and writes use plain str paths: a Path built per block costs
         # more than the os calls it wraps.
         self._prefix = os.path.join(self.directory, "")
@@ -505,16 +500,19 @@ class BlockCache:
 
         A malformed result, or one for another block, raises
         BlockParseError and writes nothing."""
-        block = parse_block_json(result)
+        body = _block_body(result)
+        block = _unpack(body, False)[0]
         if block.number != number:
             raise BlockParseError("number", f"expected block {number}, got {block.number}")
-        self._write(block)
+        # Made by the first store, so that a command that only reads leaves
+        # nothing behind; concurrent stores may race to make it.
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._write(number, body)
         return block
 
-    def _write(self, block: BlockRecord) -> None:
-        body = _encode(block)
+    def _write(self, number: int, body: bytes) -> None:
         header = CACHE_FORMAT + b" sha256:" + hashlib.sha256(body).hexdigest().encode("ascii")
-        path = self._file(block.number)
+        path = self._file(number)
         # A temp name of this writer's own (O_EXCL refuses an existing file),
         # so concurrent writers of one block never rename each other's
         # half-written file into place.
@@ -552,14 +550,14 @@ class BlockCache:
         if checksum != b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii"):
             raise CacheCorruptError(f"{path}: checksum mismatch")
         try:
-            block = _unpack(body, migrate)
+            block, end = _unpack(body, migrate)
         except ValueError as exc:
             raise CacheCorruptError(f"{path}: malformed block fields: {exc}") from exc
         if block.number != number:
             raise CacheCorruptError(f"{path}: holds block {block.number}, not {number}")
         if migrate:
             try:
-                self._write(block)
+                self._write(number, body[:end])
             except OSError:
                 pass  # a read-only cache keeps serving the old entry
         return block

@@ -34,7 +34,8 @@ def write_entry(path, body, header):
 
 def record_encode(block):
     """A format-4 cache entry body built one field at a time from the
-    format's description: the byte-identity reference for ingest._encode."""
+    format's description: the byte-identity reference for the bodies
+    that BlockCache.store writes."""
     out = struct.pack(">QQI", block.number, block.timestamp, len(block.senders))
     out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
     out += block.tx_hashes
@@ -261,7 +262,7 @@ def oracle_fixtures():
 
 
 def set_from_edges(n, edges):
-    """SimpleGraph.from_edges by per-node neighbour sets: any index pairs,
+    """A SimpleGraph by per-node neighbour sets: any index pairs,
     with repeats, both directions of a pair and loops, give nodes 0..n-1,
     each distinct loop-free pair once and sorted neighbour lists."""
     adj = [set() for _ in range(n)]

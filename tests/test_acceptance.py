@@ -55,6 +55,7 @@ from oracles import (
     flood_fill_components,
     import_pajek,
     oracle_fixtures,
+    set_from_edges,
 )
 
 
@@ -63,7 +64,7 @@ def report(criterion: int, detail: str) -> None:
 
 
 def star_graph(leaves: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return set_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def test_criterion_1_star_anchor():

@@ -16,7 +16,6 @@ from chaingraph.baseline import (
     small_world_sigma,
     trial_seed,
 )
-from chaingraph.graph import SimpleGraph
 from chaingraph.metrics import (
     ExactnessPolicy,
     average_local_clustering,
@@ -28,11 +27,11 @@ from oracles import edge_list, set_from_edges
 
 
 def complete_graph(n):
-    return SimpleGraph.from_edges(n, list(combinations(range(n), 2)))
+    return set_from_edges(n, list(combinations(range(n), 2)))
 
 
 def star_graph(leaves):
-    return SimpleGraph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return set_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def ring_lattice_rewired(n, k, rewire_every, seed):
@@ -51,7 +50,7 @@ def ring_lattice_rewired(n, k, rewire_every, seed):
                 rewired.append((u, w))
                 continue
         rewired.append((u, v))
-    return SimpleGraph.from_edges(n, rewired)
+    return set_from_edges(n, rewired)
 
 
 class TestGnm:
@@ -198,7 +197,7 @@ class TestSmallWorldReport:
         assert a == b
 
     def test_disconnected_subject_rejected(self):
-        g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+        g = set_from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             small_world_report(g, trials=1, seed=0)
 

@@ -72,6 +72,8 @@ class TestFetch:
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         assert "10 fetched, 0 cache hits" in capsys.readouterr().out
+        # The first write made the missing cache directory.
+        assert len(list((tmp_path / "cache").iterdir())) == 10
 
     def test_resume_fetches_only_gap(self, tmp_path, capsys, monkeypatch):
         blocks = {n: raw_block(n, []) for n in range(10, 13)}
@@ -107,6 +109,9 @@ class TestFetch:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: block 1 not in cache and no RPC endpoint to fetch it from ({hint})"]
+        # A command that only reads writes nothing: a mistyped --cache-dir
+        # is not made.
+        assert not (tmp_path / "cache").exists()
 
     def test_non_object_reply_reported(self, tmp_path, capsys, monkeypatch):
         endpoint = stub_endpoint("<html>502 Bad Gateway</html>")
@@ -744,6 +749,7 @@ class TestPinnedOutputs:
         # A cache written in format 3 gives the pinned outputs offline, is
         # rewritten in the current format by the first run, and a second
         # run gives the same bytes.
+        (tmp_path / "cache").mkdir()
         cache = BlockCache(tmp_path / "cache")
         for number, raw in pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3).items():
             write_v3_entry(cache.path(number), raw)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingraph.graph import (
-    SimpleGraph,
     TransactionGraph,
     build_graph,
     export_edge_csv,
@@ -139,25 +138,12 @@ class TestProjectSimple:
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 3)),
                     max_size=60))
     def test_matches_from_edges(self, raw):
-        # Repeats, both directions and loops, folded by from_edges.
+        # Repeats, both directions and loops, folded by the reference.
         g = TransactionGraph()
         for u, v, count in raw:
             add_interaction(g, f"n{u}", f"n{v}", count=count)
         pairs = [(index_of(g, f"n{u}"), index_of(g, f"n{v}")) for u, v, _ in raw]
-        assert project_simple(g) == SimpleGraph.from_edges(g.n, pairs)
-
-
-class TestFromEdges:
-    @settings(max_examples=80)
-    @given(st.data())
-    def test_matches_neighbour_set_reference(self, data):
-        # Repeats, both directions of a pair and loops; reversing some
-        # pairs makes both directions common.
-        n = data.draw(st.integers(0, 14))
-        node = st.integers(0, max(n - 1, 0))
-        pairs = data.draw(st.lists(st.tuples(node, node), max_size=60)) if n else []
-        pairs += [(v, u) for u, v in pairs[::3]]
-        assert SimpleGraph.from_edges(n, pairs) == set_from_edges(n, pairs)
+        assert project_simple(g) == set_from_edges(g.n, pairs)
 
 
 def random_graph_pairs(rng, n_nodes, n_txs):

@@ -23,7 +23,7 @@ from chaingraph.ingest import (
     RpcError,
     SnapshotSpec,
     TransportError,
-    _encode,
+    _block_body,
     _parse_tx,
     _parse_txs_by_column,
     fetch_range,
@@ -212,16 +212,27 @@ class TestParseBlockJson:
             parse_block_json(raw_block(1, txs))
         assert exc.value.field == "transactions[1].to"
 
-    @pytest.mark.parametrize("change", [
-        lambda tx: {**tx, "value": 255},
-        lambda tx: {k: v for k, v in tx.items() if k != "to"},
-        lambda tx: {k: v for k, v in tx.items() if k != "value"},
-        lambda tx: TxDict(tx),
+    @pytest.mark.parametrize("change,common", [
+        (lambda tx: {**tx, "value": 255}, lambda tx: {**tx, "value": "0xff"}),
+        (lambda tx: {k: v for k, v in tx.items() if k != "to"}, lambda tx: {**tx, "to": None}),
+        (lambda tx: {k: v for k, v in tx.items() if k != "value"},
+         lambda tx: {**tx, "value": "0x0"}),
+        (TxDict, dict),
     ], ids=["int-value", "no-to", "no-value", "dict-subclass"])
-    def test_rare_shapes_accepted(self, change):
+    def test_rare_shapes_accepted(self, tmp_path, change, common):
+        # The per-transaction parser stores a rare shape byte for byte as
+        # the column parser stores the same transactions in the common one.
         txs = [raw_tx(i, addr(i), addr(i + 1), value=i) for i in range(3)]
-        txs[1] = change(txs[1])
-        assert tx_rows(parse_block_json(raw_block(1, txs))) == per_transaction(txs)
+        rare, plain = list(txs), list(txs)
+        rare[1], plain[1] = change(txs[1]), common(txs[1])
+        assert _parse_txs_by_column(rare) is None and _parse_txs_by_column(plain) is not None
+        assert tx_rows(parse_block_json(raw_block(1, rare))) == per_transaction(rare)
+        entries = []
+        for name, shape in (("rare", rare), ("common", plain)):
+            cache = BlockCache(tmp_path / name)
+            cache.store(1, raw_block(1, shape))
+            entries.append(cache.path(1).read_bytes())
+        assert entries[0] == entries[1]
 
     @settings(max_examples=300)
     @given(txs=rpc_transactions())
@@ -231,12 +242,14 @@ class TestParseBlockJson:
 
     @given(txs=rpc_transactions(max_size=20, faults=False))
     def test_common_shape_parsed_by_column(self, txs):
-        # The columns are those of the per-transaction parser's rows
-        # transposed.
+        # The body holds the per-transaction parser's rows, as the format's
+        # reference encodes them, and loads as them.
         rows = per_transaction(txs)
-        block = BlockRecord(1, tx_hash(1), 0, addr(1), *_parse_txs_by_column(txs))
-        assert block == block_from_rows(1, tx_hash(1), 0, addr(1), rows)
-        assert tx_rows(block) == rows
+        assert _parse_txs_by_column(txs) is not None
+        raw = raw_block(1, txs)
+        block = block_from_rows(1, raw["hash"], 1_500_000_000, raw["miner"], rows)
+        assert _block_body(raw) == record_encode(block)
+        assert parse_block_json(raw) == block
 
 
 class TestSnapshotSpec:
@@ -484,10 +497,6 @@ class TestCache:
             assert loaded == stored == parse_block_json(raw)
             assert tx_rows(loaded) == per_transaction(txs)
 
-    @given(block=block_records())
-    def test_encode_matches_record_reference(self, block):
-        assert _encode(block) == record_encode(block)
-
     def test_fixture_entry_pinned(self, tmp_path):
         # The bytes on disk: a change of layout fails here, not only in a
         # reader of caches written before it.
@@ -507,14 +516,14 @@ class TestCache:
             assert cache.get(block.number) == block
             header, _, body = cache.path(block.number).read_bytes().partition(b"\n")
             assert header.startswith(CACHE_FORMAT + b" sha256:")
-            assert body == _encode(block)
+            assert body == record_encode(block)
 
     @settings(max_examples=200)
     @given(block=block_records(), data=st.data())
     def test_accepted_body_reencodes_to_itself(self, block, data):
         # A body changed in any way, with its checksum made to match,
-        # loads only if it is exactly what _encode writes for what loads.
-        body = _encode(block)
+        # loads only if it is exactly what store writes for what loads.
+        body = record_encode(block)
         start = data.draw(st.integers(0, len(body)))
         end = data.draw(st.integers(start, min(len(body), start + 8)))
         insert = data.draw(st.one_of(st.binary(max_size=8),
@@ -528,7 +537,7 @@ class TestCache:
             except CacheCorruptError as exc:
                 assert str(cache.path(block.number)) in str(exc)
                 return
-            assert _encode(loaded) == changed
+            assert _block_body(rpc_result(loaded)) == changed
 
     def test_corruption_detected(self, tmp_path):
         cache = BlockCache(tmp_path)
@@ -552,11 +561,12 @@ class TestCache:
     def test_v3_reference_body_loads(self, tmp_path):
         # A format-3 entry loads as its block and is rewritten exactly as a
         # fresh store of that block writes it.
+        (tmp_path / "old").mkdir()
         cache, fresh = BlockCache(tmp_path / "old"), BlockCache(tmp_path / "new")
         write_entry(cache.path(12), v3_body(), FORMAT_3)
         block = cache.get(12)
         assert block.recipients == ("0x" + "21" * 20, None, "0x" + "00" * 20)
-        assert _encode(block) == v4_body()
+        assert record_encode(block) == v4_body()
         fresh.store(12, rpc_result(block))
         assert cache.path(12).read_bytes() == fresh.path(12).read_bytes()
         assert cache.get(12) == block
@@ -638,11 +648,11 @@ class TestCache:
         write_entry(cache.path(12), v3_body(), FORMAT_3)
         before = cache.path(12).read_bytes()
 
-        def refuse(block):
+        def refuse(number, body):
             raise PermissionError("read-only")
 
         monkeypatch.setattr(cache, "_write", refuse)
-        assert _encode(cache.get(12)) == v4_body()
+        assert record_encode(cache.get(12)) == v4_body()
         assert cache.path(12).read_bytes() == before
 
     def test_entry_of_another_block_refused(self, tmp_path):
@@ -651,6 +661,25 @@ class TestCache:
         cache.path(13).write_bytes(cache.path(12).read_bytes())
         with pytest.raises(CacheCorruptError, match="holds block 12, not 13"):
             cache.get(13)
+
+    def test_reads_make_no_directory(self, tmp_path):
+        # A mistyped directory is not made by a command that only reads.
+        cache = BlockCache(tmp_path / "cache")
+        assert cache.get(12) is None
+        assert not cache.directory.exists()
+
+    def test_refused_store_makes_no_directory(self, tmp_path):
+        # The directory is made by the first write, not by a store that
+        # writes nothing.
+        cache = BlockCache(tmp_path / "cache")
+        raw = raw_block(12, [raw_tx(1, addr(1), addr(2))])
+        with pytest.raises(BlockParseError):
+            cache.store(13, raw)
+        with pytest.raises(BlockParseError):
+            cache.store(12, {**raw, "hash": "0x12"})
+        assert not cache.directory.exists()
+        assert cache.store(12, raw) == cache.get(12)
+        assert [p.name for p in cache.directory.iterdir()] == [cache.path(12).name]
 
     def test_store_leaves_other_writers_temp_file(self, tmp_path):
         cache = BlockCache(tmp_path)
@@ -662,7 +691,8 @@ class TestCache:
         assert cache.get(12) == parse_block_json(raw)
 
     def test_concurrent_stores_of_one_block(self, tmp_path):
-        cache = BlockCache(tmp_path)
+        # The writers also race to make the missing directory.
+        cache = BlockCache(tmp_path / "cache")
         raw = raw_block(12, [raw_tx(i, addr(i), addr(i + 1)) for i in range(50)])
         errors = []
 
@@ -685,7 +715,7 @@ class TestCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert [p.name for p in tmp_path.iterdir()] == [cache.path(12).name]
+        assert [p.name for p in cache.directory.iterdir()] == [cache.path(12).name]
         assert cache.get(12) == parse_block_json(raw)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -777,6 +807,7 @@ class TestFetchRange:
         # Such an entry is corrupt: named offline, refetched online and
         # stored as a fresh fetch stores the block.
         raw = raw_block(12, [raw_tx(1, addr(1), addr(2), value=255), raw_tx(4, addr(5), None)])
+        (tmp_path / "cache").mkdir()
         cache = BlockCache(tmp_path / "cache")
         path = cache.path(12)
         if old == "format-2":

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaingraph import metrics
 from chaingraph.baseline import GnmParams, gnm_random_graph
-from chaingraph.graph import SimpleGraph, build_graph, project_simple
+from chaingraph.graph import build_graph, project_simple
 from chaingraph.metrics import (
     EXACT,
     LOWER_BOUND,
@@ -35,11 +35,12 @@ from oracles import (
     flood_fill_components,
     frontier_distances,
     oracle_fixtures,
+    set_from_edges,
 )
 
 
 def simple(n, edges):
-    return SimpleGraph.from_edges(n, edges)
+    return set_from_edges(n, edges)
 
 
 def path_graph(n):
@@ -173,10 +174,10 @@ class TestComponents:
         n = data.draw(st.integers(0, 14))
         node = st.integers(0, max(n - 1, 0))
         edges = data.draw(st.lists(st.tuples(node, node), max_size=40)) if n else []
-        g = SimpleGraph.from_edges(n, edges)
+        g = set_from_edges(n, edges)
         nodes = data.draw(st.lists(node, unique=True, max_size=n)) if n else []
         remap = {old: new for new, old in enumerate(nodes)}
-        expected = SimpleGraph.from_edges(
+        expected = set_from_edges(
             len(nodes),
             [(remap[u], remap[v]) for u, v in edge_list(g) if u in remap and v in remap])
         assert g.subgraph(nodes) == expected

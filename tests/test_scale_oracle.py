@@ -7,7 +7,6 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chaingraph.graph import SimpleGraph
 from chaingraph.metrics import (
     EXACT,
     _neighbour_links,
@@ -18,7 +17,7 @@ from chaingraph.metrics import (
     transitivity,
 )
 
-from oracles import edge_list
+from oracles import edge_list, set_from_edges
 
 nx = pytest.importorskip("networkx")
 
@@ -44,7 +43,7 @@ def leaf_heavy_graphs(draw):
             anchor = min(rng.randrange(core), rng.randrange(core))
         edges.append((v, anchor))
     edges = [e for e in edges if rng.random() >= drop]
-    return SimpleGraph.from_edges(n, edges)
+    return set_from_edges(n, edges)
 
 
 def to_networkx(g):
