@@ -43,11 +43,11 @@ def main() -> int:
     print(f"  largest component: {report.largest_component_nodes}/"
           f"{report.largest_component_edges} nodes/edges (19/18)")
 
-    main_comp = largest_component(simple, components)
-    dist = distance_summary(main_comp)
+    dist = distance_summary(simple, components)
     print(f"\nMain-component distances: L={dist.average_distance:.4f} (1.89)  "
           f"diameter={dist.diameter} (2)")
 
+    main_comp = largest_component(simple, components)
     sw = small_world_report(main_comp, trials=args.trials, seed=args.seed)
     print(f"\nSmall-world comparison over {sw.trials} G({sw.n},{sw.m}) trials, "
           f"seed {sw.seed}:")

@@ -16,8 +16,8 @@ from chaingraph.graph import SimpleGraph, _sorted_adjacency
 from chaingraph.metrics import (
     ExactnessPolicy,
     average_local_clustering,
+    connected_components,
     distance_summary,
-    largest_component,
 )
 
 # Up to this many possible pairs, edges are drawn as indices into the
@@ -123,15 +123,16 @@ def small_world_report(subject: SimpleGraph, trials: int, seed: int,
 
     cc_RG averages local clustering over the instances; L_RG averages the
     instance largest-component distance (G(n,m) at these densities may be
-    disconnected). Per-trial seeds derive from (seed, trial index), so
-    trials can run in any order without changing output.
+    disconnected), found in place. Per-trial seeds derive from (seed,
+    trial index), so trials can run in any order without changing output.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if subject.n == 0:
-        raise ValueError("subject graph is empty")
+    components = connected_components(subject)
+    if components.num_components != 1:
+        raise ValueError("subject graph must be non-empty and connected")
 
-    summary = distance_summary(subject, policy)
+    summary = distance_summary(subject, components, policy)
     cc = average_local_clustering(subject)
 
     cc_total = 0.0
@@ -139,8 +140,8 @@ def small_world_report(subject: SimpleGraph, trials: int, seed: int,
     for i in range(trials):
         instance = gnm_random_graph(GnmParams(subject.n, subject.m, trial_seed(seed, i)))
         cc_total += average_local_clustering(instance)
-        main = largest_component(instance)
-        l_total += distance_summary(main, policy).average_distance
+        l_total += distance_summary(instance, connected_components(instance),
+                                    policy).average_distance
     cc_rg = cc_total / trials
     l_rg = l_total / trials
 

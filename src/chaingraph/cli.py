@@ -149,7 +149,6 @@ class _Snapshot(NamedTuple):
     spec: SnapshotSpec
     simple: SimpleGraph
     comps: ComponentSet
-    main: SimpleGraph
 
 
 def _snapshot(cfg: RunConfig, spec: SnapshotSpec,
@@ -161,15 +160,17 @@ def _snapshot(cfg: RunConfig, spec: SnapshotSpec,
     if graph_outputs is not None:
         graph_outputs(g)
     del g
-    comps = connected_components(simple)
-    return _Snapshot(spec, simple, comps, largest_component(simple, comps))
+    return _Snapshot(spec, simple, connected_components(simple))
 
 
-def _distances(main: SimpleGraph, policy: ExactnessPolicy) -> DistanceSummary:
-    """L and diameter of the main component; an empty range reads as one node."""
-    if main.n == 0:
-        return DistanceSummary(0.0, 0, EXACT, EXACT)
-    return distance_summary(main, policy)
+def _main_component(simple: SimpleGraph, comps: ComponentSet,
+                    policy: ExactnessPolicy) -> tuple[int, int, DistanceSummary]:
+    """Nodes, edges, L and diameter of the main component, in place. An
+    empty range has none: 0 nodes and edges, and one node's L and diameter."""
+    if comps.num_components == 0:
+        return 0, 0, DistanceSummary(0.0, 0, EXACT, EXACT)
+    nodes, edges = comps.sizes[comps.largest_id]
+    return nodes, edges, distance_summary(simple, comps, policy)
 
 
 def cmd_fetch(cfg: RunConfig) -> int:
@@ -198,11 +199,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
         _write_csv(cfg, "degree_weighted.csv", ["degree", "count"], sorted(weighted.items()))
         _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
 
-    spec, simple, comps, main = _snapshot(cfg, cfg.snapshots[0], graph_outputs)
-    summary = _distances(main, policy)
-    dist_row = [main.n, summary.average_distance, summary.diameter, summary.l_method,
+    spec, simple, comps = _snapshot(cfg, cfg.snapshots[0], graph_outputs)
+    nodes_main, _, summary = _main_component(simple, comps, policy)
+    dist_row = [nodes_main, summary.average_distance, summary.diameter, summary.l_method,
                 summary.diameter_method, summary.sample_sources, summary.seed]
-    del main  # clustering needs the most memory: run it without the main component
     report = general_metrics(simple, comps)
     metrics_cols = ["blocks", "nodes", "edges", "avg_clus_coeff", "transitivity",
                     "components", "nodes_largest_comp", "edges_largest_comp"]
@@ -224,7 +224,9 @@ def cmd_smallworld(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     spec = cfg.snapshots[0]
-    main = _snapshot(cfg, spec).main
+    _, simple, comps = _snapshot(cfg, spec)
+    main = largest_component(simple, comps)
+    del simple, comps  # the comparison reads the main component alone
     if main.m == 0:
         print(f"error: block range {spec.label()} has no edge to compare", file=sys.stderr)
         return 1
@@ -249,10 +251,11 @@ def cmd_snapshots(cfg: RunConfig) -> int:
     rows: list[list] = []
     for spec in cfg.snapshots:
         try:
-            _, simple, comps, main = _snapshot(cfg, spec)
-            rows.append([spec.start_block, spec.count, simple.n, main.n, simple.m, main.m,
-                         comps.num_components, _distances(main, policy).average_distance])
-            del simple, comps, main  # not held while the next range is built
+            _, simple, comps = _snapshot(cfg, spec)
+            nodes_main, edges_main, summary = _main_component(simple, comps, policy)
+            rows.append([spec.start_block, spec.count, simple.n, nodes_main, simple.m,
+                         edges_main, comps.num_components, summary.average_distance])
+            del simple, comps  # not held while the next range is built
         except (IngestError, ValueError, OSError) as exc:
             print(f"snapshot {spec.label()} failed: {exc}", file=sys.stderr)
     if not rows:  # like every command that fails, write nothing

@@ -2,12 +2,14 @@
 
 Everything runs on the undirected projection, except the degree
 histograms: they are read from the TransactionGraph, whose edge weights
-and loop counts give the weighted degrees. Traversals break ties
-by ascending node index so repeated runs produce identical output.
-Distances come from a bit-parallel multi-source BFS over batches of
-sources. The BFS folds leaves: a degree-1 node lies on no shortest path
-between two other nodes, so it is never visited. A leaf is counted one
-level after its neighbour is reached, and a leaf source starts at its
+and loop counts give the weighted degrees. Traversals break ties by
+ascending node index so repeated runs produce identical output.
+Distances are those of the largest component, in place: a component is
+closed under adjacency, so a BFS from its nodes needs no copy of it.
+They come from a bit-parallel multi-source BFS over batches of sources.
+The BFS folds leaves: a degree-1 node lies on no shortest path between
+two other nodes, so it is never visited. A leaf is counted one level
+after its neighbour is reached, and a leaf source starts at its
 neighbour one level in. Account networks are mostly such leaves. The
 fold is computed once per distance_summary and serves both the
 multi-source BFS and the double sweep behind the sampled diameter.
@@ -244,7 +246,7 @@ def _fold_leaves(g: SimpleGraph) -> _Fold:
     return hub, leaves, core_adj
 
 
-def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int],
+def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int], n: int,
                               fold: _Fold) -> tuple[int, int]:
     """Total distance and eccentricity max over BFS runs from `sources`.
 
@@ -255,8 +257,8 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int],
     bits `new` at level l puts its leaves at level l + 1 for each of
     those sources, and a leaf source starts at its hub at level 1. Each
     node is still counted once per source that reaches it, so the reach
-    count is an exact connectivity check: raises ValueError unless every
-    source reaches every node.
+    count checks the component: raises ValueError unless every source
+    reaches exactly n - 1 other nodes, n being its component's size.
     """
     hub, leaves, core_adj = fold
     total = 0
@@ -302,15 +304,15 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int],
                 total += level * added
                 reached += added
                 longest = max(longest, level)
-    if reached != len(sources) * (g.n - 1):
-        raise ValueError("distance_summary requires a connected graph")
+    if reached != len(sources) * (n - 1):
+        raise ValueError("distance_summary: components are not connected_components(g)")
     return total, longest
 
 
 def _folded_distances(fold: _Fold, source: int) -> list[int]:
-    """bfs_distances(g, source) on a connected graph, from a BFS over
-    core nodes only: a leaf is one hop past its hub, and a leaf source
-    starts at its hub at distance 1."""
+    """bfs_distances(g, source), from a BFS over core nodes only: a leaf
+    is one hop past its hub, and a leaf source starts at its hub at
+    distance 1. A node the source does not reach, leaf or not, reads -1."""
     hub, _, core_adj = fold
     dist = [-1] * len(hub)
     start = source if hub[source] < 0 else hub[source]
@@ -323,44 +325,48 @@ def _folded_distances(fold: _Fold, source: int) -> list[int]:
             if dist[u] == -1:
                 dist[u] = dv
                 queue.append(u)
-    dist = [d if p < 0 else dist[p] + 1 for p, d in zip(hub, dist)]
+    dist = [d if p < 0 or dist[p] < 0 else dist[p] + 1 for p, d in zip(hub, dist)]
     dist[source] = 0
     return dist
 
 
-def _double_sweep_lower_bound(fold: _Fold) -> int:
-    # BFS from node 0 to its farthest node (the smallest index among the
+def _double_sweep_lower_bound(fold: _Fold, start: int) -> int:
+    # BFS from start to its farthest node (the smallest index among the
     # farthest), then BFS again from there; the second eccentricity
-    # lower-bounds the diameter.
-    dist = _folded_distances(fold, 0)
+    # lower-bounds the diameter of start's component.
+    dist = _folded_distances(fold, start)
     return max(_folded_distances(fold, dist.index(max(dist))))
 
 
-def distance_summary(g: SimpleGraph,
+def distance_summary(g: SimpleGraph, components: ComponentSet,
                      policy: ExactnessPolicy = ExactnessPolicy()) -> DistanceSummary:
-    """Average shortest-path length and diameter of a connected graph.
+    """Average shortest-path length and diameter of the largest component
+    of g, in place; `components` is connected_components(g). Its nodes keep
+    their ascending order, so the result is that on largest_component(g).
 
-    Below policy.exact_threshold both come from all-pairs BFS. Above it,
-    L is averaged over policy.sample_sources seeded sources and the
-    diameter is a double-sweep lower bound; both are labeled as such.
+    Below policy.exact_threshold nodes, both come from all-pairs BFS.
+    Above it, L is averaged over policy.sample_sources seeded sources and
+    the diameter is a double-sweep lower bound; both are labeled as such.
     """
-    if g.n == 0:
+    members = components.members(components.largest_id)
+    n = len(members)
+    if n == 0:
         raise ValueError("distance_summary needs a non-empty graph")
-    if g.n == 1:
+    if n == 1:
         return DistanceSummary(0.0, 0, EXACT, EXACT)
 
     fold = _fold_leaves(g)
-    if g.n <= policy.exact_threshold:
-        total, longest = _sum_and_max_from_sources(g, list(range(g.n)), fold)
-        return DistanceSummary(total / (g.n * (g.n - 1)), longest, EXACT, EXACT)
+    if n <= policy.exact_threshold:
+        total, longest = _sum_and_max_from_sources(g, members, n, fold)
+        return DistanceSummary(total / (n * (n - 1)), longest, EXACT, EXACT)
 
     rng = random.Random(policy.seed)
-    k = min(policy.sample_sources, g.n)
-    sources = sorted(rng.sample(range(g.n), k))
-    total, _ = _sum_and_max_from_sources(g, sources, fold)
-    avg = total / (k * (g.n - 1))
-    return DistanceSummary(avg, _double_sweep_lower_bound(fold), SAMPLED, LOWER_BOUND,
-                           sample_sources=k, seed=policy.seed)
+    k = min(policy.sample_sources, n)
+    sources = [members[i] for i in sorted(rng.sample(range(n), k))]
+    total, _ = _sum_and_max_from_sources(g, sources, n, fold)
+    avg = total / (k * (n - 1))
+    return DistanceSummary(avg, _double_sweep_lower_bound(fold, members[0]),
+                           SAMPLED, LOWER_BOUND, sample_sources=k, seed=policy.seed)
 
 
 def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsReport:

@@ -11,6 +11,7 @@ from chaingraph.ingest import (
     TransportError,
     parse_block_json,
 )
+from chaingraph.metrics import ExactnessPolicy, connected_components, distance_summary
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -178,6 +179,12 @@ def seed_cache(cache_dir, raw_blocks: dict[int, dict]) -> None:
     cache = BlockCache(cache_dir)
     for number, raw in raw_blocks.items():
         cache.store(number, raw)
+
+
+def summary_of(g, policy=ExactnessPolicy()):
+    """distance_summary of a connected graph, whose one component is its
+    largest."""
+    return distance_summary(g, connected_components(g), policy)
 
 
 @pytest.fixture

@@ -41,6 +41,7 @@ from conftest import (
     pairs_to_raw_blocks,
     seed_cache,
     star_pairs,
+    summary_of,
 )
 from oracles import (
     add_interaction,
@@ -69,7 +70,7 @@ def star_graph(leaves: int) -> SimpleGraph:
 
 def test_criterion_1_star_anchor():
     start = time.perf_counter()
-    summary = distance_summary(star_graph(18))
+    summary = summary_of(star_graph(18))
     elapsed = time.perf_counter() - start
     assert summary.average_distance == pytest.approx(1.8947, abs=0.005)
     assert summary.diameter == 2
@@ -90,7 +91,7 @@ def test_criterion_2_baseline_anchor():
         # neighbor pair; nodes of degree < 2 carry no closure information
         # and would bias the estimate at this tiny size
         ccs.append(brute_closure_probability(g))
-        l_rgs.append(distance_summary(largest_component(g)).average_distance)
+        l_rgs.append(distance_summary(g, connected_components(g)).average_distance)
     cc_mean = statistics.mean(ccs)
     cc_se = statistics.stdev(ccs) / math.sqrt(trials)
     l_mean = statistics.mean(l_rgs)
@@ -118,7 +119,7 @@ def test_criterion_3_oracle_equivalence():
             assert pairing.setdefault(got, want) == want
         main_comp = largest_component(g, comps)
         if main_comp.n > 1:
-            summary = distance_summary(main_comp)
+            summary = distance_summary(g, comps)
             oracle_avg, oracle_diam = all_pairs_average_and_diameter(main_comp)
             assert summary.average_distance == oracle_avg
             assert summary.diameter == oracle_diam
@@ -167,9 +168,9 @@ def test_criterion_5_gnm_contract():
 def test_criterion_6_random_graph_distance_scaling():
     start = time.perf_counter()
     n, m = 10_000, 50_000
-    g = largest_component(gnm_random_graph(GnmParams(n, m, seed=0)))
+    g = gnm_random_graph(GnmParams(n, m, seed=0))
     policy = ExactnessPolicy(exact_threshold=1000, sample_sources=200, seed=0)
-    measured = distance_summary(g, policy).average_distance
+    measured = distance_summary(g, connected_components(g), policy).average_distance
     expected = math.log(n) / math.log(2 * m / n)
     elapsed = time.perf_counter() - start
     assert abs(measured - expected) / expected < 0.15

@@ -15,6 +15,7 @@ import pytest
 import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
+from chaingraph.graph import SimpleGraph
 from chaingraph.ingest import (CACHE_FORMAT, BlockCache, BlockRecord, JsonRpcEndpoint,
                               parse_block_json)
 
@@ -29,6 +30,7 @@ from conftest import (
     seed_cache,
     star_pairs,
     stub_endpoint,
+    summary_of,
     tx_rows,
 )
 from oracles import LabelKeyedGraph, recipient_node, write_v3_entry
@@ -367,6 +369,29 @@ class TestGraphReleased:
         assert alive == [[], [False], [False, False]]
 
 
+@pytest.mark.parametrize("args,copies", [
+    (["analyze", "--start-block", "1", "--num-blocks", "3"], 0),
+    (["analyze", "--start-block", "1", "--num-blocks", "3", "--exact-threshold", "10",
+      "--sample-sources", "5"], 0),
+    (["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"], 0),
+    (["smallworld", "--start-block", "1", "--num-blocks", "3", "--trials", "3"], 1),
+], ids=["analyze-exact", "analyze-sampled", "snapshots", "smallworld"])
+def test_main_component_copied_only_for_the_smallworld_subject(forest_cache, monkeypatch,
+                                                               args, copies):
+    # Distances run on the main component in place; only smallworld copies
+    # it once, for the subject its clustering and baselines are taken on.
+    sizes = []
+    subgraph = SimpleGraph.subgraph
+
+    def counted(self, node_indices):
+        sizes.append(len(node_indices))
+        return subgraph(self, node_indices)
+
+    monkeypatch.setattr(SimpleGraph, "subgraph", counted)
+    assert run(args, forest_cache) == 0
+    assert sizes == [19] * copies
+
+
 def test_offline_commands_never_load_http_stack(forest_cache):
     # A fresh interpreter: the test process itself has imported requests.
     # Offline runs and a warm online run load neither the HTTP stack nor
@@ -432,10 +457,10 @@ def test_offline_commands_never_load_http_stack(forest_cache):
         "[]", "[]", "1 fetched, 3 cache hits", "['concurrent.futures', 'requests', 'urllib3']"]
 
 
-def test_traced_analyze_counts_the_fixture(forest_cache):
-    # The benchmark's tracer wraps library functions by name; a rename
-    # must fail here, not only in a traced benchmark run. A fresh
-    # interpreter, since install() rebinds names in every chaingraph module.
+def traced_run(cache_root, argv):
+    """Run the CLI under the benchmark's tracer; its counts, firsts and
+    calls per span. A fresh interpreter, since install() rebinds names in
+    every chaingraph module."""
     script = textwrap.dedent("""
         import json
         import sys
@@ -451,9 +476,8 @@ def test_traced_analyze_counts_the_fixture(forest_cache):
                           "calls": calls}))
     """)
     root = Path(__file__).resolve().parent.parent
-    argv = ["analyze", "--exact-threshold", "1000", "--sample-sources", "32",
-            "--start-block", "1", "--num-blocks", "3", "--offline",
-            "--cache-dir", str(forest_cache / "cache"), "--out-dir", str(forest_cache / "out")]
+    argv = list(argv) + ["--offline", "--cache-dir", str(cache_root / "cache"),
+                         "--out-dir", str(cache_root / "out")]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -462,13 +486,40 @@ def test_traced_analyze_counts_the_fixture(forest_cache):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["rc"] == 0
+    return result
+
+
+# The benchmark's tracer wraps library functions by name; a rename must
+# fail here, not only in a traced benchmark run.
+
+def test_traced_analyze_counts_the_fixture(forest_cache):
+    result = traced_run(forest_cache, [
+        "analyze", "--exact-threshold", "1000", "--sample-sources", "32",
+        "--start-block", "1", "--num-blocks", "3"])
     assert result["counts"]["ingest.cache_hits"] == 3
     assert "ingest.cache_misses" not in result["counts"]
-    assert result["firsts"] == {"graph.nodes": 55, "graph.edges": 40,
-                                "metrics.main_component_nodes": 19}
+    assert result["firsts"] == {"graph.nodes": 55, "graph.edges": 40}
     for name in ("ingest.fetch_range", "graph.build_graph", "metrics.distance_summary"):
         assert result["calls"][name] == 1, name
     assert result["calls"]["ingest.cache_get"] == 3
+    # Distances run on the main component in place, without a copy.
+    assert result["calls"]["metrics.largest_component"] == 0
+    assert result["calls"]["graph.subgraph"] == 0
+    assert strip_header(forest_cache / "out" / "distances.csv")[1].split(",")[0] == "19"
+
+
+def test_traced_smallworld_counts_the_subject(star_cache):
+    # smallworld is the one command that copies the main component, so the
+    # only one that feeds metrics.main_component_nodes.
+    result = traced_run(star_cache, [
+        "smallworld", "--trials", "3", "--start-block", "1", "--num-blocks", "1"])
+    assert result["firsts"] == {"graph.nodes": 19, "graph.edges": 18,
+                                "metrics.main_component_nodes": 19}
+    for name in ("metrics.largest_component", "graph.subgraph",
+                 "baseline.small_world_report"):
+        assert result["calls"][name] == 1, name
+    assert result["calls"]["baseline.gnm_random_graph"] == 3
+    assert result["calls"]["metrics.distance_summary"] == 4
 
 
 class TestCliSurface:
@@ -572,6 +623,8 @@ def test_readme_library_snippet_runs():
     g, report, main = namespace["g"], namespace["report"], namespace["main"]
     assert (report.n, report.m, report.largest_component_nodes) == (55, 40, 19)
     assert (main.n, main.m) == (19, 18)
+    # The in-place distances are those of the copy.
+    assert namespace["dist"] == summary_of(main)
     # The names map back onto the 18 edges of one closed component of g.
     inside = {g.labels.index(account) for account in namespace["main_accounts"]}
     touching = [edge for edge in g.edges if inside & set(edge)]

@@ -23,7 +23,7 @@ from chaingraph.metrics import (
     transitivity,
 )
 
-from conftest import addr, forest_blocks, make_block, star_blocks
+from conftest import addr, forest_blocks, make_block, star_blocks, summary_of
 from oracles import (
     all_pairs_average_and_diameter,
     brute_average_local_clustering,
@@ -76,18 +76,40 @@ def hub_clique_graph():
 
 
 @st.composite
-def trees_with_chords(draw, max_nodes=40):
-    """A random tree on 2..max_nodes nodes (each node hangs off an earlier
-    one, so many are leaves) plus up to five extra edges."""
-    n = draw(st.integers(2, max_nodes))
+def trees_with_chords(draw, max_nodes=40, min_nodes=2):
+    """A random tree on min_nodes..max_nodes nodes (each node hangs off an
+    earlier one, so many are leaves) plus up to five extra edges."""
+    n = draw(st.integers(min_nodes, max_nodes))
     edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
     node = st.integers(0, n - 1)
     edges += draw(st.lists(st.tuples(node, node), max_size=5))
     return simple(n, edges)
 
 
+@st.composite
+def disconnected_leaf_heavy(draw):
+    """A tree with chords, sometimes a second one of the same size (a tie
+    for the largest component), isolated edges and vertices, all on
+    shuffled node indices so the components interleave."""
+    parts = [draw(trees_with_chords(max_nodes=20))]
+    if draw(st.booleans()):
+        size = parts[0].n
+        parts.append(draw(trees_with_chords(max_nodes=size, min_nodes=size)))
+    edges = []
+    n = 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in edge_list(part)]
+        n += part.n
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((n, n + 1))
+        n += 2
+    n += draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n)))
+    return simple(n, [(order[u], order[v]) for u, v in edges])
+
+
 def sum_and_max_from_sources(g, sources):
-    return metrics._sum_and_max_from_sources(g, sources, metrics._fold_leaves(g))
+    return metrics._sum_and_max_from_sources(g, sources, g.n, metrics._fold_leaves(g))
 
 
 def per_source_sum_and_max(g, sources):
@@ -271,25 +293,21 @@ class TestClustering:
 
 class TestDistance:
     def test_single_edge(self):
-        summary = distance_summary(simple(2, [(0, 1)]))
+        summary = summary_of(simple(2, [(0, 1)]))
         assert summary.average_distance == 1.0
         assert summary.diameter == 1
         assert summary.l_method == EXACT
 
     def test_path_three_nodes(self):
-        summary = distance_summary(path_graph(3))
+        summary = summary_of(path_graph(3))
         assert summary.average_distance == pytest.approx(4 / 3)
         assert summary.diameter == 2
 
     def test_star_19_nodes_closed_form(self):
         # 18 pairs at distance 1, C(18,2)=153 at distance 2
-        summary = distance_summary(star_graph(18))
+        summary = summary_of(star_graph(18))
         assert summary.average_distance == pytest.approx(324 / 171)
         assert summary.diameter == 2
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            distance_summary(simple(4, [(0, 1), (2, 3)]))
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_no_sample_sources_rejected(self, k):
@@ -300,37 +318,48 @@ class TestDistance:
         g = gnm_random_graph(GnmParams(300, 600, seed=2))
         main = largest_component(g)
         policy = ExactnessPolicy(exact_threshold=10, sample_sources=40, seed=7)
-        summary = distance_summary(main, policy)
+        summary = summary_of(main, policy)
         assert summary.l_method == SAMPLED
         assert summary.diameter_method == LOWER_BOUND
         assert summary.sample_sources == 40
         assert summary.seed == 7
-        exact = distance_summary(main)
+        exact = summary_of(main)
         assert summary.diameter <= exact.diameter
         assert summary.average_distance == pytest.approx(exact.average_distance, rel=0.25)
 
     def test_sampled_with_all_sources_equals_exact(self):
         g = largest_component(gnm_random_graph(GnmParams(60, 90, seed=3)))
-        exact = distance_summary(g, ExactnessPolicy(exact_threshold=10**6))
-        sampled = distance_summary(g, ExactnessPolicy(exact_threshold=1, sample_sources=g.n))
+        exact = summary_of(g, ExactnessPolicy(exact_threshold=10**6))
+        sampled = summary_of(g, ExactnessPolicy(exact_threshold=1, sample_sources=g.n))
         assert sampled.average_distance == exact.average_distance
 
     def test_diameter_at_least_ceil_average(self):
         for seed in range(5):
             g = largest_component(gnm_random_graph(GnmParams(80, 120, seed=seed)))
-            summary = distance_summary(g)
+            summary = summary_of(g)
             assert summary.diameter >= math.ceil(summary.average_distance)
 
     def test_removing_edge_never_decreases_average(self):
         g = simple(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
-        base = distance_summary(g).average_distance
+        base = summary_of(g).average_distance
         without = simple(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert distance_summary(without).average_distance >= base
+        assert summary_of(without).average_distance >= base
 
     def test_single_node(self):
-        summary = distance_summary(simple(1, []))
+        summary = summary_of(simple(1, []))
         assert summary.average_distance == 0.0
         assert summary.diameter == 0
+
+
+# A star with an isolated edge or vertex, two paths with two leaves each,
+# and two paths of 6 and 3 nodes.
+DISCONNECTED = [
+    simple(6, [(0, 1), (0, 2), (0, 3), (4, 5)]),
+    simple(6, [(0, 1), (0, 2), (0, 3)]),
+    simple(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    simple(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8)]),
+]
+DISCONNECTED_IDS = ["isolated-edge", "isolated-vertex", "two-paths", "path6-path3"]
 
 
 class TestMultiSourceBatches:
@@ -347,28 +376,19 @@ class TestMultiSourceBatches:
             main = largest_component(gnm_random_graph(p))
             if main.n < 2:
                 continue
-            summary = distance_summary(main)
+            summary = summary_of(main)
             assert (summary.average_distance, summary.diameter) == \
                 all_pairs_average_and_diameter(main)
 
     def test_sampled_matches_per_source_sum(self):
         main = largest_component(gnm_random_graph(GnmParams(300, 600, seed=2)))
         k = 40
-        summary = distance_summary(
+        summary = summary_of(
             main, ExactnessPolicy(exact_threshold=10, sample_sources=k, seed=7))
         sources = sorted(random.Random(7).sample(range(main.n), k))
         total = sum(sum(frontier_distances(main, s)) for s in sources)
         assert summary.l_method == SAMPLED
         assert summary.average_distance == total / (k * (main.n - 1))
-
-    @pytest.mark.parametrize("policy", [
-        ExactnessPolicy(),
-        ExactnessPolicy(exact_threshold=1, sample_sources=5, seed=1),
-    ])
-    def test_disconnected_rejected(self, policy):
-        g = simple(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8)])
-        with pytest.raises(ValueError, match="connected"):
-            distance_summary(g, policy)
 
     # Leaf folding: the BFS counts degree-1 nodes at their neighbour
     # instead of visiting them, so leaf-heavy graphs get their own cases.
@@ -391,7 +411,7 @@ class TestMultiSourceBatches:
     ], ids=["n2", "n3-path", "n3-triangle", "star3", "star4", "star18",
             "caterpillar-203", "caterpillar-1111", "caterpillar-04025", "hub-clique"])
     def test_leaf_heavy_exact_matches_oracle(self, g):
-        summary = distance_summary(g)
+        summary = summary_of(g)
         assert summary.l_method == EXACT
         assert (summary.average_distance, summary.diameter) == \
             all_pairs_average_and_diameter(g)
@@ -399,7 +419,7 @@ class TestMultiSourceBatches:
     @settings(max_examples=150, deadline=None)
     @given(trees_with_chords())
     def test_exact_matches_oracle_on_trees_with_chords(self, g):
-        summary = distance_summary(g)
+        summary = summary_of(g)
         assert (summary.average_distance, summary.diameter) == \
             all_pairs_average_and_diameter(g)
 
@@ -433,22 +453,53 @@ class TestMultiSourceBatches:
         hubs = [g.adj[s][0] for s in sources if len(g.adj[s]) == 1]
         assert len(hubs) > len(set(hubs))
         assert set(hubs) & set(sources)
-        summary = distance_summary(g, policy)
+        summary = summary_of(g, policy)
         total, _ = per_source_sum_and_max(g, sources)
         assert summary.l_method == SAMPLED
         assert summary.average_distance == total / (k * (g.n - 1))
 
-    @pytest.mark.parametrize("edges", [
-        [(0, 1), (0, 2), (0, 3), (4, 5)],           # a star and an isolated edge
-        [(0, 1), (0, 2), (0, 3)],                   # a star and an isolated vertex
-        [(0, 1), (1, 2), (3, 4), (4, 5)],           # two paths, each with two leaves
-    ], ids=["isolated-edge", "isolated-vertex", "two-paths"])
-    def test_disconnected_leaf_heavy_rejected(self, edges):
-        g = simple(6, edges)
+    @pytest.mark.parametrize("g", DISCONNECTED, ids=DISCONNECTED_IDS)
+    @pytest.mark.parametrize("policy", [
+        ExactnessPolicy(),
+        ExactnessPolicy(exact_threshold=1, sample_sources=3, seed=0),
+    ], ids=["exact", "sampled"])
+    def test_disconnected_gives_largest_component(self, g, policy):
+        summary = distance_summary(g, connected_components(g), policy)
+        assert summary == summary_of(largest_component(g), policy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(disconnected_leaf_heavy())
+    def test_exact_in_place_matches_oracle_on_the_copy(self, g):
+        summary = distance_summary(g, connected_components(g))
+        avg, diameter = all_pairs_average_and_diameter(largest_component(g))
+        assert summary.l_method == EXACT
+        assert (summary.average_distance.hex(), summary.diameter) == (avg.hex(), diameter)
+
+    @settings(max_examples=100, deadline=None)
+    @given(disconnected_leaf_heavy(), st.data())
+    def test_sampled_in_place_matches_per_source_sums(self, g, data):
+        comps = connected_components(g)
+        members = comps.members(comps.largest_id)
+        n = len(members)
+        k = data.draw(st.integers(1, n))
+        policy = ExactnessPolicy(exact_threshold=1, sample_sources=k,
+                                 seed=data.draw(st.integers(0, 99)))
+        summary = distance_summary(g, comps, policy)
+        sources = [members[i] for i in sorted(random.Random(policy.seed).sample(range(n), k))]
+        # Nodes outside the component read -1; a source's own 0 adds nothing.
+        total = sum(d for s in sources for d in frontier_distances(g, s) if d > 0)
+        assert summary.l_method == SAMPLED
+        assert summary.average_distance == total / (k * (n - 1))
+        assert summary.diameter == double_sweep_lower_bound(largest_component(g))
+
+    @pytest.mark.parametrize("g", DISCONNECTED, ids=DISCONNECTED_IDS)
+    def test_components_of_another_graph_rejected(self, g):
+        # The graph with the component labels of the path on its nodes.
+        foreign = connected_components(path_graph(g.n))
         for policy in (ExactnessPolicy(),
                        ExactnessPolicy(exact_threshold=1, sample_sources=3, seed=0)):
             with pytest.raises(ValueError, match="connected"):
-                distance_summary(g, policy)
+                distance_summary(g, foreign, policy)
         for s in range(g.n):
             with pytest.raises(ValueError, match="connected"):
                 sum_and_max_from_sources(g, [s])
@@ -470,10 +521,13 @@ class TestDoubleSweep:
     """The sampled-mode diameter: the sweep over core nodes gives the bound
     of two plain BFS over every node."""
 
-    @pytest.mark.parametrize("g", LEAF_HEAVY, ids=LEAF_HEAVY_IDS)
+    # On a disconnected graph the sweep stays in node 0's component, and a
+    # node the source does not reach is at -1, leaves included.
+    @pytest.mark.parametrize("g", LEAF_HEAVY + DISCONNECTED,
+                             ids=LEAF_HEAVY_IDS + DISCONNECTED_IDS)
     def test_matches_two_bfs_oracle(self, g):
         fold = metrics._fold_leaves(g)
-        assert metrics._double_sweep_lower_bound(fold) == double_sweep_lower_bound(g)
+        assert metrics._double_sweep_lower_bound(fold, 0) == double_sweep_lower_bound(g)
         for s in range(g.n):
             assert metrics._folded_distances(fold, s) == bfs_distances(g, s)
 
@@ -484,19 +538,19 @@ class TestDoubleSweep:
         dist = bfs_distances(g, 0)
         # Node 0 is a leaf too, and the sweep turns round at another leaf.
         assert hub[0] >= 0 and hub[dist.index(max(dist))] >= 0
-        assert metrics._double_sweep_lower_bound(fold) == 3
+        assert metrics._double_sweep_lower_bound(fold, 0) == 3
 
     @settings(max_examples=200, deadline=None)
     @given(trees_with_chords())
     def test_matches_two_bfs_oracle_on_trees_with_chords(self, g):
         fold = metrics._fold_leaves(g)
-        assert metrics._double_sweep_lower_bound(fold) == double_sweep_lower_bound(g)
+        assert metrics._double_sweep_lower_bound(fold, 0) == double_sweep_lower_bound(g)
         for s in (0, g.n - 1, g.n // 2):
             assert metrics._folded_distances(fold, s) == bfs_distances(g, s)
 
     def test_sampled_diameter_uses_the_sweep(self):
         g = caterpillar([3, 0, 2, 4, 1])
-        summary = distance_summary(g, ExactnessPolicy(exact_threshold=1, sample_sources=3))
+        summary = summary_of(g, ExactnessPolicy(exact_threshold=1, sample_sources=3))
         assert summary.diameter_method == LOWER_BOUND
         assert summary.diameter == double_sweep_lower_bound(g) == 6
 

@@ -79,7 +79,7 @@ def test_matches_networkx(g):
     # A copy: networkx's shortest paths run several times slower on a view.
     H = G.subgraph(main_nodes).copy()
     assert (main.n, main.m) == (H.number_of_nodes(), H.number_of_edges())
-    summary = distance_summary(main)
+    summary = distance_summary(g, comps)
     assert summary.l_method == EXACT
     assert summary.average_distance == pytest.approx(
         nx.average_shortest_path_length(H), rel=1e-12)
