@@ -81,7 +81,9 @@ def _pair_at(k: int, n: int) -> tuple[int, int]:
 
 def gnm_random_graph(params: GnmParams) -> SimpleGraph:
     """Uniform G(n,m): exactly m distinct loop-free edges; same seed,
-    same graph."""
+    same graph. Above _ENUMERATE_LIMIT pairs the draw is defined by
+    getrandbits alone: each endpoint is getrandbits(n.bit_length()),
+    redrawn while >= n, the calls that randrange(n) makes."""
     rng = random.Random(params.seed)
     n, m = params.n, params.m
     max_edges = n * (n - 1) // 2
@@ -90,10 +92,16 @@ def gnm_random_graph(params: GnmParams) -> SimpleGraph:
         # are the pairs that sampling the enumerated pair list would give.
         edges = [_pair_at(k, n) for k in rng.sample(range(max_edges), m)]
         return SimpleGraph(_sorted_adjacency(n, edges), m)
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        u = getrandbits(k)
+        while u >= n:
+            u = getrandbits(k)
+        v = getrandbits(k)
+        while v >= n:
+            v = getrandbits(k)
         if u == v:
             continue
         chosen.add((u, v) if u < v else (v, u))
@@ -128,6 +136,8 @@ def small_world_report(subject: SimpleGraph, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     components = connected_components(subject)
     if components.num_components != 1:
         raise ValueError("subject graph must be non-empty and connected")

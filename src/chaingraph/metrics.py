@@ -45,6 +45,9 @@ class ExactnessPolicy:
     def __post_init__(self):
         if self.sample_sources < 1:
             raise ValueError(f"sample_sources must be >= 1, got {self.sample_sources}")
+        # random.Random(-s) is Random(s): a negative seed would repeat a positive one.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -279,27 +282,29 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int], n: int,
                 seeds[p] = seeds.get(p, 0) | 1 << i
                 leaf_sources += 1
         # Leaves reached at the next level.
-        next_leaves = sum(leaves[v] * bits.bit_count() for v, bits in frontier.items())
+        next_leaves = sum(leaves[v] * b.bit_count() for v, b in frontier.items() if leaves[v])
         level = 0
         while frontier or seeds or next_leaves:
             level += 1
             touched, seeds = seeds, {}
+            get = touched.get
             for v, bits in frontier.items():
                 for u in core_adj[v]:
-                    touched[u] = touched.get(u, 0) | bits
+                    touched[u] = get(u, 0) | bits
             frontier = {}
-            added = next_leaves
+            for u, bits in touched.items():
+                # bits | old, unlike bits & ~old, builds no negative int.
+                old = seen[u]
+                grown = bits | old
+                if grown != old:
+                    seen[u] = grown
+                    frontier[u] = grown ^ old
+            added = next_leaves + sum(map(int.bit_count, frontier.values()))
             # At level 2 each leaf source is among its hub's leaves, but a
             # source does not reach itself.
-            next_leaves = -leaf_sources if level == 1 else 0
-            for u, bits in touched.items():
-                new = bits & ~seen[u]
-                if new:
-                    seen[u] |= new
-                    frontier[u] = new
-                    count = new.bit_count()
-                    added += count
-                    next_leaves += leaves[u] * count
+            next_leaves = sum(leaves[u] * b.bit_count() for u, b in frontier.items()
+                              if leaves[u]) - leaf_sources
+            leaf_sources = 0
             if added:
                 total += level * added
                 reached += added

@@ -91,7 +91,13 @@ class TestGnm:
         pairs = random.Random(seed).sample(list(combinations(range(n), 2)), m)
         assert gnm_random_graph(GnmParams(n, m, seed)) == set_from_edges(n, pairs)
 
-    @pytest.mark.parametrize("n,m,seed", [(1001, 1600, 6), (1500, 3000, 8)])
+    # 1024 and 2047 are the ends of one bit length, where the most and the
+    # fewest draws of getrandbits are redrawn; 1093 is the size of the
+    # benchmark's smallworld subject, with its first trial's seed.
+    @pytest.mark.parametrize("n,m,seed", [
+        (1001, 1600, 6), (1500, 3000, 8), (1024, 2000, 9), (2047, 3000, 10),
+        (1093, 1711, trial_seed(42, 0)),
+    ])
     def test_rejection_draw_above_limit(self, n, m, seed):
         assert n * (n - 1) // 2 > _ENUMERATE_LIMIT
         rng = random.Random(seed)

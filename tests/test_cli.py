@@ -267,6 +267,17 @@ def test_zero_sample_sources_refused_before_any_output(forest_cache, capsys, arg
     assert not (forest_cache / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "--start-block", "1", "--num-blocks", "3"],
+    ["smallworld", "--start-block", "1", "--num-blocks", "3"],
+])
+def test_negative_seed_refused_before_any_output(forest_cache, capsys, args):
+    # random.Random(-1) is Random(1): --seed -1 would repeat --seed 1's draws.
+    assert run(args + ["--seed", "-1"], forest_cache) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not (forest_cache / "out").exists()
+
+
 def test_zero_trials_refused_before_loading(tmp_path, capsys):
     (tmp_path / "cache").mkdir()
     assert run(["smallworld", "--start-block", "1", "--trials", "0"], tmp_path) == 1

@@ -314,6 +314,10 @@ class TestDistance:
         with pytest.raises(ValueError, match="sample_sources must be >= 1"):
             ExactnessPolicy(sample_sources=k)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExactnessPolicy(seed=-1)
+
     def test_sampled_mode_and_labels(self):
         g = gnm_random_graph(GnmParams(300, 600, seed=2))
         main = largest_component(g)
@@ -432,6 +436,19 @@ class TestMultiSourceBatches:
     ])
     def test_chosen_sources_match_per_source_sums(self, sources):
         g = hub_clique_graph()
+        assert sum_and_max_from_sources(g, sources) == \
+            per_source_sum_and_max(g, sources)
+
+    # One batch holds a hub and two or more of its leaves, plus a leaf of
+    # another hub on the clique: leaves of one hub reach each other at
+    # level 2, where the leaf-source correction applies.
+    @pytest.mark.parametrize("g,sources", [
+        (hub_clique_graph(), [0, 5, 6, 10]),
+        (star_graph(6), [0, 1, 2, 3]),
+    ], ids=["hub-clique", "star6"])
+    @pytest.mark.parametrize("batch", [4096, 1])
+    def test_leaf_sources_in_one_batch(self, monkeypatch, g, sources, batch):
+        monkeypatch.setattr(metrics, "_MSBFS_BATCH", batch)
         assert sum_and_max_from_sources(g, sources) == \
             per_source_sum_and_max(g, sources)
 
