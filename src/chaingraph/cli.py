@@ -146,7 +146,6 @@ def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
 
 
 class _Snapshot(NamedTuple):
-    spec: SnapshotSpec
     simple: SimpleGraph
     comps: ComponentSet
 
@@ -160,7 +159,7 @@ def _snapshot(cfg: RunConfig, spec: SnapshotSpec,
     if graph_outputs is not None:
         graph_outputs(g)
     del g
-    return _Snapshot(spec, simple, connected_components(simple))
+    return _Snapshot(simple, connected_components(simple))
 
 
 def _main_component(simple: SimpleGraph, comps: ComponentSet,
@@ -199,7 +198,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         _write_csv(cfg, "degree_weighted.csv", ["degree", "count"], sorted(weighted.items()))
         _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
 
-    spec, simple, comps = _snapshot(cfg, cfg.snapshots[0], graph_outputs)
+    spec = cfg.snapshots[0]
+    simple, comps = _snapshot(cfg, spec, graph_outputs)
     nodes_main, _, summary = _main_component(simple, comps, policy)
     dist_row = [nodes_main, summary.average_distance, summary.diameter, summary.l_method,
                 summary.diameter_method, summary.sample_sources, summary.seed]
@@ -224,7 +224,7 @@ def cmd_smallworld(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     spec = cfg.snapshots[0]
-    _, simple, comps = _snapshot(cfg, spec)
+    simple, comps = _snapshot(cfg, spec)
     main = largest_component(simple, comps)
     del simple, comps  # the comparison reads the main component alone
     if main.m == 0:
@@ -251,7 +251,7 @@ def cmd_snapshots(cfg: RunConfig) -> int:
     rows: list[list] = []
     for spec in cfg.snapshots:
         try:
-            _, simple, comps = _snapshot(cfg, spec)
+            simple, comps = _snapshot(cfg, spec)
             nodes_main, edges_main, summary = _main_component(simple, comps, policy)
             rows.append([spec.start_block, spec.count, simple.n, nodes_main, simple.m,
                          edges_main, comps.num_components, summary.average_distance])

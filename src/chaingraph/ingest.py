@@ -12,10 +12,8 @@ and ``_unpack`` turns a body into a record. It builds every
 write), and nothing turns a record back into bytes.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
-as raw bytes, so a load checks lengths, not every hex character. Entries
-in format 3, which also stored each transaction's value, are verified on
-first load and their format-4 prefix is written back; older entries are
-corrupt.
+as raw bytes, so a load checks lengths, not every hex character. An entry
+in any other format is corrupt, and a read never writes.
 
 A ``BlockRecord`` holds its transactions column-wise, in the cache's own
 layout: the sender and recipient columns as 0x strings, which the graph
@@ -97,17 +95,10 @@ MAX_UINT64 = 2**64 - 1
 # exactly what n and the creation count imply, and the creation list. It
 # accepts exactly the bodies that _block_body writes. A changed byte of a hash
 # leaves the body of another block, which only the checksum tells apart.
-#
-# Format 3, read only to migrate it, is format 4 followed by the values:
-# lowercase hex without prefix or leading zeros, separated by single
-# spaces (empty when n = 0). _unpack accepts a format-3 body only if its
-# value text matches _VALUES_RE and splits into exactly n fields.
+# This is the only format the cache reads: an entry in any other is corrupt.
 CACHE_FORMAT = b"chaingraph-block/4"
-_FORMAT_3 = b"chaingraph-block/3"
 _HEAD = struct.Struct(">QQI32s20s")
 _U32 = struct.Struct(">I")
-_VALUE = rb"(?:0|[1-9a-f][0-9a-f]{0,63})"
-_VALUES_RE = re.compile(_VALUE + rb"(?: " + _VALUE + rb")*")
 _NO_RECIPIENT = "0x" + "00" * 20
 _NO_RECIPIENT_FOR = {None: _NO_RECIPIENT}
 
@@ -348,7 +339,7 @@ def parse_block_json(obj: dict) -> BlockRecord:
     All hex quantities are decoded, addresses are canonicalized to
     lowercase, and transaction order is preserved.
     """
-    return _unpack(_block_body(obj), False)[0]
+    return _unpack(_block_body(obj))
 
 
 class JsonRpcEndpoint:
@@ -421,13 +412,10 @@ def _hex_column(data: bytes, width: int) -> list[str]:
     return ("0x" + data.hex(" ", width).replace(" ", " 0x")).split(" ")
 
 
-def _unpack(body: bytes, with_values: bool) -> tuple[BlockRecord, int]:
-    # A format-4 body, or with_values a format-3 one, checked column-wise,
-    # as its record and the offset where a format-3 value text begins (the
-    # end of a format-4 body); ValueError names the first part that is not
-    # as _block_body writes it. Only the two address columns are decoded:
-    # the tx hashes are kept as stored, and a value text is checked, then
-    # dropped.
+def _unpack(body: bytes) -> BlockRecord:
+    # A format-4 body, checked column-wise, as its record; ValueError names
+    # the first part that is not as _block_body writes it. Only the two
+    # address columns are decoded: the tx hashes are kept as stored.
     size = len(body)
     if size < _HEAD.size + _U32.size:
         raise ValueError("body shorter than its header")
@@ -437,7 +425,7 @@ def _unpack(body: bytes, with_values: bool) -> tuple[BlockRecord, int]:
     if n == 0:
         if body[_HEAD.size:] != bytes(_U32.size):
             raise ValueError("a block without transactions has more than its header")
-        return BlockRecord(number, block_hash, timestamp, miner, (), (), b""), size
+        return BlockRecord(number, block_hash, timestamp, miner, (), (), b"")
     senders_at = _HEAD.size + 32 * n
     creations_at = senders_at + 40 * n
     if size < creations_at + _U32.size:
@@ -446,11 +434,7 @@ def _unpack(body: bytes, with_values: bool) -> tuple[BlockRecord, int]:
     end = creations_at + _U32.size * (1 + created)
     if size < end:
         raise ValueError(f"body too short for {created} contract creations")
-    if with_values:
-        values = body[end:]
-        if _VALUES_RE.fullmatch(values) is None or values.count(b" ") != n - 1:
-            raise ValueError(f"value text is not {n} lowercase hex values")
-    elif size != end:
+    if size != end:
         raise ValueError(f"body longer than {n} transactions and {created} creations")
     creations = struct.unpack_from(f">{created}I", body, creations_at + _U32.size)
     addresses = _hex_column(body[senders_at:creations_at], 20)
@@ -463,7 +447,7 @@ def _unpack(body: bytes, with_values: bool) -> tuple[BlockRecord, int]:
         for i in creations:
             recipients[i] = None
     return BlockRecord(number, block_hash, timestamp, miner, tuple(addresses[:n]),
-                       tuple(recipients), body[_HEAD.size:senders_at]), end
+                       tuple(recipients), body[_HEAD.size:senders_at])
 
 
 class BlockCache:
@@ -474,13 +458,12 @@ class BlockCache:
     resume and replays never hit the network. ``store`` checks a JSON-RPC
     result straight into the body it writes and returns the record that
     body loads as; ``get`` is the one read, and returns None on a miss.
-    Every read checks the entry. Writes are atomic: each writer writes a
-    temp file of its own, then renames it. The directory is made by the
-    first store, so a command that only reads leaves nothing behind. A
-    format-3 entry is verified and its format-4 prefix, all but the value
-    text, is written back on first load; a read-only cache keeps serving
-    it. Entries in any other format are corrupt. Files keep the ``.json``
-    name of the oldest format.
+    Every read checks the entry, and a read never writes: an entry in any
+    format but ``CACHE_FORMAT`` is corrupt, to be refetched by
+    ``fetch_range`` or refused offline. Writes are atomic: each writer writes a temp file of its own,
+    then renames it. The directory is made by the first store, so a
+    command that only reads leaves nothing behind. Files keep the
+    ``.json`` name of the oldest format.
     """
 
     def __init__(self, directory):
@@ -501,7 +484,7 @@ class BlockCache:
         A malformed result, or one for another block, raises
         BlockParseError and writes nothing."""
         body = _block_body(result)
-        block = _unpack(body, False)[0]
+        block = _unpack(body)
         if block.number != number:
             raise BlockParseError("number", f"expected block {number}, got {block.number}")
         # Made by the first store, so that a command that only reads leaves
@@ -543,23 +526,17 @@ class BlockCache:
         except FileNotFoundError:
             return None
         name, _, checksum = header.partition(b" ")
-        migrate = name == _FORMAT_3
-        if name != CACHE_FORMAT and not migrate:
+        if name != CACHE_FORMAT:
             found = name[:40].decode("ascii", "replace")
             raise CacheCorruptError(f"{path}: unknown format {found!r}")
         if checksum != b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii"):
             raise CacheCorruptError(f"{path}: checksum mismatch")
         try:
-            block, end = _unpack(body, migrate)
+            block = _unpack(body)
         except ValueError as exc:
             raise CacheCorruptError(f"{path}: malformed block fields: {exc}") from exc
         if block.number != number:
             raise CacheCorruptError(f"{path}: holds block {block.number}, not {number}")
-        if migrate:
-            try:
-                self._write(number, body[:end])
-            except OSError:
-                pass  # a read-only cache keeps serving the old entry
         return block
 
 

@@ -1,7 +1,7 @@
 """Brute-force reference implementations used only to check the fast paths,
 the Pajek reader that checks export_pajek, the cache-entry writers that
-check the block cache's format and its migration, and small graph and RPC
-helpers that only the tests need.
+check the block cache's format, and small graph and RPC helpers that only
+the tests need.
 
 The references deliberately avoid the library's algorithms: components
 via flood-fill over an edge set, clustering via exhaustive triple/pair
@@ -16,9 +16,7 @@ from itertools import combinations
 
 from chaingraph.baseline import GnmParams
 from chaingraph.graph import SimpleGraph, TransactionGraph
-from chaingraph.ingest import parse_block_json, parse_quantity
-
-FORMAT_3 = b"chaingraph-block/3"
+from chaingraph.ingest import parse_quantity
 
 
 def chain_head(endpoint):
@@ -48,20 +46,6 @@ def record_encode(block):
     for i in creations:
         out += struct.pack(">I", i)
     return out
-
-
-def encode_v3(block, values):
-    """A format-3 cache entry body: the format-4 body of ``block``, then
-    its transactions' ``values`` in lowercase hex without prefix or
-    leading zeros, separated by single spaces. The writer of the format-3
-    entries that the migration tests load."""
-    return record_encode(block) + " ".join(format(v, "x") for v in values).encode("ascii")
-
-
-def write_v3_entry(path, result):
-    """Write the format-3 cache entry of a JSON-RPC block result."""
-    values = [parse_quantity(tx.get("value", "0x0"), "value") for tx in result["transactions"]]
-    write_entry(path, encode_v3(parse_block_json(result), values), FORMAT_3)
 
 
 def add_node(g, label):

@@ -16,8 +16,7 @@ import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
 from chaingraph.graph import SimpleGraph
-from chaingraph.ingest import (CACHE_FORMAT, BlockCache, BlockRecord, JsonRpcEndpoint,
-                              parse_block_json)
+from chaingraph.ingest import BlockCache, BlockRecord, JsonRpcEndpoint, parse_block_json
 
 from conftest import (
     MockEndpoint,
@@ -33,7 +32,7 @@ from conftest import (
     summary_of,
     tx_rows,
 )
-from oracles import LabelKeyedGraph, recipient_node, write_v3_entry
+from oracles import LabelKeyedGraph, recipient_node, record_encode, write_entry
 
 
 def strip_header(path, comment="#"):
@@ -792,49 +791,72 @@ class TestPinnedOutputs:
         pairs += [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]), (tri[2], addr(0xE3))]
         return pairs
 
+    @classmethod
+    def runs(cls, fixture):
+        """The argv of each pinned run on ``fixture``, by run name."""
+        count = cls.NUM_BLOCKS[fixture]
+        runs = {name: argv + ["--start-block", "1", "--num-blocks", str(count)]
+                for name, argv in cls.COMMANDS.items()}
+        runs["snapshots"] = ["snapshots"] + [
+            arg for spec in cls.SNAPSHOTS[fixture] for arg in ("--snapshot", spec)]
+        return runs
+
     @pytest.mark.parametrize("fixture", ["star", "forest", "mixed"])
     def test_output_digests(self, fixture, tmp_path):
         pairs = {"star": star_pairs, "forest": forest_pairs,
                  "mixed": self.mixed_pairs}[fixture]()
         count = self.NUM_BLOCKS[fixture]
         seed_cache(tmp_path / "cache", pairs_to_raw_blocks(pairs, start=1, num_blocks=count))
-        runs = {name: argv + ["--start-block", "1", "--num-blocks", str(count)]
-                for name, argv in self.COMMANDS.items()}
-        runs["snapshots"] = ["snapshots"] + [
-            arg for spec in self.SNAPSHOTS[fixture] for arg in ("--snapshot", spec)]
         digests = {}
-        for name, argv in runs.items():
+        for name, argv in self.runs(fixture).items():
             assert run(argv, tmp_path, out=name) == 0, name
             for path in sorted((tmp_path / name).iterdir()):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.EXPECTED[fixture]
 
-    def test_format_3_cache_upgraded(self, tmp_path):
-        # A cache written in format 3 gives the pinned outputs offline, is
-        # rewritten in the current format by the first run, and a second
-        # run gives the same bytes.
-        (tmp_path / "cache").mkdir()
-        cache = BlockCache(tmp_path / "cache")
-        for number, raw in pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3).items():
-            write_v3_entry(cache.path(number), raw)
-        runs = [(name, self.COMMANDS[name] + ["--start-block", "1", "--num-blocks", "3"])
-                for name in ("analyze-exact", "analyze-sampled")]
-        outputs = []
-        for again in ("", "-again"):
-            files = {}
-            for name, argv in runs:
-                assert run(argv, tmp_path, out=name + again) == 0, name
-                for path in sorted((tmp_path / (name + again)).iterdir()):
-                    files[f"{name}/{path.name}"] = path.read_bytes()
-            entries = {path.name: path.read_bytes() for path in cache.directory.iterdir()}
-            assert len(entries) == 3
-            assert all(entry.startswith(CACHE_FORMAT + b" ") for entry in entries.values())
-            outputs.append((files, entries))
-        assert outputs[0] == outputs[1]
-        files = outputs[0][0]
-        assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == {
-            name: digest for name, digest in self.EXPECTED["mixed"].items()
-            if name.startswith("analyze-")}
+    def write_format_3_cache(self, directory):
+        """The mixed fixture's blocks as format 3 stored them: the format-4
+        body, then the transactions' values in hex. Returns the blocks."""
+        raw_blocks = pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3)
+        directory.mkdir()
+        cache = BlockCache(directory)
+        for number, raw in raw_blocks.items():
+            values = " ".join("0" for _ in raw["transactions"]).encode()
+            write_entry(cache.path(number), record_encode(parse_block_json(raw)) + values,
+                        b"chaingraph-block/3")
+        return raw_blocks
+
+    @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
+    def test_format_3_cache_refused_offline(self, name, tmp_path, capsys):
+        # Format 3 is no longer read: offline, every command names the
+        # first entry and fails, writes no output and leaves the cache as
+        # it is.
+        self.write_format_3_cache(tmp_path / "cache")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+        assert run(self.runs("mixed")[name], tmp_path, out=name) == 1
+        path = BlockCache(tmp_path / "cache").path(1)
+        assert f"{path}: unknown format 'chaingraph-block/3'" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
+
+    @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
+    def test_format_3_cache_refetched(self, name, tmp_path, monkeypatch):
+        # Online, every command refetches each format-3 entry once, gives
+        # the pinned outputs, and leaves the cache as a fresh fetch does.
+        raw_blocks = self.write_format_3_cache(tmp_path / "cache")
+        endpoint = MockEndpoint(raw_blocks)
+        monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
+        argv = self.runs("mixed")[name] + ["--cache-dir", str(tmp_path / "cache"),
+                                           "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+        assert sorted(endpoint.block_calls()) == [1, 2, 3]
+        digests = {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / name).iterdir()}
+        assert digests == {key: digest for key, digest in self.EXPECTED["mixed"].items()
+                           if key.startswith(name + "/")}
+        seed_cache(tmp_path / "fresh", raw_blocks)
+        entries = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+        assert entries == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
 
     def test_degree_histograms_match_oracle(self, tmp_path):
         # degree.csv and degree_weighted.csv against the label-keyed

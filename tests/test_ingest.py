@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -34,7 +35,7 @@ from chaingraph.ingest import (
 
 from conftest import (FIXTURES, MockEndpoint, StubSession, TxDict, addr, block_from_rows,
                       raw_block, raw_tx, rpc_transactions, stub_endpoint, tx_hash, tx_rows)
-from oracles import FORMAT_3, chain_head, encode_v3, record_encode, write_entry
+from oracles import chain_head, record_encode, write_entry
 
 
 def per_transaction(txs):
@@ -408,7 +409,6 @@ def _hex_bytes(size: int) -> st.SearchStrategy[str]:
 
 
 _uint64 = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
-_values = st.one_of(st.sampled_from([0, 1, 2**256 - 1]), st.integers(0, 2**256 - 1))
 _creations = st.tuples(_hex_bytes(32), _hex_bytes(20), st.none())
 _transfers = st.tuples(_hex_bytes(32), _hex_bytes(20), _hex_bytes(20))
 
@@ -429,13 +429,6 @@ def v4_body(number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"), creations=(1
             + b"".join(bytes([i]) * 20 for i in (2, 5, 8))
             + b"".join(r * 20 for r in recipients)
             + struct.pack(f">I{len(creations)}I", len(creations), *creations))
-
-
-def v3_body(values=b"ff 0 1", **parts) -> bytes:
-    """``v4_body(**parts)`` as format 3 stored it: followed by the value
-    text. The last value has one digit, so no cut of the body is the body
-    of another block."""
-    return v4_body(**parts) + values
 
 
 class TestCache:
@@ -558,57 +551,55 @@ class TestCache:
                            match=f"{cache.path(12)}: unknown format 'chaingraph-block/9'"):
             cache.get(12)
 
-    def test_v3_reference_body_loads(self, tmp_path):
-        # A format-3 entry loads as its block and is rewritten exactly as a
-        # fresh store of that block writes it.
-        (tmp_path / "old").mkdir()
-        cache, fresh = BlockCache(tmp_path / "old"), BlockCache(tmp_path / "new")
-        write_entry(cache.path(12), v3_body(), FORMAT_3)
-        block = cache.get(12)
-        assert block.recipients == ("0x" + "21" * 20, None, "0x" + "00" * 20)
-        assert record_encode(block) == v4_body()
-        fresh.store(12, rpc_result(block))
-        assert cache.path(12).read_bytes() == fresh.path(12).read_bytes()
-        assert cache.get(12) == block
-        # A zero slot outside the creation list is the zero address.
-        write_entry(cache.path(12), v3_body(creations=()), FORMAT_3)
-        assert cache.get(12).recipients[1] == "0x" + "00" * 20
+    _DIGEST = hashlib.sha256(v4_body()).hexdigest().encode()
 
-    @pytest.mark.parametrize("header,body", [(FORMAT_3, v3_body()), (CACHE_FORMAT, v4_body())],
-                             ids=["v3", "v4"])
-    def test_every_cut_refused(self, tmp_path, header, body):
+    @pytest.mark.parametrize("header,message", [
+        (CACHE_FORMAT, "checksum mismatch"),
+        (CACHE_FORMAT + b" " + _DIGEST, "checksum mismatch"),
+        (CACHE_FORMAT + b" sha1:" + _DIGEST, "checksum mismatch"),
+        (CACHE_FORMAT + b" sha256:" + _DIGEST.upper(), "checksum mismatch"),
+        (CACHE_FORMAT + b" sha256:" + _DIGEST[:-1], "checksum mismatch"),
+        (CACHE_FORMAT + b"  sha256:" + _DIGEST, "checksum mismatch"),
+        (CACHE_FORMAT + b" sha256:" + _DIGEST + b" ", "checksum mismatch"),
+        (CACHE_FORMAT + b" sha256:" + _DIGEST + b"\r", "checksum mismatch"),
+        (CACHE_FORMAT + b" sha256:" + hashlib.sha256(v4_body(number=13)).hexdigest().encode(),
+         "checksum mismatch"),
+        (b"", "unknown format ''"),
+        (b"Chaingraph-block/4 sha256:" + _DIGEST, "unknown format 'Chaingraph-block/4'"),
+        (b"chaingraph-block/40 sha256:" + _DIGEST, "unknown format 'chaingraph-block/40'"),
+        (b"chaingraph-block/4\tsha256:" + _DIGEST,
+         "unknown format " + repr("chaingraph-block/4\tsha256:" + _DIGEST[:14].decode())),
+        (b"chaingraph-block/4" + b"x" * 30, "unknown format 'chaingraph-block/4" + "x" * 22 + "'"),
+        (b"chaingraph-block/\xff sha256:" + _DIGEST, "unknown format 'chaingraph-block/�'"),
+    ], ids=["no-checksum", "bare-digest", "sha1", "uppercase-digest", "short-digest",
+            "two-spaces", "trailing-space", "crlf", "digest-of-another-body", "no-header",
+            "uppercase-name", "longer-name", "tab-separated", "name-cut-at-40", "non-ascii-name"])
+    def test_malformed_header_refused(self, tmp_path, header, message):
+        # Only the exact header that store writes is read: any other is
+        # refused with what is wrong, at most 40 characters of the name,
+        # and the entry is left as it is.
         cache = BlockCache(tmp_path)
+        cache.path(12).write_bytes(header + b"\n" + v4_body())
+        before = cache.path(12).read_bytes()
+        exact = f"^{re.escape(f'{cache.path(12)}: {message}')}$"
+        with pytest.raises(CacheCorruptError, match=exact):
+            cache.get(12)
+        assert cache.path(12).read_bytes() == before
+
+    def test_every_cut_refused(self, tmp_path):
+        cache = BlockCache(tmp_path)
+        body = v4_body()
         for size in range(len(body)):
-            write_entry(cache.path(12), body[:size], header)
+            write_entry(cache.path(12), body[:size], CACHE_FORMAT)
             with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
                 cache.get(12)
 
-    @pytest.mark.parametrize("header,body", [(FORMAT_3, body) for body in [
-        v3_body() + b" ",                                   # extended
-        v3_body() + b"\n",
-        v3_body() + b" 0",
-        v3_body().replace(b"ff 0 1", bytes(4) + b"ff 0 1"),  # longer creation list
-        v3_body(n=0), v3_body(n=2), v3_body(n=4),           # wrong tx count
-        v3_body(n=0)[:72] + bytes(4) + b"0",                # a value without a tx
-        v3_body(recipients=(b"\x00",) * 3, creations=(1, 0)),  # unsorted
-        v3_body(creations=(1, 1)),                          # duplicated
-        v3_body(creations=(3,)),                            # out of range
-        v3_body(creations=(1, 2**32 - 1)),
-        v3_body(creations=(0,)),                            # non-zero slot
-        v3_body(values=b"ff 00 1"),                         # leading zero
-        v3_body(values=b"0ff 0 1"),
-        v3_body(values=b"ff 0 1" + b"0" * 64),              # 65 digits
-        v3_body(values=b"fg 0 1"),                          # non-hex
-        v3_body(values=b"FF 0 1"),
-        v3_body(values=b"ff  0 1"),
-        v3_body(values=b"ff 0"),                            # too few values
-        v3_body(number=13),                                 # another block
-    ]] + [(CACHE_FORMAT, body) for body in [
+    @pytest.mark.parametrize("body", [
         v4_body() + b" ",                                   # extended
         v4_body() + b"0",
         v4_body() + b"\n",
         v4_body() + bytes(4),
-        v3_body(),                                          # values, as format 3 had
+        v4_body() + b"ff 0 1",                              # values, as format 3 had
         v4_body(n=0), v4_body(n=2), v4_body(n=4),           # wrong tx count
         v4_body(n=0)[:72] + bytes(4) + b"0",                # a byte without a tx
         v4_body(recipients=(b"\x00",) * 3, creations=(1, 0)),  # unsorted
@@ -617,42 +608,14 @@ class TestCache:
         v4_body(creations=(1, 2**32 - 1)),
         v4_body(creations=(0,)),                            # non-zero slot
         v4_body(number=13),                                 # another block
-    ]])
-    def test_malformed_body_with_valid_checksum(self, tmp_path, header, body):
-        # Refused, and left as it is: only an entry that loads is rewritten.
+    ])
+    def test_malformed_body_with_valid_checksum(self, tmp_path, body):
+        # Refused, and left as it is.
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), body, header)
+        write_entry(cache.path(12), body, CACHE_FORMAT)
         before = cache.path(12).read_bytes()
         with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
             cache.get(12)
-        assert cache.path(12).read_bytes() == before
-
-    @given(block=block_records(), data=st.data())
-    def test_v3_entry_rewritten_as_stored(self, block, data):
-        # A format-3 entry, whatever its values, loads as the same record
-        # and is rewritten byte-identical to what store writes for the block.
-        n = len(block.senders)
-        values = data.draw(st.lists(_values, min_size=n, max_size=n))
-        with tempfile.TemporaryDirectory() as old, tempfile.TemporaryDirectory() as new:
-            cache = BlockCache(old)
-            path = cache.path(block.number)
-            write_entry(path, encode_v3(block, values), FORMAT_3)
-            assert cache.get(block.number) == block
-            stored = BlockCache(new)
-            stored.store(block.number, rpc_result(block))
-            assert path.read_bytes() == stored.path(block.number).read_bytes()
-            assert cache.get(block.number) == block
-
-    def test_v3_entry_served_when_cache_read_only(self, tmp_path, monkeypatch):
-        cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), v3_body(), FORMAT_3)
-        before = cache.path(12).read_bytes()
-
-        def refuse(number, body):
-            raise PermissionError("read-only")
-
-        monkeypatch.setattr(cache, "_write", refuse)
-        assert record_encode(cache.get(12)) == v4_body()
         assert cache.path(12).read_bytes() == before
 
     def test_entry_of_another_block_refused(self, tmp_path):
@@ -662,11 +625,39 @@ class TestCache:
         with pytest.raises(CacheCorruptError, match="holds block 12, not 13"):
             cache.get(13)
 
-    def test_reads_make_no_directory(self, tmp_path):
-        # A mistyped directory is not made by a command that only reads.
+    def test_reads_never_write(self, tmp_path, monkeypatch):
+        # A read opens no file for writing and renames none, whatever it
+        # finds: a miss, a valid entry, a corrupt one or one of an old
+        # format. A miss does not make a mistyped directory either.
         cache = BlockCache(tmp_path / "cache")
-        assert cache.get(12) is None
-        assert not cache.directory.exists()
+        cache.directory.mkdir()
+        write_entry(cache.path(12), v4_body(), CACHE_FORMAT)
+        write_entry(cache.path(13), v4_body(number=13), CACHE_FORMAT)
+        cache.path(13).write_bytes(cache.path(13).read_bytes()[:-1] + b"\x02")
+        write_entry(cache.path(14), v4_body(number=14) + b"ff 0 1", b"chaingraph-block/3")
+        before = {p.name: p.read_bytes() for p in cache.directory.iterdir()}
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("open", "replace"):
+            monkeypatch.setattr(f"chaingraph.ingest.os.{name}", spy(name, getattr(os, name)))
+        mistyped = BlockCache(tmp_path / "mistyped")
+        assert mistyped.get(12) is None
+        assert cache.get(11) is None
+        # The second transaction is a creation; the third pays the zero address.
+        assert cache.get(12).recipients == ("0x" + "21" * 20, None, "0x" + "00" * 20)
+        with pytest.raises(CacheCorruptError, match="checksum mismatch"):
+            cache.get(13)
+        with pytest.raises(CacheCorruptError, match="unknown format 'chaingraph-block/3'"):
+            cache.get(14)
+        assert calls == []
+        assert not mistyped.directory.exists()
+        assert {p.name: p.read_bytes() for p in cache.directory.iterdir()} == before
 
     def test_refused_store_makes_no_directory(self, tmp_path):
         # The directory is made by the first write, not by a store that
@@ -802,15 +793,19 @@ class TestFetchRange:
         with pytest.raises(CacheCorruptError, match=str(path)):
             list(fetch_range(None, SnapshotSpec(100, 3), cache))
 
-    @pytest.mark.parametrize("old", ["format-2", "legacy-json"])
-    def test_entry_from_before_format_3_refetched(self, tmp_path, old):
-        # Such an entry is corrupt: named offline, refetched online and
-        # stored as a fresh fetch stores the block.
+    @pytest.mark.parametrize("old", ["format-3", "format-2", "legacy-json"])
+    def test_entry_of_an_old_format_refetched(self, tmp_path, old):
+        # Such an entry is corrupt: named offline and left as it is,
+        # refetched online and stored as a fresh fetch stores the block.
         raw = raw_block(12, [raw_tx(1, addr(1), addr(2), value=255), raw_tx(4, addr(5), None)])
         (tmp_path / "cache").mkdir()
         cache = BlockCache(tmp_path / "cache")
         path = cache.path(12)
-        if old == "format-2":
+        if old == "format-3":
+            write_entry(path, record_encode(parse_block_json(raw)) + b"ff 0",
+                        b"chaingraph-block/3")
+            found = "chaingraph-block/3"
+        elif old == "format-2":
             body = (f"12 {raw['hash']} 1500000000 {raw['miner']}\n"
                     f"{tx_hash(1)} {addr(1)} {addr(2)} ff\n{tx_hash(4)} {addr(5)} - 0\n")
             write_entry(path, body.encode(), b"chaingraph-block/2")
@@ -819,10 +814,12 @@ class TestFetchRange:
             text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
             path.write_text(f"sha256:{hashlib.sha256(text.encode()).hexdigest()}\n{text}\n")
             found = "sha256:"
+        before = path.read_bytes()
         with pytest.raises(CacheCorruptError, match=f"{path}: unknown format '{found}"):
             cache.get(12)
         with pytest.raises(CacheCorruptError, match=str(path)):
             list(fetch_range(None, SnapshotSpec(12, 1), cache))
+        assert path.read_bytes() == before
         ep = MockEndpoint({12: raw})
         assert list(fetch_range(ep, SnapshotSpec(12, 1), cache)) == [parse_block_json(raw)]
         assert ep.block_calls() == [12]
