@@ -4,8 +4,10 @@
 Runs the command from BASE's and CHANGE's ``src/`` in alternating fresh
 interpreters (the side that goes first alternates too) and times
 ``chaingraph.cli.main(argv)`` there, imports excluded. Prints each side's
-median and the base side's interquartile range, how many pairs each side
-won, and whether the two sides wrote byte-identical files on every pair.
+median time and median peak resident memory (VmHWM of the interpreter,
+read where /proc is), the base side's interquartile range, how many
+pairs each side won, and whether the two sides wrote byte-identical files
+on every pair.
 Each run writes into an emptied output directory of its own side, so give
 the command no --out-dir. Exits 1 if a run fails or the outputs differ.
 
@@ -25,21 +27,29 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
-# Prints one JSON line last: the exit code, the timed wall and where
-# chaingraph was imported from.
+# Prints one JSON line last: the exit code, the timed wall, the peak
+# resident KiB (None without /proc) and where chaingraph was imported from.
 _CHILD = """
 import json, sys, time
 import chaingraph, chaingraph.cli
 t0 = time.perf_counter()
 rc = chaingraph.cli.main(json.loads(sys.argv[1]))
 wall_s = time.perf_counter() - t0
-print(json.dumps({"rc": rc, "wall_s": wall_s, "origin": chaingraph.__file__}))
+try:
+    with open("/proc/self/status") as f:
+        hwm_kib = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    hwm_kib = None
+print(json.dumps({"rc": rc, "wall_s": wall_s, "hwm_kib": hwm_kib,
+                  "origin": chaingraph.__file__}))
 """
 
 
-def run_once(tree: Path, argv: list[str], out: Path) -> float:
-    """Wall seconds of one run of argv from tree/src, writing into out."""
+def run_once(tree: Path, argv: list[str], out: Path) -> tuple[float, Optional[int]]:
+    """Wall seconds and peak resident KiB of one run of argv from tree/src,
+    writing into out."""
     shutil.rmtree(out, ignore_errors=True)
     src = (tree / "src").resolve()
     # A fixed string hash seed makes repeats on one input do the same work.
@@ -54,7 +64,7 @@ def run_once(tree: Path, argv: list[str], out: Path) -> float:
         raise RuntimeError(f"{tree}: chaingraph imported from {result['origin']}")
     if result["rc"] != 0:
         raise RuntimeError(f"{tree}: command exited with {result['rc']}\n{proc.stderr}")
-    return result["wall_s"]
+    return result["wall_s"], result["hwm_kib"]
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -64,6 +74,12 @@ def differing_files(a: Path, b: Path) -> list[str]:
     differ = names_a ^ names_b
     differ |= {n for n in names_a & names_b if (a / n).read_bytes() != (b / n).read_bytes()}
     return sorted(map(str, differ))
+
+
+def median_peak(peaks: list[Optional[int]]) -> str:
+    """Median VmHWM of one side's runs, or n/a where it was not read."""
+    known = [p for p in peaks if p is not None]
+    return f"{statistics.median(known):,.0f} KiB" if known else "n/a"
 
 
 def main() -> int:
@@ -87,13 +103,16 @@ def main() -> int:
 
     sides = {"base": args.base, "change": args.change}
     times: dict[str, list[float]] = {"base": [], "change": []}
+    peaks: dict[str, list[Optional[int]]] = {"base": [], "change": []}
     mismatches: set[str] = set()
     with tempfile.TemporaryDirectory() as work:
         outs = {side: Path(work) / side for side in sides}
         for i in range(args.pairs):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             for side in order:
-                times[side].append(run_once(sides[side], argv, outs[side]))
+                wall_s, hwm_kib = run_once(sides[side], argv, outs[side])
+                times[side].append(wall_s)
+                peaks[side].append(hwm_kib)
             mismatches.update(differing_files(outs["base"], outs["change"]))
             print(f"pair {i + 1}: base {times['base'][-1] * 1e3:.1f} ms, "
                   f"change {times['change'][-1] * 1e3:.1f} ms", flush=True)
@@ -102,8 +121,9 @@ def main() -> int:
     base, change = times["base"], times["change"]
     q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
     print(f"base   median {statistics.median(base) * 1e3:.1f} ms, "
-          f"IQR {(q3 - q1) * 1e3:.1f} ms")
-    print(f"change median {statistics.median(change) * 1e3:.1f} ms")
+          f"peak RSS {median_peak(peaks['base'])}, IQR {(q3 - q1) * 1e3:.1f} ms")
+    print(f"change median {statistics.median(change) * 1e3:.1f} ms, "
+          f"peak RSS {median_peak(peaks['change'])}")
     print(f"change faster in {sum(c < b for b, c in zip(base, change))} of "
           f"{args.pairs} pairs, base faster in {sum(b < c for b, c in zip(base, change))}")
     if mismatches:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from chaingraph.graph import SimpleGraph, TransactionGraph
@@ -28,9 +29,9 @@ EXACT = "exact"
 SAMPLED = "sampled"
 LOWER_BOUND = "lower_bound"
 
-# Sources per multi-source BFS batch. Each node that is not a leaf holds up
-# to three bitsets of this many bits (seen, frontier, next level), so a
-# batch needs about 3 * n_core * _MSBFS_BATCH / 8 bytes.
+# Sources per multi-source BFS batch. A batch holds three lists of g.n
+# entries (seen, new, gains); in them each node that is not a leaf holds up
+# to three bitsets of this many bits, about 3 * n_core * _MSBFS_BATCH / 8 bytes.
 _MSBFS_BATCH = 4096
 
 
@@ -254,55 +255,59 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int], n: int,
     """Total distance and eccentricity max over BFS runs from `sources`.
 
     Bit-parallel multi-source BFS (Then et al., PVLDB 2014): bit i of
-    seen[v] means batch source i has reached v, and one level ORs each
-    frontier node's bits into its neighbours. The BFS runs over core
-    nodes only (``fold`` is _fold_leaves(g)): a core node that gains
-    bits `new` at level l puts its leaves at level l + 1 for each of
-    those sources, and a leaf source starts at its hub at level 1. Each
-    node is still counted once per source that reaches it, so the reach
-    count checks the component: raises ValueError unless every source
-    reaches exactly n - 1 other nodes, n being its component's size.
+    seen[v] means batch source i has reached v, and one level ORs the
+    bits each frontier node v gained, new[v], into gains[u] of its
+    neighbours. The BFS runs over core nodes only (``fold`` is
+    _fold_leaves(g)): a core node that gains bits at level l puts its
+    leaves at level l + 1 for each of those sources, and a leaf source
+    starts in gains at its hub, reached at level 1. Each node is still
+    counted once per source that reaches it, so the reach count checks
+    the component: raises ValueError unless every source reaches exactly
+    n - 1 other nodes, n being its component's size.
     """
     hub, leaves, core_adj = fold
-    total = 0
-    longest = 0
-    reached = 0
+    core = [v for v, p in enumerate(hub) if p < 0]
+    # gains[u] is cleared as u is settled, so it is all zero when a batch
+    # ends and the next batch reuses it; new[v] is cleared as v is pushed,
+    # so no spent bitset stays alive.
+    new, gains = [0] * g.n, [0] * g.n
+    total = longest = reached = 0
     for start in range(0, len(sources), _MSBFS_BATCH):
         seen = [0] * g.n
-        frontier: dict[int, int] = {}
-        # Level-1 bits of leaf sources, keyed by hub.
-        seeds: dict[int, int] = {}
+        frontier = []
         leaf_sources = 0
         for i, s in enumerate(sources[start:start + _MSBFS_BATCH]):
             p = hub[s]
             if p < 0:
-                seen[s] |= 1 << i
-                frontier[s] = seen[s]
+                seen[s] = new[s] = 1 << i
+                frontier.append(s)
             else:
-                seeds[p] = seeds.get(p, 0) | 1 << i
+                gains[p] |= 1 << i
                 leaf_sources += 1
         # Leaves reached at the next level.
-        next_leaves = sum(leaves[v] * b.bit_count() for v, b in frontier.items() if leaves[v])
+        next_leaves = sum(leaves[v] * new[v].bit_count() for v in frontier if leaves[v])
         level = 0
-        while frontier or seeds or next_leaves:
+        while frontier or leaf_sources or next_leaves:
             level += 1
-            touched, seeds = seeds, {}
-            get = touched.get
-            for v, bits in frontier.items():
+            for v in frontier:
+                bits = new[v]
+                new[v] = 0
                 for u in core_adj[v]:
-                    touched[u] = get(u, 0) | bits
-            frontier = {}
-            for u, bits in touched.items():
-                # bits | old, unlike bits & ~old, builds no negative int.
+                    gains[u] |= bits
+            frontier = []
+            for u in compress(core, map(gains.__getitem__, core)):
+                # gains | old, unlike gains & ~old, builds no negative int.
                 old = seen[u]
-                grown = bits | old
+                grown = gains[u] | old
+                gains[u] = 0
                 if grown != old:
                     seen[u] = grown
-                    frontier[u] = grown ^ old
-            added = next_leaves + sum(map(int.bit_count, frontier.values()))
+                    new[u] = grown ^ old
+                    frontier.append(u)
+            added = next_leaves + sum(map(int.bit_count, map(new.__getitem__, frontier)))
             # At level 2 each leaf source is among its hub's leaves, but a
             # source does not reach itself.
-            next_leaves = sum(leaves[u] * b.bit_count() for u, b in frontier.items()
+            next_leaves = sum(leaves[u] * new[u].bit_count() for u in frontier
                               if leaves[u]) - leaf_sources
             leaf_sources = 0
             if added:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingraph import metrics
-from chaingraph.baseline import GnmParams, gnm_random_graph
+from chaingraph.baseline import GnmParams, gnm_random_graph, trial_seed
 from chaingraph.graph import build_graph, project_simple
 from chaingraph.metrics import (
     EXACT,
@@ -73,6 +73,15 @@ def hub_clique_graph():
     edges += [(0, leaf) for leaf in range(5, 10)] + [(2, 10), (2, 11)]
     edges += [(3, 12), (12, 13), (13, 14)]
     return simple(15, edges)
+
+
+def hub_clique_with_neighbours():
+    """hub_clique_graph plus smaller components whose nodes stay in the
+    core: a second hub with three leaves (15-18), a triangle (19-21), and
+    two isolated edges (22-25)."""
+    edges = edge_list(hub_clique_graph())
+    edges += [(15, 16), (15, 17), (15, 18), (19, 20), (20, 21), (19, 21), (22, 23), (24, 25)]
+    return simple(26, edges)
 
 
 @st.composite
@@ -355,6 +364,39 @@ class TestDistance:
         assert summary.diameter == 0
 
 
+def largest_members(g):
+    comps = connected_components(g)
+    return comps.members(comps.largest_id)
+
+
+class TestKernelIntegers:
+    """The multi-source BFS on graphs of the `smallworld` benchmark's shape:
+    G(n,m) at n=1093, m=1711, the trial seeds of --seed 42, distances of
+    the largest component in place."""
+
+    @pytest.mark.parametrize("trial,expected", [
+        (0, (6275184, 13)),
+        (1, (6705156, 13)),
+        (2, (6665174, 14)),
+        (3, (6517388, 13)),
+        (4, (6487486, 14)),
+    ])
+    def test_pinned_gnm_instances(self, trial, expected):
+        g = gnm_random_graph(GnmParams(1093, 1711, trial_seed(42, trial)))
+        members = largest_members(g)
+        assert metrics._sum_and_max_from_sources(
+            g, members, len(members), metrics._fold_leaves(g)) == expected
+
+    def test_gnm_matches_oracle(self):
+        g = gnm_random_graph(GnmParams(200, 313, seed=5))
+        members = largest_members(g)
+        n = len(members)
+        total, longest = metrics._sum_and_max_from_sources(g, members, n, metrics._fold_leaves(g))
+        assert n > 150
+        assert (total / (n * (n - 1)), longest) == \
+            all_pairs_average_and_diameter(largest_component(g))
+
+
 # A star with an isolated edge or vertex, two paths with two leaves each,
 # and two paths of 6 and 3 nodes.
 DISCONNECTED = [
@@ -451,6 +493,24 @@ class TestMultiSourceBatches:
         monkeypatch.setattr(metrics, "_MSBFS_BATCH", batch)
         assert sum_and_max_from_sources(g, sources) == \
             per_source_sum_and_max(g, sources)
+
+    # The per-node level state lives on from level to level and batch to
+    # batch, and the scan for touched nodes covers the core of every
+    # component, not only the one the sources are in.
+    @pytest.mark.parametrize("sources", [
+        list(range(15)),
+        [0, 3, 5, 6, 10, 11, 14],
+    ], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("batch", [1, 3, 4096])
+    def test_no_state_leaks_between_levels_or_batches(self, monkeypatch, sources, batch):
+        monkeypatch.setattr(metrics, "_MSBFS_BATCH", batch)
+        g = hub_clique_with_neighbours()
+        assert largest_members(g) == list(range(15))
+        dists = [frontier_distances(g, s) for s in sources]
+        # Nodes outside the component read -1.
+        expected = sum(d for dist in dists for d in dist if d > 0), max(map(max, dists))
+        assert metrics._sum_and_max_from_sources(g, sources, 15, metrics._fold_leaves(g)) == \
+            expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
