@@ -10,11 +10,15 @@ pairs each side won, and whether the two sides wrote byte-identical files
 on every pair.
 Each run writes into an emptied output directory of its own side, so give
 the command no --out-dir. Exits 1 if a run fails or the outputs differ.
+Every ``{side}`` in COMMAND ARGS becomes ``base`` or ``change`` in that
+side's runs, so each tree can read an input of its own: with
+``--cache-dir cache_{side}``, each reads a cache written in its own
+format, and neither times a read of the other's.
 
 Usage: python3 scripts/ab_command.py BASE CHANGE [--pairs N] -- COMMAND ARGS...
 
     python3 scripts/ab_command.py ../parent . --pairs 20 -- smallworld \\
-        --start-block 5000000 --num-blocks 14 --cache-dir cache --offline \\
+        --start-block 5000000 --num-blocks 14 --cache-dir cache_{side} --offline \\
         --trials 5 --seed 42
 """
 
@@ -102,6 +106,7 @@ def main() -> int:
             parser.error(f"{tree} has no src/chaingraph")
 
     sides = {"base": args.base, "change": args.change}
+    argvs = {side: [arg.replace("{side}", side) for arg in argv] for side in sides}
     times: dict[str, list[float]] = {"base": [], "change": []}
     peaks: dict[str, list[Optional[int]]] = {"base": [], "change": []}
     mismatches: set[str] = set()
@@ -110,7 +115,7 @@ def main() -> int:
         for i in range(args.pairs):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             for side in order:
-                wall_s, hwm_kib = run_once(sides[side], argv, outs[side])
+                wall_s, hwm_kib = run_once(sides[side], argvs[side], outs[side])
                 times[side].append(wall_s)
                 peaks[side].append(hwm_kib)
             mismatches.update(differing_files(outs["base"], outs["change"]))

@@ -98,16 +98,17 @@ def _sorted_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int
 def recipient_nodes(block: BlockRecord) -> Sequence[str]:
     """Each transaction's recipient node: the recipient's address, or for
     a contract creation (a None recipient) `created!<16 hex chars>`, the
-    first 8 bytes of the transaction hash. A payment to the zero address
+    first 8 bytes of the transaction hash: the k-th creation's hash is the
+    k-th 32 bytes of ``creation_hashes``. A payment to the zero address
     links to the zero-address node."""
     recipients = block.recipients
     # One C-level scan; a block without a creation returns its column.
     if None not in recipients:
         return recipients
     nodes = list(recipients)
-    hashes = block.tx_hashes
-    for i in _creations(recipients):
-        nodes[i] = SYNTHETIC_PREFIX + hashes[32 * i:32 * i + 8].hex()
+    hashes = block.creation_hashes
+    for k, i in enumerate(_creations(recipients)):
+        nodes[i] = SYNTHETIC_PREFIX + hashes[32 * k:32 * k + 8].hex()
     return nodes
 
 

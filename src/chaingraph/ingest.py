@@ -13,26 +13,31 @@ write), and nothing turns a record back into bytes.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
 as raw bytes, so a load checks lengths, not every hex character. An entry
-in any other format is corrupt, and a read never writes.
+of format 4, which also held every tx hash, is read through
+``_format4_body``; one in any other format is corrupt, and a read never
+writes.
 
 A ``BlockRecord`` holds its transactions column-wise, in the cache's own
 layout: the sender and recipient columns as 0x strings, which the graph
-reads, with None as a contract creation's recipient, and the tx-hash
-column as the raw bytes the cache stores, which a warm load slices out
-without decoding. No per-transaction object is built on the way from the
-cache to the graph. The cache's creation list is taken from the null
-recipients of the RPC result and turned into None recipients on a read.
+reads, with None as a contract creation's recipient, and the creations'
+tx hashes as the raw bytes the cache stores, which a warm load slices out
+without decoding. No other tx hash is kept: the graph names a creation
+after its hash, and reads no other. No per-transaction object is built on
+the way from the cache to the graph. The cache's creation list is taken
+from the null recipients of the RPC result and turned into None
+recipients on a read.
 
 A block's transactions are validated column by column: each of the hash,
 from, to and value columns is joined with spaces and checked by one
 fullmatch, and the kept columns are converted to the body's bytes once,
-so no Python function runs per transaction. Values are checked but not
-kept: the networks read only who sent to whom. Any transaction outside
-the common shape sends the whole list to the per-transaction parser
-``_parse_tx``, which alone defines what is accepted: it names the first
-faulty field or accepts a rarer shape, and its (hash, sender, recipient)
-rows are converted to the same bytes at once. Every field must match in
-full, so trailing whitespace (a final newline included) is refused.
+so no Python function runs per transaction. Values, and the hashes of
+all but the creations, are checked but not kept: the networks read only
+who sent to whom. Any transaction outside the common shape sends the
+whole list to the per-transaction parser ``_parse_tx``, which alone
+defines what is accepted: it names the first faulty field or accepts a
+rarer shape, and its (hash, sender, recipient) rows are converted to the
+same bytes at once. Every field must match in full, so trailing
+whitespace (a final newline included) is refused.
 """
 
 from __future__ import annotations
@@ -80,23 +85,26 @@ _VALUE_COLUMN_RE = _column_re(_VALUE_FIELD)
 MAX_UINT256 = 2**256 - 1
 MAX_UINT64 = 2**64 - 1
 
-# Cache entry format 4: a text header line naming the format and the sha256
-# of the body, then the body, in five parts:
+# Cache entry format 5: a text header line naming the format and the sha256
+# of the body, then the body, in four parts:
 #   _HEAD (">QQI32s20s"): number, timestamp, transaction count n, block
 #       hash, miner;
-#   the tx-hash column, 32 bytes per transaction;
 #   the sender column, 20 bytes per transaction;
 #   the recipient column, 20 bytes per transaction, 20 zero bytes for a
 #       contract creation;
-#   the creation list: a u32 count, then strictly increasing u32
-#       transaction indices.
+#   the creation list: a u32 count c, then c strictly increasing u32
+#       transaction indices, then the c creations' 32-byte tx hashes, in
+#       the same order.
 # Integers are big-endian. Any 32 or 20 bytes are a valid hash or address,
 # so _unpack checks no character of them: it checks that the length is
-# exactly what n and the creation count imply, and the creation list. It
-# accepts exactly the bodies that _block_body writes. A changed byte of a hash
-# leaves the body of another block, which only the checksum tells apart.
-# This is the only format the cache reads: an entry in any other is corrupt.
-CACHE_FORMAT = b"chaingraph-block/4"
+# exactly what n and c imply, and the creation list. It accepts exactly
+# the bodies that _block_body writes. A changed byte of a hash leaves the
+# body of another block, which only the checksum tells apart. This is the
+# only format _unpack reads; a format-4 body, which put every tx hash in a
+# column after _HEAD, is converted to it first (_format4_body). An entry
+# in any other format is corrupt.
+CACHE_FORMAT = b"chaingraph-block/5"
+_FORMAT_4 = b"chaingraph-block/4"
 _HEAD = struct.Struct(">QQI32s20s")
 _U32 = struct.Struct(">I")
 _NO_RECIPIENT = "0x" + "00" * 20
@@ -150,10 +158,11 @@ class BlockRecord(NamedTuple):
     ``senders`` and ``recipients`` hold one lowercase 0x address per
     transaction, with None as the recipient of a contract creation: None
     is the only creation marker, so a payment to the zero address stays a
-    payment (``_creations`` gives the creations' indices). ``tx_hashes``
-    is the transactions' 32-byte hashes back to back: the raw bytes the
-    cache stores, kept as they are, since the graph reads only 8 bytes of
-    a creation's hash. Records are immutable, hashable and compare by
+    payment (``_creations`` gives the creations' indices).
+    ``creation_hashes`` is the contract creations' 32-byte tx hashes back
+    to back, in transaction order: the raw bytes the cache stores, kept as
+    they are, since the graph reads only 8 bytes of a creation's hash and
+    no other transaction's. Records are immutable, hashable and compare by
     value.
     """
 
@@ -163,7 +172,7 @@ class BlockRecord(NamedTuple):
     miner: str
     senders: tuple[str, ...]
     recipients: tuple[Optional[str], ...]
-    tx_hashes: bytes
+    creation_hashes: bytes
 
 
 def _creations(recipients) -> tuple[int, ...]:
@@ -255,14 +264,23 @@ _TX_FIELDS = tuple(map(itemgetter, ("hash", "from", "to", "value")))
 _RECIPIENT_TYPES = {str, type(None)}
 
 
-def _parse_txs_by_column(txs: list) -> Optional[tuple[bytes, tuple[int, ...]]]:
-    """The tx-hash, sender and recipient columns of a cache body, back to
-    back, and the creation indices, as _parse_tx's rows give them; or None.
+def _creation_list(hashes, recipients) -> bytes:
+    """A body's creation list: the count, the indices and the hashes of
+    the creations (the None recipients), from a block's hash and recipient
+    columns. Only the creations' hashes are converted to bytes."""
+    creations = _creations(recipients)
+    return (struct.pack(f">I{len(creations)}I", len(creations), *creations)
+            + bytes.fromhex("".join([hashes[i][2:] for i in creations])))
+
+
+def _parse_txs_by_column(txs: list) -> Optional[bytes]:
+    """The cache body after its _HEAD: the sender and recipient columns
+    and the creation list, as _parse_tx's rows give them; or None.
 
     Each field is checked a column at a time, by builtins, with no
     Python-level call per transaction: one fullmatch over the column's
-    space-joined text, then one bytes.fromhex for the hashes and for each
-    address column; the values are only checked. None means some
+    space-joined text, then one bytes.fromhex for the two address columns;
+    the values and the hashes are only checked. None means some
     transaction is outside the common shape (a plain dict with all four
     fields, strings or a None recipient, a value below 2**256), and nothing
     was accepted: the caller then parses one transaction at a time, which
@@ -271,7 +289,7 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple[bytes, tuple[int, ...]]]:
     """
     n = len(txs)
     if n == 0:
-        return b"", ()
+        return bytes(_U32.size)  # an empty creation list
     if set(map(type, txs)) != {dict}:
         return None
     try:
@@ -281,31 +299,28 @@ def _parse_txs_by_column(txs: list) -> Optional[tuple[bytes, tuple[int, ...]]]:
     if (set(map(type, hashes + senders + values)) != {str}
             or not set(map(type, recipients)) <= _RECIPIENT_TYPES):
         return None
-    text = " ".join(values)
-    if _VALUE_COLUMN_RE.fullmatch(text) is None or text.count(" ") != n - 1:
-        return None
+    # A field holding a space still matches as two fields, and would shift
+    # every later transaction by one: the field counts, and the length of
+    # the address bytes, guard against that.
+    for pattern, column in ((_VALUE_COLUMN_RE, values), (_HASH32_COLUMN_RE, hashes)):
+        text = " ".join(column)
+        if pattern.fullmatch(text) is None or text.count(" ") != n - 1:
+            return None
     # A creation's recipient is checked as the zero address, as the body
     # stores it; the creation indices come from the raw column, so a real
     # zero-address recipient stays a payment.
-    columns = []
-    for pattern, width, column in (
-            (_HASH32_COLUMN_RE, 32, hashes), (_ADDRESS_COLUMN_RE, 20, senders),
-            (_ADDRESS_COLUMN_RE, 20, map(_NO_RECIPIENT_FOR.get, recipients, recipients))):
-        text = " ".join(column)
-        if pattern.fullmatch(text) is None:
-            return None
-        data = bytes.fromhex(text.replace("0x", ""))
-        # A field holding a space still matches as two fields, and would
-        # shift every later transaction by one: the lengths guard against that.
-        if len(data) != width * n:
-            return None
-        columns.append(data)
-    return b"".join(columns), _creations(recipients)
+    text = " ".join(chain(senders, map(_NO_RECIPIENT_FOR.get, recipients, recipients)))
+    if _ADDRESS_COLUMN_RE.fullmatch(text) is None:
+        return None
+    columns = bytes.fromhex(text.replace("0x", ""))
+    if len(columns) != 40 * n:
+        return None
+    return columns + _creation_list(hashes, recipients)
 
 
 def _block_body(obj) -> bytes:
-    # The format-4 cache body of a decoded JSON-RPC block result; a
-    # BlockParseError names the first faulty field.
+    # The cache body of a decoded JSON-RPC block result; a BlockParseError
+    # names the first faulty field.
     if not isinstance(obj, dict):
         raise BlockParseError("<root>", "block result is not an object")
     for key in ("number", "hash", "timestamp", "miner", "transactions"):
@@ -318,17 +333,14 @@ def _block_body(obj) -> bytes:
     block_hash = _canonical_hash(obj["hash"], "hash")
     timestamp = _parse_u64(obj["timestamp"], "timestamp")
     miner = canonical_address(obj["miner"], "miner")
-    parsed = _parse_txs_by_column(txs)
-    if parsed is None:
+    rest = _parse_txs_by_column(txs)
+    if rest is None:
         # Not reached for an empty list, so the rows transpose to three columns.
         hashes, senders, recipients = zip(*[_parse_tx(t, i) for i, t in enumerate(txs)])
-        digits = "".join(chain(hashes, senders,
-                               map(_NO_RECIPIENT_FOR.get, recipients, recipients)))
-        parsed = unhexlify(digits.replace("0x", "")), _creations(recipients)
-    columns, creations = parsed
-    return (_HEAD.pack(number, timestamp, len(txs), unhexlify(block_hash[2:]),
-                       unhexlify(miner[2:]))
-            + columns + struct.pack(f">I{len(creations)}I", len(creations), *creations))
+        digits = "".join(chain(senders, map(_NO_RECIPIENT_FOR.get, recipients, recipients)))
+        rest = unhexlify(digits.replace("0x", "")) + _creation_list(hashes, recipients)
+    return _HEAD.pack(number, timestamp, len(txs), unhexlify(block_hash[2:]),
+                      unhexlify(miner[2:])) + rest
 
 
 def parse_block_json(obj: dict) -> BlockRecord:
@@ -413,9 +425,9 @@ def _hex_column(data: bytes, width: int) -> list[str]:
 
 
 def _unpack(body: bytes) -> BlockRecord:
-    # A format-4 body, checked column-wise, as its record; ValueError names
+    # A format-5 body, checked column-wise, as its record; ValueError names
     # the first part that is not as _block_body writes it. Only the two
-    # address columns are decoded: the tx hashes are kept as stored.
+    # address columns are decoded: the creations' hashes are kept as stored.
     size = len(body)
     if size < _HEAD.size + _U32.size:
         raise ValueError("body shorter than its header")
@@ -426,18 +438,18 @@ def _unpack(body: bytes) -> BlockRecord:
         if body[_HEAD.size:] != bytes(_U32.size):
             raise ValueError("a block without transactions has more than its header")
         return BlockRecord(number, block_hash, timestamp, miner, (), (), b"")
-    senders_at = _HEAD.size + 32 * n
-    creations_at = senders_at + 40 * n
+    creations_at = _HEAD.size + 40 * n
     if size < creations_at + _U32.size:
         raise ValueError(f"body too short for {n} transactions")
     (created,) = _U32.unpack_from(body, creations_at)
-    end = creations_at + _U32.size * (1 + created)
+    hashes_at = creations_at + _U32.size * (1 + created)
+    end = hashes_at + 32 * created
     if size < end:
         raise ValueError(f"body too short for {created} contract creations")
     if size != end:
         raise ValueError(f"body longer than {n} transactions and {created} creations")
     creations = struct.unpack_from(f">{created}I", body, creations_at + _U32.size)
-    addresses = _hex_column(body[senders_at:creations_at], 20)
+    addresses = _hex_column(body[_HEAD.size:creations_at], 20)
     recipients = addresses[n:]
     if creations:
         if not all(map(lt, creations, creations[1:])) or creations[-1] >= n:
@@ -447,7 +459,28 @@ def _unpack(body: bytes) -> BlockRecord:
         for i in creations:
             recipients[i] = None
     return BlockRecord(number, block_hash, timestamp, miner, tuple(addresses[:n]),
-                       tuple(recipients), body[_HEAD.size:senders_at])
+                       tuple(recipients), body[hashes_at:])
+
+
+def _format4_body(body: bytes) -> bytes:
+    # The format-5 body of a format-4 one, which held a tx-hash column of
+    # 32 * n bytes between _HEAD and the address columns, and ended at the
+    # creation indices: the column is dropped but for the creations'
+    # hashes, which move to the end. ValueError if the sizes do not fit
+    # format 4; a body that does fit converts to one that _unpack accepts
+    # if and only if the format-4 body was valid.
+    if len(body) < _HEAD.size:
+        raise ValueError("body shorter than its header")
+    n = _HEAD.unpack_from(body)[2]
+    creations_at = _HEAD.size + 72 * n
+    if len(body) < creations_at + _U32.size:
+        raise ValueError(f"body too short for {n} transactions")
+    (created,) = _U32.unpack_from(body, creations_at)
+    if len(body) != creations_at + _U32.size * (1 + created):
+        raise ValueError(f"body is not {n} transactions and {created} creations")
+    creations = struct.unpack_from(f">{created}I", body, creations_at + _U32.size)
+    hashes = [body[_HEAD.size + 32 * i:_HEAD.size + 32 * i + 32] for i in creations]
+    return body[:_HEAD.size] + body[_HEAD.size + 32 * n:] + b"".join(hashes)
 
 
 class BlockCache:
@@ -458,12 +491,14 @@ class BlockCache:
     resume and replays never hit the network. ``store`` checks a JSON-RPC
     result straight into the body it writes and returns the record that
     body loads as; ``get`` is the one read, and returns None on a miss.
-    Every read checks the entry, and a read never writes: an entry in any
-    format but ``CACHE_FORMAT`` is corrupt, to be refetched by
-    ``fetch_range`` or refused offline. Writes are atomic: each writer writes a temp file of its own,
-    then renames it. The directory is made by the first store, so a
-    command that only reads leaves nothing behind. Files keep the
-    ``.json`` name of the oldest format.
+    Every read checks the entry, and a read never writes: a format-4 entry
+    is converted on each read (``_format4_body``) and left as it is, and an
+    entry in any other format but ``CACHE_FORMAT`` is corrupt, to be
+    refetched by ``fetch_range`` or refused offline. Writes are atomic:
+    each writer writes a temp file of its own, then renames it. The
+    directory is made by the first store, so a command that only reads
+    leaves nothing behind. Files keep the ``.json`` name of the oldest
+    format.
     """
 
     def __init__(self, directory):
@@ -526,13 +561,13 @@ class BlockCache:
         except FileNotFoundError:
             return None
         name, _, checksum = header.partition(b" ")
-        if name != CACHE_FORMAT:
+        if name != CACHE_FORMAT and name != _FORMAT_4:
             found = name[:40].decode("ascii", "replace")
             raise CacheCorruptError(f"{path}: unknown format {found!r}")
         if checksum != b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii"):
             raise CacheCorruptError(f"{path}: checksum mismatch")
         try:
-            block = _unpack(body)
+            block = _unpack(body if name == CACHE_FORMAT else _format4_body(body))
         except ValueError as exc:
             raise CacheCorruptError(f"{path}: malformed block fields: {exc}") from exc
         if block.number != number:

@@ -44,6 +44,9 @@ class ExactnessPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        # A negative threshold would sample as 0 does, under another config hash.
+        if self.exact_threshold < 0:
+            raise ValueError(f"exact_threshold must be >= 0, got {self.exact_threshold}")
         if self.sample_sources < 1:
             raise ValueError(f"sample_sources must be >= 1, got {self.sample_sources}")
         # random.Random(-s) is Random(s): a negative seed would repeat a positive one.

@@ -48,19 +48,30 @@ def block_from_rows(number: int, block_hash: str, timestamp: int, miner: str,
                     rows) -> BlockRecord:
     """The BlockRecord of a block with these (hash, sender, recipient)
     transaction rows, given in lowercase 0x hex with None as a creation's
-    recipient: each column built from the rows, one field at a time."""
+    recipient: each column built from the rows, one field at a time. Only
+    the creations' hashes are kept, so a payment's hash may be None."""
     rows = list(rows)
     return BlockRecord(number, block_hash, timestamp, miner,
                        tuple(sender for _, sender, _ in rows),
                        tuple(recipient for _, _, recipient in rows),
-                       b"".join(bytes.fromhex(h[2:]) for h, _, _ in rows))
+                       b"".join(bytes.fromhex(h[2:]) for h, _, r in rows if r is None))
+
+
+def creation_rows(rows) -> tuple:
+    """(hash, sender, recipient) rows as a record keeps them: the hash of
+    a creation only, None for a payment's."""
+    return tuple((h if recipient is None else None, sender, recipient)
+                 for h, sender, recipient in rows)
 
 
 def tx_rows(block: BlockRecord) -> tuple:
-    """A record's transactions as (hash, sender, recipient) rows, the hash
-    in 0x hex: its columns zipped, the inverse of block_from_rows."""
-    hashes = ["0x" + block.tx_hashes[i:i + 32].hex() for i in range(0, len(block.tx_hashes), 32)]
-    return tuple(zip(hashes, block.senders, block.recipients))
+    """A record's transactions as (hash, sender, recipient) rows, a
+    creation's hash in 0x hex and a payment's None: its columns zipped,
+    the inverse of block_from_rows."""
+    hashes = iter(["0x" + block.creation_hashes[i:i + 32].hex()
+                   for i in range(0, len(block.creation_hashes), 32)])
+    return tuple((next(hashes) if recipient is None else None, sender, recipient)
+                 for sender, recipient in zip(block.senders, block.recipients))
 
 
 def make_block(number: int, pairs: list[tuple[str, str]], miner: str = addr(0xFEED),

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from chaingraph.baseline import GnmParams
 from chaingraph.graph import SimpleGraph, TransactionGraph
-from chaingraph.ingest import parse_quantity
+from chaingraph.ingest import parse_block_json, parse_quantity
 
 
 def chain_head(endpoint):
@@ -30,22 +30,59 @@ def write_entry(path, body, header):
     path.write_bytes(header + b" sha256:" + digest + b"\n" + body)
 
 
-def record_encode(block):
-    """A format-4 cache entry body built one field at a time from the
-    format's description: the byte-identity reference for the bodies
-    that BlockCache.store writes."""
-    out = struct.pack(">QQI", block.number, block.timestamp, len(block.senders))
-    out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
-    out += block.tx_hashes
+def _address_columns(block):
+    out = b""
     for sender in block.senders:
         out += bytes.fromhex(sender[2:])
     for recipient in block.recipients:
         out += bytes(20) if recipient is None else bytes.fromhex(recipient[2:])
+    return out
+
+
+def _creation_indices(block):
     creations = [i for i, recipient in enumerate(block.recipients) if recipient is None]
-    out += struct.pack(">I", len(creations))
+    out = struct.pack(">I", len(creations))
     for i in creations:
         out += struct.pack(">I", i)
     return out
+
+
+def record_encode(block):
+    """A format-5 cache entry body built one field at a time from the
+    format's description: the byte-identity reference for the bodies
+    that BlockCache.store writes."""
+    out = struct.pack(">QQI", block.number, block.timestamp, len(block.senders))
+    out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
+    return out + _address_columns(block) + _creation_indices(block) + block.creation_hashes
+
+
+def format4_encode(block, payment_hashes):
+    """The format-4 body of a block, which held every transaction's hash:
+    the record's creation hashes at the creations, and ``payment_hashes``,
+    one 32-byte hash per other transaction in order, at the payments.
+    Built one field at a time from format 4's description: a tx-hash
+    column after the header, then the address columns and the creation
+    indices, with no hash after them."""
+    payments = iter(payment_hashes)
+    out = struct.pack(">QQI", block.number, block.timestamp, len(block.senders))
+    out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
+    k = 0
+    for recipient in block.recipients:
+        if recipient is None:
+            out += block.creation_hashes[32 * k:32 * k + 32]
+            k += 1
+        else:
+            out += next(payments)
+    out += _address_columns(block)
+    return out + _creation_indices(block)
+
+
+def format4_body(raw):
+    """The format-4 body of a JSON-RPC block result whose payments name
+    their recipient under "to": its record, and the payments' hashes."""
+    payments = [bytes.fromhex(tx["hash"][2:]) for tx in raw["transactions"]
+                if tx["to"] is not None]
+    return format4_encode(parse_block_json(raw), payments)
 
 
 def add_node(g, label):

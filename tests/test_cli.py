@@ -32,7 +32,7 @@ from conftest import (
     summary_of,
     tx_rows,
 )
-from oracles import LabelKeyedGraph, recipient_node, record_encode, write_entry
+from oracles import LabelKeyedGraph, format4_body, recipient_node, write_entry
 
 
 def strip_header(path, comment="#"):
@@ -274,6 +274,19 @@ def test_negative_seed_refused_before_any_output(forest_cache, capsys, args):
     # random.Random(-1) is Random(1): --seed -1 would repeat --seed 1's draws.
     assert run(args + ["--seed", "-1"], forest_cache) == 1
     assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not (forest_cache / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--start-block", "1", "--num-blocks", "3"],
+    ["smallworld", "--start-block", "1", "--num-blocks", "3"],
+    ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
+])
+def test_negative_exact_threshold_refused_before_any_output(forest_cache, capsys, args):
+    # Every non-empty graph is above a negative threshold, as it is above
+    # 0: -5 would write 0's sampled rows under another config hash.
+    assert run(args + ["--exact-threshold", "-5"], forest_cache) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: exact_threshold must be >= 0, got -5"]
     assert not (forest_cache / "out").exists()
 
 
@@ -590,7 +603,7 @@ def test_block_layer_form_pinned():
     # __all__: None in recipients is the only creation marker, and get is
     # the only read.
     assert BlockRecord._fields == ("number", "hash", "timestamp", "miner", "senders",
-                                   "recipients", "tx_hashes")
+                                   "recipients", "creation_hashes")
     assert sorted(name for name in vars(BlockCache) if not name.startswith("_")) == [
         "get", "path", "store"]
 
@@ -814,24 +827,38 @@ class TestPinnedOutputs:
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.EXPECTED[fixture]
 
-    def write_format_3_cache(self, directory):
-        """The mixed fixture's blocks as format 3 stored them: the format-4
-        body, then the transactions' values in hex. Returns the blocks."""
+    def write_old_cache(self, directory, fmt):
+        """The mixed fixture's blocks as format ``fmt``, 4 or 3, stored
+        them: the format-4 body, then for format 3 the transactions' values
+        in hex. Returns the blocks."""
         raw_blocks = pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3)
         directory.mkdir()
         cache = BlockCache(directory)
         for number, raw in raw_blocks.items():
-            values = " ".join("0" for _ in raw["transactions"]).encode()
-            write_entry(cache.path(number), record_encode(parse_block_json(raw)) + values,
-                        b"chaingraph-block/3")
+            values = " ".join("0" for _ in raw["transactions"]).encode() if fmt == 3 else b""
+            write_entry(cache.path(number), format4_body(raw) + values,
+                        f"chaingraph-block/{fmt}".encode())
         return raw_blocks
+
+    @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
+    def test_format_4_cache_read_offline(self, name, tmp_path):
+        # Format 4 is read as it is: offline, every command gives the
+        # pinned outputs and leaves each entry's bytes unchanged.
+        self.write_old_cache(tmp_path / "cache", 4)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+        assert run(self.runs("mixed")[name], tmp_path, out=name) == 0
+        digests = {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / name).iterdir()}
+        assert digests == {key: digest for key, digest in self.EXPECTED["mixed"].items()
+                           if key.startswith(name + "/")}
+        assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
 
     @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
     def test_format_3_cache_refused_offline(self, name, tmp_path, capsys):
         # Format 3 is no longer read: offline, every command names the
         # first entry and fails, writes no output and leaves the cache as
         # it is.
-        self.write_format_3_cache(tmp_path / "cache")
+        self.write_old_cache(tmp_path / "cache", 3)
         before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
         assert run(self.runs("mixed")[name], tmp_path, out=name) == 1
         path = BlockCache(tmp_path / "cache").path(1)
@@ -843,7 +870,7 @@ class TestPinnedOutputs:
     def test_format_3_cache_refetched(self, name, tmp_path, monkeypatch):
         # Online, every command refetches each format-3 entry once, gives
         # the pinned outputs, and leaves the cache as a fresh fetch does.
-        raw_blocks = self.write_format_3_cache(tmp_path / "cache")
+        raw_blocks = self.write_old_cache(tmp_path / "cache", 3)
         endpoint = MockEndpoint(raw_blocks)
         monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
         argv = self.runs("mixed")[name] + ["--cache-dir", str(tmp_path / "cache"),

@@ -16,7 +16,7 @@ from chaingraph.ingest import BlockCache
 from chaingraph.metrics import degree_distribution
 
 from conftest import (addr, block_from_rows, forest_blocks, make_block, raw_block, raw_tx,
-                      tx_hash, tx_rows)
+                      tx_hash)
 from oracles import (
     LabelKeyedGraph,
     PajekError,
@@ -257,8 +257,8 @@ def test_property_columnar_build_matches_label_keyed_reference(txs_per_block):
               for k, txs in enumerate(txs_per_block)]
     g = build_graph(blocks)
     ref = LabelKeyedGraph()
-    for block in blocks:
-        for h, sender, recipient in tx_rows(block):
+    for txs in txs_per_block:
+        for h, sender, recipient in txs:
             ref.add_interaction(sender, recipient_node(h, recipient))
     assert g.labels == ref.labels
     assert list(labelled_edges(g).items()) == list(ref.edges.items())

@@ -34,16 +34,19 @@ from chaingraph.ingest import (
 )
 
 from conftest import (FIXTURES, MockEndpoint, StubSession, TxDict, addr, block_from_rows,
-                      raw_block, raw_tx, rpc_transactions, stub_endpoint, tx_hash, tx_rows)
-from oracles import chain_head, record_encode, write_entry
+                      creation_rows, raw_block, raw_tx, rpc_transactions, stub_endpoint, tx_hash,
+                      tx_rows)
+from oracles import chain_head, format4_body, format4_encode, record_encode, write_entry
+
+FORMAT_4 = b"chaingraph-block/4"
 
 
 def per_transaction(txs):
     """parse_block_json's transactions by the per-transaction parser alone:
-    the (hash, sender, recipient) rows, or the field named by the
-    BlockParseError it raises."""
+    the (hash, sender, recipient) rows, with a hash for creations only, or
+    the field named by the BlockParseError it raises."""
     try:
-        return tuple(_parse_tx(t, i) for i, t in enumerate(txs))
+        return creation_rows(_parse_tx(t, i) for i, t in enumerate(txs))
     except BlockParseError as exc:
         return exc.field
 
@@ -63,7 +66,7 @@ class TestParseBlockJson:
         rec = parse_block_json(raw_block(5, []))
         assert rec.number == 5
         assert tx_rows(rec) == ()
-        assert rec.recipients == () and rec.tx_hashes == b""
+        assert rec.recipients == () and rec.creation_hashes == b""
 
     def test_fixture_a(self, fixture_a_record):
         rec = fixture_a_record
@@ -71,8 +74,10 @@ class TestParseBlockJson:
         assert rec.number == 68943
         assert rec.timestamp == 1439799105
         assert rec.miner == "0xbb7b8287f3f0a933474a79eae42cbca977791171"
-        assert len(rec.senders) == len(rec.recipients) == 3 and len(rec.tx_hashes) == 96
+        assert len(rec.senders) == len(rec.recipients) == 3
         assert [i for i, r in enumerate(rec.recipients) if r is None] == [1]
+        raw = json.loads(FIXTURES.joinpath("block_fixture_a.json").read_text())
+        assert rec.creation_hashes == bytes.fromhex(raw["transactions"][1]["hash"][2:])
         assert rec.senders[0] == "0x32be343b94f860124dc4fee278fdcbd38c102d88"
 
     def test_records_immutable_and_hashable(self, fixture_a_record):
@@ -244,7 +249,8 @@ class TestParseBlockJson:
     @given(txs=rpc_transactions(max_size=20, faults=False))
     def test_common_shape_parsed_by_column(self, txs):
         # The body holds the per-transaction parser's rows, as the format's
-        # reference encodes them, and loads as them.
+        # reference encodes them (a hash for creations only), and loads as
+        # them.
         rows = per_transaction(txs)
         assert _parse_txs_by_column(txs) is not None
         raw = raw_block(1, txs)
@@ -392,12 +398,14 @@ class NotJsonSession(StubSession):
 
 
 def rpc_result(block: BlockRecord) -> dict:
-    """The JSON-RPC block result that parses to ``block``."""
+    """A JSON-RPC block result that parses to ``block``: its payments,
+    whose hashes the record does not keep, get made-up ones."""
     return {
         "number": hex(block.number), "hash": block.hash,
         "timestamp": hex(block.timestamp), "miner": block.miner,
-        "transactions": [{"hash": h, "from": sender, "to": recipient, "value": "0x0"}
-                         for h, sender, recipient in tx_rows(block)],
+        "transactions": [{"hash": h or tx_hash(i), "from": sender, "to": recipient,
+                          "value": "0x0"}
+                         for i, (h, sender, recipient) in enumerate(tx_rows(block))],
     }
 
 
@@ -420,15 +428,44 @@ def block_records() -> st.SearchStrategy[BlockRecord]:
     return st.builds(block_from_rows, _uint64, _hex_bytes(32), _uint64, _hex_bytes(20), txs)
 
 
-def v4_body(number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"), creations=(1,)) -> bytes:
-    """A format-4 body of three transactions, built part by part so that
-    any one part can be made wrong. As given, the second transaction is a
-    creation and the third pays the zero address."""
-    return (struct.pack(">QQI32s20s", number, 1_500_000_000, n, b"\xab" * 32, b"\xcd" * 20)
-            + b"".join(bytes([i]) * 32 for i in (1, 4, 7))
-            + b"".join(bytes([i]) * 20 for i in (2, 5, 8))
-            + b"".join(r * 20 for r in recipients)
-            + struct.pack(f">I{len(creations)}I", len(creations), *creations))
+def cache_body(fmt=5, number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"),
+               creations=(1,)) -> bytes:
+    """A body of three transactions in cache format ``fmt``, 5 or 4, built
+    part by part so that any one part can be made wrong. As given, the
+    second transaction is a creation and the third pays the zero address.
+    Format 4 holds every tx hash in a column after the header; format 5
+    holds the hashes of the listed creations after their indices."""
+    hashes = [bytes([i]) * 32 for i in (1, 4, 7)]
+    head = struct.pack(">QQI32s20s", number, 1_500_000_000, n, b"\xab" * 32, b"\xcd" * 20)
+    columns = (b"".join(bytes([i]) * 20 for i in (2, 5, 8))
+               + b"".join(r * 20 for r in recipients)
+               + struct.pack(f">I{len(creations)}I", len(creations), *creations))
+    if fmt == 4:
+        return head + b"".join(hashes) + columns
+    return head + columns + b"".join(hashes[i] if i < 3 else bytes(32) for i in creations)
+
+
+def malformed_bodies(fmt):
+    """Bodies in format ``fmt`` that a read must refuse for block 12, by
+    what is wrong with them."""
+    return {
+        "extended-space": cache_body(fmt) + b" ",
+        "extended-digit": cache_body(fmt) + b"0",
+        "extended-newline": cache_body(fmt) + b"\n",
+        "extended-u32": cache_body(fmt) + bytes(4),
+        "values-as-format-3": cache_body(fmt) + b"ff 0 1",
+        "tx-count-0": cache_body(fmt, n=0),
+        "tx-count-2": cache_body(fmt, n=2),
+        "tx-count-4": cache_body(fmt, n=4),
+        "byte-without-tx": cache_body(fmt, n=0)[:72] + bytes(4) + b"0",
+        "unsorted": cache_body(fmt, recipients=(b"\x00",) * 3, creations=(1, 0)),
+        "duplicated": cache_body(fmt, creations=(1, 1)),
+        "out-of-range": cache_body(fmt, creations=(3,)),
+        "out-of-range-u32-max": cache_body(fmt, creations=(1, 2**32 - 1)),
+        "non-zero-slot": cache_body(fmt, creations=(0,)),
+        "another-block": cache_body(fmt, number=13),
+        "other-format": cache_body(9 - fmt),
+    }
 
 
 class TestCache:
@@ -499,7 +536,13 @@ class TestCache:
         entry = cache.path(68943).read_bytes()
         assert entry.partition(b"\n")[2] == record_encode(block)
         assert hashlib.sha256(entry).hexdigest() == (
+            "61532cb5ca96c7bd4493310c27c3558bd66ec9dc3680ea70ce6c670f77278b9f")
+        # The format-4 reference gives the entry that format 4 stored, as
+        # pinned when it was the format written; it loads as the same record.
+        write_entry(cache.path(68943), format4_body(raw), FORMAT_4)
+        assert hashlib.sha256(cache.path(68943).read_bytes()).hexdigest() == (
             "cf81998c88afaa13cdfc31d46ee8c03ad2e163c74b60b8120ac00bfb22a5eed3")
+        assert cache.get(68943) == block
 
     @given(block=block_records())
     def test_stored_record_loads_unchanged(self, block):
@@ -510,6 +553,35 @@ class TestCache:
             header, _, body = cache.path(block.number).read_bytes().partition(b"\n")
             assert header.startswith(CACHE_FORMAT + b" sha256:")
             assert body == record_encode(block)
+
+    @given(block=block_records())
+    def test_stored_body_size(self, block):
+        # 72 header bytes, 40 per transaction and 4 + 36 per creation: of
+        # the tx hashes, only the creations' are stored.
+        n, created = len(block.senders), block.recipients.count(None)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = BlockCache(tmp)
+            cache.store(block.number, rpc_result(block))
+            body = cache.path(block.number).read_bytes().partition(b"\n")[2]
+            assert len(body) == 72 + 40 * n + 4 + 36 * created
+
+    @given(block=block_records(), data=st.data())
+    def test_format_4_entry_loads_as_its_record(self, block, data):
+        # A format-4 entry, whatever the hashes of its payments, loads as
+        # the record it was written from, and is left as it is.
+        paid = len(block.senders) - block.recipients.count(None)
+        payments = data.draw(st.lists(st.binary(min_size=32, max_size=32),
+                                      min_size=paid, max_size=paid))
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = BlockCache(tmp)
+            write_entry(cache.path(block.number), format4_encode(block, payments), FORMAT_4)
+            before = cache.path(block.number).read_bytes()
+            loaded = cache.get(block.number)
+            assert type(loaded) is BlockRecord
+            assert (loaded.senders, loaded.recipients, loaded.creation_hashes) == (
+                block.senders, block.recipients, block.creation_hashes)
+            assert loaded == block
+            assert cache.path(block.number).read_bytes() == before
 
     @settings(max_examples=200)
     @given(block=block_records(), data=st.data())
@@ -546,12 +618,12 @@ class TestCache:
 
     def test_unknown_format_rejected(self, tmp_path):
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), v4_body(), b"chaingraph-block/9")
+        write_entry(cache.path(12), cache_body(), b"chaingraph-block/9")
         with pytest.raises(CacheCorruptError,
                            match=f"{cache.path(12)}: unknown format 'chaingraph-block/9'"):
             cache.get(12)
 
-    _DIGEST = hashlib.sha256(v4_body()).hexdigest().encode()
+    _DIGEST = hashlib.sha256(cache_body()).hexdigest().encode()
 
     @pytest.mark.parametrize("header,message", [
         (CACHE_FORMAT, "checksum mismatch"),
@@ -562,57 +634,52 @@ class TestCache:
         (CACHE_FORMAT + b"  sha256:" + _DIGEST, "checksum mismatch"),
         (CACHE_FORMAT + b" sha256:" + _DIGEST + b" ", "checksum mismatch"),
         (CACHE_FORMAT + b" sha256:" + _DIGEST + b"\r", "checksum mismatch"),
-        (CACHE_FORMAT + b" sha256:" + hashlib.sha256(v4_body(number=13)).hexdigest().encode(),
+        (CACHE_FORMAT + b" sha256:" + hashlib.sha256(cache_body(number=13)).hexdigest().encode(),
          "checksum mismatch"),
+        (FORMAT_4, "checksum mismatch"),
+        (FORMAT_4 + b" sha256:" + _DIGEST,
+         "malformed block fields: body too short for 3 transactions"),
         (b"", "unknown format ''"),
-        (b"Chaingraph-block/4 sha256:" + _DIGEST, "unknown format 'Chaingraph-block/4'"),
-        (b"chaingraph-block/40 sha256:" + _DIGEST, "unknown format 'chaingraph-block/40'"),
-        (b"chaingraph-block/4\tsha256:" + _DIGEST,
-         "unknown format " + repr("chaingraph-block/4\tsha256:" + _DIGEST[:14].decode())),
-        (b"chaingraph-block/4" + b"x" * 30, "unknown format 'chaingraph-block/4" + "x" * 22 + "'"),
+        (b"Chaingraph-block/5 sha256:" + _DIGEST, "unknown format 'Chaingraph-block/5'"),
+        (b"chaingraph-block/50 sha256:" + _DIGEST, "unknown format 'chaingraph-block/50'"),
+        (b"chaingraph-block/5\tsha256:" + _DIGEST,
+         "unknown format " + repr("chaingraph-block/5\tsha256:" + _DIGEST[:14].decode())),
+        (b"chaingraph-block/5" + b"x" * 30, "unknown format 'chaingraph-block/5" + "x" * 22 + "'"),
         (b"chaingraph-block/\xff sha256:" + _DIGEST, "unknown format 'chaingraph-block/�'"),
     ], ids=["no-checksum", "bare-digest", "sha1", "uppercase-digest", "short-digest",
-            "two-spaces", "trailing-space", "crlf", "digest-of-another-body", "no-header",
+            "two-spaces", "trailing-space", "crlf", "digest-of-another-body",
+            "format-4-no-checksum", "format-5-body-as-format-4", "no-header",
             "uppercase-name", "longer-name", "tab-separated", "name-cut-at-40", "non-ascii-name"])
     def test_malformed_header_refused(self, tmp_path, header, message):
         # Only the exact header that store writes is read: any other is
         # refused with what is wrong, at most 40 characters of the name,
         # and the entry is left as it is.
         cache = BlockCache(tmp_path)
-        cache.path(12).write_bytes(header + b"\n" + v4_body())
+        cache.path(12).write_bytes(header + b"\n" + cache_body())
         before = cache.path(12).read_bytes()
         exact = f"^{re.escape(f'{cache.path(12)}: {message}')}$"
         with pytest.raises(CacheCorruptError, match=exact):
             cache.get(12)
         assert cache.path(12).read_bytes() == before
 
-    def test_every_cut_refused(self, tmp_path):
+    @pytest.mark.parametrize("fmt,name", [(5, CACHE_FORMAT), (4, FORMAT_4)], ids=["5", "4"])
+    def test_every_cut_refused(self, tmp_path, fmt, name):
         cache = BlockCache(tmp_path)
-        body = v4_body()
+        body = cache_body(fmt)
         for size in range(len(body)):
-            write_entry(cache.path(12), body[:size], CACHE_FORMAT)
+            write_entry(cache.path(12), body[:size], name)
             with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
                 cache.get(12)
 
-    @pytest.mark.parametrize("body", [
-        v4_body() + b" ",                                   # extended
-        v4_body() + b"0",
-        v4_body() + b"\n",
-        v4_body() + bytes(4),
-        v4_body() + b"ff 0 1",                              # values, as format 3 had
-        v4_body(n=0), v4_body(n=2), v4_body(n=4),           # wrong tx count
-        v4_body(n=0)[:72] + bytes(4) + b"0",                # a byte without a tx
-        v4_body(recipients=(b"\x00",) * 3, creations=(1, 0)),  # unsorted
-        v4_body(creations=(1, 1)),                          # duplicated
-        v4_body(creations=(3,)),                            # out of range
-        v4_body(creations=(1, 2**32 - 1)),
-        v4_body(creations=(0,)),                            # non-zero slot
-        v4_body(number=13),                                 # another block
-    ])
-    def test_malformed_body_with_valid_checksum(self, tmp_path, body):
-        # Refused, and left as it is.
+    @pytest.mark.parametrize("name,body", [
+        pytest.param(name, body, id=f"format-{fmt}-{case}")
+        for fmt, name in ((5, CACHE_FORMAT), (4, FORMAT_4))
+        for case, body in malformed_bodies(fmt).items()])
+    def test_malformed_body_with_valid_checksum(self, tmp_path, name, body):
+        # Refused, and left as it is. A format-4 body is refused exactly
+        # where it was when format 4 was the only format read.
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), body, CACHE_FORMAT)
+        write_entry(cache.path(12), body, name)
         before = cache.path(12).read_bytes()
         with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
             cache.get(12)
@@ -627,14 +694,16 @@ class TestCache:
 
     def test_reads_never_write(self, tmp_path, monkeypatch):
         # A read opens no file for writing and renames none, whatever it
-        # finds: a miss, a valid entry, a corrupt one or one of an old
-        # format. A miss does not make a mistyped directory either.
+        # finds: a miss, a valid entry, a corrupt one, one of an old format
+        # or a format-4 one, which is read as it is, not migrated. A miss
+        # does not make a mistyped directory either.
         cache = BlockCache(tmp_path / "cache")
         cache.directory.mkdir()
-        write_entry(cache.path(12), v4_body(), CACHE_FORMAT)
-        write_entry(cache.path(13), v4_body(number=13), CACHE_FORMAT)
+        write_entry(cache.path(12), cache_body(), CACHE_FORMAT)
+        write_entry(cache.path(13), cache_body(number=13), CACHE_FORMAT)
         cache.path(13).write_bytes(cache.path(13).read_bytes()[:-1] + b"\x02")
-        write_entry(cache.path(14), v4_body(number=14) + b"ff 0 1", b"chaingraph-block/3")
+        write_entry(cache.path(14), cache_body(4, number=14) + b"ff 0 1", b"chaingraph-block/3")
+        write_entry(cache.path(15), cache_body(4, number=15), FORMAT_4)
         before = {p.name: p.read_bytes() for p in cache.directory.iterdir()}
         calls = []
 
@@ -655,6 +724,7 @@ class TestCache:
             cache.get(13)
         with pytest.raises(CacheCorruptError, match="unknown format 'chaingraph-block/3'"):
             cache.get(14)
+        assert cache.get(15) == cache.get(12)._replace(number=15)
         assert calls == []
         assert not mistyped.directory.exists()
         assert {p.name: p.read_bytes() for p in cache.directory.iterdir()} == before
@@ -802,8 +872,7 @@ class TestFetchRange:
         cache = BlockCache(tmp_path / "cache")
         path = cache.path(12)
         if old == "format-3":
-            write_entry(path, record_encode(parse_block_json(raw)) + b"ff 0",
-                        b"chaingraph-block/3")
+            write_entry(path, format4_body(raw) + b"ff 0", b"chaingraph-block/3")
             found = "chaingraph-block/3"
         elif old == "format-2":
             body = (f"12 {raw['hash']} 1500000000 {raw['miner']}\n"
