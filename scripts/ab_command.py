@@ -97,6 +97,8 @@ def main() -> int:
     split = own.index("--") if "--" in own else len(own)
     args = parser.parse_args(own[:split])
     argv = own[split + 1:]
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
     if not argv:
         parser.error("no command given after --")
     if "--out-dir" in argv:

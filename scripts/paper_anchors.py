@@ -24,7 +24,6 @@ from chaingraph.metrics import (
     connected_components,
     distance_summary,
     general_metrics,
-    largest_component,
 )
 
 
@@ -47,8 +46,7 @@ def main() -> int:
     print(f"\nMain-component distances: L={dist.average_distance:.4f} (1.89)  "
           f"diameter={dist.diameter} (2)")
 
-    main_comp = largest_component(simple, components)
-    sw = small_world_report(main_comp, trials=args.trials, seed=args.seed)
+    sw = small_world_report(simple, components, trials=args.trials, seed=args.seed)
     print(f"\nSmall-world comparison over {sw.trials} G({sw.n},{sw.m}) trials, "
           f"seed {sw.seed}:")
     print(f"  cc={sw.cc} (0)  L={sw.avg_distance:.2f} (1.89)  "

@@ -31,7 +31,6 @@ from chaingraph.metrics import (
     degree_distribution,
     distance_summary,
     general_metrics,
-    largest_component,
 )
 from chaingraph.baseline import (
     UNDEFINED,
@@ -66,7 +65,6 @@ __all__ = [
     "fetch_range",
     "general_metrics",
     "gnm_random_graph",
-    "largest_component",
     "miner_distribution",
     "parse_block_json",
     "project_simple",

@@ -1,8 +1,9 @@
 """Erdos-Renyi G(n,m) baselines and the small-world coefficient.
 
-The comparison graph takes the subject's exact node and edge counts with
-edges placed uniformly at random; sigma = (cc/cc_RG)/(L/L_RG) classifies a
-small world when it is well above 1.
+The subject, a graph's largest component, is read in place; the comparison
+graph takes its exact node and edge counts with edges placed uniformly at
+random. sigma = (cc/cc_RG)/(L/L_RG) classifies a small world when it is
+well above 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from typing import Union
 
 from chaingraph.graph import SimpleGraph, _sorted_adjacency
 from chaingraph.metrics import (
+    ComponentSet,
     ExactnessPolicy,
+    _average_local_clustering,
+    _neighbour_links,
     average_local_clustering,
     connected_components,
     distance_summary,
@@ -125,30 +129,31 @@ def trial_seed(seed: int, trial: int) -> int:
     return seed * _TRIAL_SEED_STRIDE + trial
 
 
-def small_world_report(subject: SimpleGraph, trials: int, seed: int,
+def small_world_report(g: SimpleGraph, components: ComponentSet, trials: int, seed: int,
                        policy: ExactnessPolicy = ExactnessPolicy()) -> SmallWorldReport:
-    """Compare a connected subject graph against `trials` G(n,m) instances.
-
-    cc_RG averages local clustering over the instances; L_RG averages the
-    instance largest-component distance (G(n,m) at these densities may be
-    disconnected), found in place. Per-trial seeds derive from (seed,
-    trial index), so trials can run in any order without changing output.
+    """Compare the largest component of g, in place, against `trials` G(n,m)
+    instances; `components` is connected_components(g). A node's clustering
+    depends on its neighbours alone, so cc, averaged over the members in
+    ascending order, and L are those of largest_component(g). cc_RG and L_RG
+    average the instances' clustering and largest-component distance. Trial
+    seeds derive from (seed, trial index), so trials can run in any order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    components = connected_components(subject)
-    if components.num_components != 1:
-        raise ValueError("subject graph must be non-empty and connected")
+    n, m = components.largest_size
+    if m == 0:
+        raise ValueError("the largest component has no edge to compare")
 
-    summary = distance_summary(subject, components, policy)
-    cc = average_local_clustering(subject)
+    summary = distance_summary(g, components, policy)
+    cc = _average_local_clustering(g, _neighbour_links(g),
+                                   components.members(components.largest_id))
 
     cc_total = 0.0
     l_total = 0.0
     for i in range(trials):
-        instance = gnm_random_graph(GnmParams(subject.n, subject.m, trial_seed(seed, i)))
+        instance = gnm_random_graph(GnmParams(n, m, trial_seed(seed, i)))
         cc_total += average_local_clustering(instance)
         l_total += distance_summary(instance, connected_components(instance),
                                     policy).average_distance
@@ -156,8 +161,8 @@ def small_world_report(subject: SimpleGraph, trials: int, seed: int,
     l_rg = l_total / trials
 
     return SmallWorldReport(
-        n=subject.n,
-        m=subject.m,
+        n=n,
+        m=m,
         cc=cc,
         avg_distance=summary.average_distance,
         cc_rg=cc_rg,

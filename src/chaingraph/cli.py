@@ -37,15 +37,12 @@ from chaingraph.ingest import (
     fetch_range,
 )
 from chaingraph.metrics import (
-    EXACT,
     ComponentSet,
-    DistanceSummary,
     ExactnessPolicy,
     connected_components,
     degree_distribution,
     distance_summary,
     general_metrics,
-    largest_component,
 )
 from chaingraph.miners import miner_distribution
 
@@ -162,16 +159,6 @@ def _snapshot(cfg: RunConfig, spec: SnapshotSpec,
     return _Snapshot(simple, connected_components(simple))
 
 
-def _main_component(simple: SimpleGraph, comps: ComponentSet,
-                    policy: ExactnessPolicy) -> tuple[int, int, DistanceSummary]:
-    """Nodes, edges, L and diameter of the main component, in place. An
-    empty range has none: 0 nodes and edges, and one node's L and diameter."""
-    if comps.num_components == 0:
-        return 0, 0, DistanceSummary(0.0, 0, EXACT, EXACT)
-    nodes, edges = comps.sizes[comps.largest_id]
-    return nodes, edges, distance_summary(simple, comps, policy)
-
-
 def cmd_fetch(cfg: RunConfig) -> int:
     stats = {"fetched": 0, "hits": 0}
 
@@ -200,9 +187,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     spec = cfg.snapshots[0]
     simple, comps = _snapshot(cfg, spec, graph_outputs)
-    nodes_main, _, summary = _main_component(simple, comps, policy)
-    dist_row = [nodes_main, summary.average_distance, summary.diameter, summary.l_method,
-                summary.diameter_method, summary.sample_sources, summary.seed]
+    summary = distance_summary(simple, comps, policy)
+    dist_row = [comps.largest_size[0], summary.average_distance, summary.diameter,
+                summary.l_method, summary.diameter_method, summary.sample_sources, summary.seed]
     report = general_metrics(simple, comps)
     metrics_cols = ["blocks", "nodes", "edges", "avg_clus_coeff", "transitivity",
                     "components", "nodes_largest_comp", "edges_largest_comp"]
@@ -225,12 +212,9 @@ def cmd_smallworld(cfg: RunConfig) -> int:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     spec = cfg.snapshots[0]
     simple, comps = _snapshot(cfg, spec)
-    main = largest_component(simple, comps)
-    del simple, comps  # the comparison reads the main component alone
-    if main.m == 0:
-        print(f"error: block range {spec.label()} has no edge to compare", file=sys.stderr)
-        return 1
-    report = small_world_report(main, cfg.trials, cfg.seed, policy)
+    if comps.largest_size[1] == 0:
+        raise ValueError(f"block range {spec.label()} has no edge to compare")
+    report = small_world_report(simple, comps, cfg.trials, cfg.seed, policy)
     columns = ["blocks", "nodes", "edges", "cc", "L", "cc_RG", "L_RG", "sigma",
                "trials", "seed"]
     row = [spec.count, report.n, report.m, report.cc, report.avg_distance,
@@ -252,7 +236,8 @@ def cmd_snapshots(cfg: RunConfig) -> int:
     for spec in cfg.snapshots:
         try:
             simple, comps = _snapshot(cfg, spec)
-            nodes_main, edges_main, summary = _main_component(simple, comps, policy)
+            nodes_main, edges_main = comps.largest_size
+            summary = distance_summary(simple, comps, policy)
             rows.append([spec.start_block, spec.count, simple.n, nodes_main, simple.m,
                          edges_main, comps.num_components, summary.average_distance])
             del simple, comps  # not held while the next range is built

@@ -70,6 +70,7 @@ class SimpleGraph:
     def n(self) -> int:
         return len(self.adj)
 
+    # Called only by tests, and by name by bench/tracing.py, which traces it.
     def subgraph(self, node_indices: list[int]) -> "SimpleGraph":
         """Induced subgraph on distinct nodes, reindexed in the given order."""
         remap = [-1] * self.n  # old index -> new index, -1 outside the subgraph

@@ -21,7 +21,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import Optional, Sequence
 
 from chaingraph.graph import SimpleGraph, TransactionGraph
 
@@ -63,6 +63,11 @@ class ComponentSet:
     @property
     def num_components(self) -> int:
         return len(self.sizes)
+
+    @property
+    def largest_size(self) -> tuple[int, int]:
+        """(nodes, edges) of the largest component; (0, 0) when there is none."""
+        return self.sizes[self.largest_id] if self.sizes else (0, 0)
 
     def members(self, component_id: int) -> list[int]:
         return [i for i, c in enumerate(self.assignment) if c == component_id]
@@ -134,12 +139,11 @@ def connected_components(g: SimpleGraph) -> ComponentSet:
     return ComponentSet(assignment=assignment, sizes=sizes, largest_id=largest_id)
 
 
-def largest_component(g: SimpleGraph,
-                      components: Optional[ComponentSet] = None) -> SimpleGraph:
+# Called only by tests, and by name by bench/tracing.py, which traces it.
+def largest_component(g: SimpleGraph) -> SimpleGraph:
     """Induced subgraph on the largest component (nodes in ascending
     original index order). An empty graph gives an empty graph."""
-    if components is None:
-        components = connected_components(g)
+    components = connected_components(g)
     return g.subgraph(components.members(components.largest_id))
 
 
@@ -198,18 +202,21 @@ def transitivity(g: SimpleGraph) -> float:
     return _transitivity(g, _neighbour_links(g))
 
 
-def _average_local_clustering(g: SimpleGraph, links: list[int]) -> float:
-    if g.n == 0:
+def _average_local_clustering(g: SimpleGraph, links: list[int], nodes: Sequence[int]) -> float:
+    if not nodes:
         return 0.0
-    values = [count / (d * (d - 1) / 2) if d >= 2 else 0.0
-              for count, d in zip(links, map(len, g.adj))]
-    return sum(values) / g.n
+    adj = g.adj
+    # Only nodes on a triangle are summed, in the order of `nodes`: any
+    # other node would add 0.0, which leaves a float sum as it is.
+    values = [links[v] / (len(adj[v]) * (len(adj[v]) - 1) / 2)
+              for v in compress(nodes, map(links.__getitem__, nodes))]
+    return sum(values) / len(nodes)
 
 
 def average_local_clustering(g: SimpleGraph) -> float:
     """Mean over all nodes of the fraction of neighbor pairs that are
     linked; a node of degree < 2 counts as zero."""
-    return _average_local_clustering(g, _neighbour_links(g))
+    return _average_local_clustering(g, _neighbour_links(g), range(g.n))
 
 
 # Called only by tests, and by name by bench/tracing.py, which counts its calls.
@@ -356,6 +363,7 @@ def distance_summary(g: SimpleGraph, components: ComponentSet,
     """Average shortest-path length and diameter of the largest component
     of g, in place; `components` is connected_components(g). Its nodes keep
     their ascending order, so the result is that on largest_component(g).
+    A component of one node, or an empty graph's, has no pair: both are 0.
 
     Below policy.exact_threshold nodes, both come from all-pairs BFS.
     Above it, L is averaged over policy.sample_sources seeded sources and
@@ -363,9 +371,7 @@ def distance_summary(g: SimpleGraph, components: ComponentSet,
     """
     members = components.members(components.largest_id)
     n = len(members)
-    if n == 0:
-        raise ValueError("distance_summary needs a non-empty graph")
-    if n == 1:
+    if n <= 1:
         return DistanceSummary(0.0, 0, EXACT, EXACT)
 
     fold = _fold_leaves(g)
@@ -386,15 +392,12 @@ def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsRep
     """The one-row summary: counts, both clustering variants, components.
     `components` is connected_components(simple); the projection has the
     n and m of the TransactionGraph it came from."""
-    if components.num_components == 0:
-        largest_nodes, largest_edges = 0, 0
-    else:
-        largest_nodes, largest_edges = components.sizes[components.largest_id]
+    largest_nodes, largest_edges = components.largest_size
     links = _neighbour_links(simple)
     return MetricsReport(
         n=simple.n,
         m=simple.m,
-        avg_clustering=_average_local_clustering(simple, links),
+        avg_clustering=_average_local_clustering(simple, links, range(simple.n)),
         transitivity=_transitivity(simple, links),
         num_components=components.num_components,
         largest_component_nodes=largest_nodes,

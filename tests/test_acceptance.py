@@ -117,7 +117,7 @@ def test_criterion_3_oracle_equivalence():
         for node in range(g.n):
             got, want = comps.assignment[node], oracle[node]
             assert pairing.setdefault(got, want) == want
-        main_comp = largest_component(g, comps)
+        main_comp = largest_component(g)
         if main_comp.n > 1:
             summary = distance_summary(g, comps)
             oracle_avg, oracle_diam = all_pairs_average_and_diameter(main_comp)

@@ -175,9 +175,13 @@ class TestSigma:
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
+def report_of(g, trials, seed, policy=ExactnessPolicy()):
+    return small_world_report(g, connected_components(g), trials, seed, policy)
+
+
 class TestSmallWorldReport:
     def test_star_subject_matches_published_row(self):
-        report = small_world_report(star_graph(18), trials=200, seed=1)
+        report = report_of(star_graph(18), trials=200, seed=1)
         assert report.cc == 0.0
         assert report.sigma == 0.0
         assert report.avg_distance == pytest.approx(324 / 171, abs=5e-3)
@@ -186,27 +190,41 @@ class TestSmallWorldReport:
         assert 2.5 <= report.l_rg <= 3.4
 
     def test_k4_subject_sigma_one(self):
-        report = small_world_report(complete_graph(4), trials=3, seed=0)
+        report = report_of(complete_graph(4), trials=3, seed=0)
         assert report.cc == 1.0
         assert report.avg_distance == 1.0
         assert report.sigma == 1.0
 
     def test_small_world_fixture_classified_above_one(self):
-        subject = largest_component(ring_lattice_rewired(500, 4, rewire_every=10, seed=8))
-        report = small_world_report(subject, trials=5, seed=3)
+        report = report_of(ring_lattice_rewired(500, 4, rewire_every=10, seed=8),
+                           trials=5, seed=3)
         assert isinstance(report.sigma, float)
         assert report.sigma > 1.0
 
     def test_deterministic(self):
-        subject = largest_component(gnm_random_graph(GnmParams(120, 200, seed=4)))
-        a = small_world_report(subject, trials=4, seed=9)
-        b = small_world_report(subject, trials=4, seed=9)
+        g = gnm_random_graph(GnmParams(120, 200, seed=4))
+        a = report_of(g, trials=4, seed=9)
+        b = report_of(g, trials=4, seed=9)
         assert a == b
 
-    def test_disconnected_subject_rejected(self):
-        g = set_from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            small_world_report(g, trials=1, seed=0)
+    def test_disconnected_reports_on_its_largest_component(self):
+        # A triangle with a pendant (nodes 1, 3, 5, 6) among two isolated
+        # edges: the report is that of the triangle's component alone.
+        g = set_from_edges(8, [(0, 2), (1, 3), (3, 5), (1, 5), (5, 6), (4, 7)])
+        report = report_of(g, trials=2, seed=0)
+        assert (report.n, report.m) == (4, 4)
+        assert report.cc == (1 + 1 + 1 / 3 + 0) / 4
+        assert report.avg_distance == 8 / 6
+        assert report == report_of(largest_component(g), trials=2, seed=0)
+
+    @pytest.mark.parametrize("g", [
+        set_from_edges(0, []),
+        set_from_edges(1, []),
+        set_from_edges(3, []),
+    ], ids=["empty", "one-node", "isolated-nodes"])
+    def test_main_component_without_edge_rejected(self, g):
+        with pytest.raises(ValueError, match="no edge"):
+            report_of(g, trials=1, seed=0)
 
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(7, i) for i in range(100)}

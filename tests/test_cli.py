@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,8 +16,10 @@ import pytest
 import chaingraph
 from chaingraph import cli
 from chaingraph.cli import _config_from_args, build_parser, main
+from chaingraph.baseline import small_world_report
 from chaingraph.graph import SimpleGraph
 from chaingraph.ingest import BlockCache, BlockRecord, JsonRpcEndpoint, parse_block_json
+from chaingraph.metrics import connected_components, largest_component
 
 from conftest import (
     MockEndpoint,
@@ -392,17 +395,16 @@ class TestGraphReleased:
         assert alive == [[], [False], [False, False]]
 
 
-@pytest.mark.parametrize("args,copies", [
-    (["analyze", "--start-block", "1", "--num-blocks", "3"], 0),
-    (["analyze", "--start-block", "1", "--num-blocks", "3", "--exact-threshold", "10",
-      "--sample-sources", "5"], 0),
-    (["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"], 0),
-    (["smallworld", "--start-block", "1", "--num-blocks", "3", "--trials", "3"], 1),
+@pytest.mark.parametrize("args", [
+    ["analyze", "--start-block", "1", "--num-blocks", "3"],
+    ["analyze", "--start-block", "1", "--num-blocks", "3", "--exact-threshold", "10",
+     "--sample-sources", "5"],
+    ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
+    ["smallworld", "--start-block", "1", "--num-blocks", "3", "--trials", "3"],
 ], ids=["analyze-exact", "analyze-sampled", "snapshots", "smallworld"])
-def test_main_component_copied_only_for_the_smallworld_subject(forest_cache, monkeypatch,
-                                                               args, copies):
-    # Distances run on the main component in place; only smallworld copies
-    # it once, for the subject its clustering and baselines are taken on.
+def test_main_component_never_copied(forest_cache, monkeypatch, args):
+    # Distances, and the small-world subject's clustering, run on the main
+    # component in place.
     sizes = []
     subgraph = SimpleGraph.subgraph
 
@@ -412,7 +414,7 @@ def test_main_component_copied_only_for_the_smallworld_subject(forest_cache, mon
 
     monkeypatch.setattr(SimpleGraph, "subgraph", counted)
     assert run(args, forest_cache) == 0
-    assert sizes == [19] * copies
+    assert sizes == []
 
 
 def test_offline_commands_never_load_http_stack(forest_cache):
@@ -532,15 +534,15 @@ def test_traced_analyze_counts_the_fixture(forest_cache):
 
 
 def test_traced_smallworld_counts_the_subject(star_cache):
-    # smallworld is the one command that copies the main component, so the
-    # only one that feeds metrics.main_component_nodes.
+    # The subject is read in place: its components are labelled once, with
+    # the projection's, and then once per G(n,m) trial; nothing is copied.
     result = traced_run(star_cache, [
         "smallworld", "--trials", "3", "--start-block", "1", "--num-blocks", "1"])
-    assert result["firsts"] == {"graph.nodes": 19, "graph.edges": 18,
-                                "metrics.main_component_nodes": 19}
-    for name in ("metrics.largest_component", "graph.subgraph",
-                 "baseline.small_world_report"):
-        assert result["calls"][name] == 1, name
+    assert result["firsts"] == {"graph.nodes": 19, "graph.edges": 18}
+    assert result["calls"]["baseline.small_world_report"] == 1
+    assert result["calls"]["metrics.connected_components"] == 1 + 3
+    assert result["calls"]["metrics.largest_component"] == 0
+    assert result["calls"]["graph.subgraph"] == 0
     assert result["calls"]["baseline.gnm_random_graph"] == 3
     assert result["calls"]["metrics.distance_summary"] == 4
 
@@ -588,7 +590,7 @@ def test_public_names_pinned():
         "SmallWorldReport", "SnapshotSpec", "TransactionGraph", "UNDEFINED",
         "average_local_clustering", "build_graph", "connected_components",
         "degree_distribution", "distance_summary", "export_pajek", "fetch_range",
-        "general_metrics", "gnm_random_graph", "largest_component", "miner_distribution",
+        "general_metrics", "gnm_random_graph", "miner_distribution",
         "parse_block_json", "project_simple", "recipient_nodes", "small_world_report",
         "small_world_sigma",
     ]
@@ -636,6 +638,52 @@ def test_paper_anchors_script_runs():
     assert "nodes=55 (55)" in proc.stdout
 
 
+class TestAbCommand:
+    """scripts/ab_command.py on the forest fixture, one or two pairs."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    SCRIPT = ROOT / "scripts" / "ab_command.py"
+
+    def ab(self, own, command):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), str(self.ROOT), str(self.ROOT), *own, "--",
+             *command], capture_output=True, text=True, timeout=120)
+
+    def test_same_tree_byte_identical(self, forest_cache):
+        proc = self.ab(["--pairs", "2"], ["analyze", "--start-block", "1", "--num-blocks", "3",
+                                          "--cache-dir", str(forest_cache / "cache"),
+                                          "--offline"])
+        assert proc.returncode == 0, proc.stderr
+        assert "change faster in" in proc.stdout
+        assert "outputs byte-identical: 6 files on every pair" in proc.stdout
+
+    def test_caches_of_different_blocks_differ(self, tmp_path):
+        seed_cache(tmp_path / "cache_base", pairs_to_raw_blocks(forest_pairs(), start=1))
+        seed_cache(tmp_path / "cache_change", pairs_to_raw_blocks(star_pairs(), start=1))
+        proc = self.ab(["--pairs", "1"], ["analyze", "--start-block", "1", "--num-blocks", "3",
+                                          "--cache-dir", str(tmp_path / "cache_{side}"),
+                                          "--offline"])
+        assert proc.returncode == 1, proc.stderr
+        assert "outputs DIFFER: degree.csv" in proc.stdout
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairs_below_one_refused_before_any_run(self, monkeypatch, capsys, pairs):
+        spec = importlib.util.spec_from_file_location("ab_command", self.SCRIPT)
+        ab_command = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab_command)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(ab_command.subprocess, "run", no_process)
+        monkeypatch.setattr(sys, "argv", ["ab_command.py", str(self.ROOT), str(self.ROOT),
+                                          "--pairs", pairs, "--", "analyze"])
+        with pytest.raises(SystemExit) as exit_info:
+            ab_command.main()
+        assert exit_info.value.code == 2
+        assert f"--pairs must be >= 1, got {pairs}" in capsys.readouterr().err
+
+
 def test_readme_library_snippet_runs():
     # The README's one python block, run on the forest fixture, so a change
     # to a field or signature it uses fails here.
@@ -643,17 +691,18 @@ def test_readme_library_snippet_runs():
     (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
     namespace = {"blocks": forest_blocks()}
     exec(snippet, namespace)
-    g, report, main = namespace["g"], namespace["report"], namespace["main"]
+    g, report, sw = namespace["g"], namespace["report"], namespace["sw"]
     assert (report.n, report.m, report.largest_component_nodes) == (55, 40, 19)
-    assert (main.n, main.m) == (19, 18)
-    # The in-place distances are those of the copy.
+    # The in-place distances and small-world row are those of the copy.
+    main = largest_component(namespace["simple"])
     assert namespace["dist"] == summary_of(main)
+    assert sw == small_world_report(main, connected_components(main), trials=5, seed=42)
     # The names map back onto the 18 edges of one closed component of g.
     inside = {g.labels.index(account) for account in namespace["main_accounts"]}
     touching = [edge for edge in g.edges if inside & set(edge)]
     assert len(inside) == 19
     assert len(touching) == 18 and all(set(edge) <= inside for edge in touching)
-    assert namespace["sw"].n == 19
+    assert (sw.n, sw.m) == (19, 18)
 
 
 class TestPinnedOutputs:

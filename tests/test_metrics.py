@@ -1,17 +1,19 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaingraph import metrics
-from chaingraph.baseline import GnmParams, gnm_random_graph, trial_seed
+from chaingraph.baseline import GnmParams, gnm_random_graph, small_world_report, trial_seed
 from chaingraph.graph import build_graph, project_simple
 from chaingraph.metrics import (
     EXACT,
     LOWER_BOUND,
     SAMPLED,
+    DistanceSummary,
     ExactnessPolicy,
     average_local_clustering,
     bfs_distances,
@@ -307,6 +309,11 @@ class TestDistance:
         assert summary.diameter == 1
         assert summary.l_method == EXACT
 
+    @pytest.mark.parametrize("g", [simple(0, []), simple(1, []), simple(3, [])],
+                             ids=["empty", "one-node", "isolated-nodes"])
+    def test_no_pair_reads_zero(self, g):
+        assert summary_of(g) == DistanceSummary(0.0, 0, EXACT, EXACT)
+
     def test_path_three_nodes(self):
         summary = summary_of(path_graph(3))
         assert summary.average_distance == pytest.approx(4 / 3)
@@ -580,6 +587,30 @@ class TestMultiSourceBatches:
         for s in range(g.n):
             with pytest.raises(ValueError, match="connected"):
                 sum_and_max_from_sources(g, [s])
+
+
+class TestSmallWorldInPlace:
+    """small_world_report on a graph and its component labels is the report
+    on a copy of its largest component, bit for bit: n, m, cc and L are
+    read in place, and the baselines follow from n and m."""
+
+    @staticmethod
+    def report_fields(report):
+        values = (getattr(report, f.name) for f in dataclasses.fields(report))
+        return [v.hex() if isinstance(v, float) else v for v in values]
+
+    @pytest.mark.parametrize("policy", [
+        ExactnessPolicy(),
+        ExactnessPolicy(exact_threshold=1, sample_sources=3, seed=5),
+    ], ids=["exact", "sampled"])
+    @settings(max_examples=60, deadline=None)
+    @given(g=disconnected_leaf_heavy())
+    @example(g=hub_clique_with_neighbours())
+    def test_in_place_matches_the_copy(self, g, policy):
+        in_place = small_world_report(g, connected_components(g), 2, 7, policy)
+        main = largest_component(g)
+        on_copy = small_world_report(main, connected_components(main), 2, 7, policy)
+        assert self.report_fields(in_place) == self.report_fields(on_copy)
 
 
 LEAF_HEAVY = [

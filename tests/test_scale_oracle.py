@@ -69,7 +69,7 @@ def test_matches_networkx(g):
     biggest = max(map(len, expected))
     main_nodes = min((c for c in expected if len(c) == biggest), key=min)
     assert comps.members(comps.largest_id) == sorted(main_nodes)
-    main = largest_component(g, comps)
+    main = largest_component(g)
 
     triangles = nx.triangles(G)
     assert _neighbour_links(g) == [triangles[v] for v in range(g.n)]
