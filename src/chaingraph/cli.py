@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from chaingraph import __version__
 from chaingraph.baseline import UNDEFINED, small_world_report
@@ -48,6 +48,7 @@ from chaingraph.miners import miner_distribution
 
 RPC_URL_ENV = "CHAINGRAPH_RPC_URL"
 DEFAULT_CACHE_DIR = "./chaincache"
+_GraphOutputs = Optional[Callable[[TransactionGraph], None]]  # the weighted graph's outputs
 
 
 @dataclass
@@ -113,20 +114,20 @@ def _write_file(cfg: RunConfig, name: str, body: Callable[[TextIO], None],
         body(sink)
 
 
-def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[Sequence]) -> None:
+def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[Sequence],
+               pretty: bool = False) -> None:
+    """Write a results table; with pretty, --pretty also prints it on stdout."""
     def body(sink: TextIO) -> None:
         sink.write(",".join(columns) + "\n")
         for row in rows:
             sink.write(",".join(_fmt(v) for v in row) + "\n")
 
     _write_file(cfg, name, body)
-
-
-def _print_table(columns: list[str], rows: list[Sequence]) -> None:
-    cells = [columns] + [[_fmt(v) for v in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
-    for r in cells:
-        print("  ".join(val.ljust(w) for val, w in zip(r, widths)))
+    if pretty and cfg.pretty:
+        cells = [columns] + [[_fmt(v) for v in row] for row in rows]
+        widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
+        for r in cells:
+            print("  ".join(val.ljust(w) for val, w in zip(r, widths)))
 
 
 def _endpoint(cfg: RunConfig) -> Optional[JsonRpcEndpoint]:
@@ -142,21 +143,59 @@ def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
     return fetch_range(_endpoint(cfg), spec, BlockCache(cfg.cache_dir), on_block=on_block)
 
 
-class _Snapshot(NamedTuple):
-    simple: SimpleGraph
-    comps: ComponentSet
-
-
-def _snapshot(cfg: RunConfig, spec: SnapshotSpec,
-              graph_outputs: Optional[Callable[[TransactionGraph], None]] = None) -> _Snapshot:
+def _snapshot(blocks: Iterator[BlockRecord],
+              graph_outputs: _GraphOutputs = None) -> tuple[SimpleGraph, ComponentSet]:
     """A block range as a network. Only graph_outputs reads the weighted graph;
     it is dropped before this returns, so no metric runs while it is held."""
-    g = build_graph(_load_blocks(cfg, spec))
+    g = build_graph(blocks)
     simple = project_simple(g)
     if graph_outputs is not None:
         graph_outputs(g)
     del g
-    return _Snapshot(simple, connected_components(simple))
+    return simple, connected_components(simple)
+
+
+def _tap_timestamps(blocks: Iterator[BlockRecord], stamps: list[int]) -> Iterator[BlockRecord]:
+    """The blocks, passed on; stamps keeps the first and last timestamps only."""
+    for block in blocks:
+        del stamps[1:]
+        stamps.append(block.timestamp)
+        yield block
+
+
+def _record(cfg: RunConfig, spec: SnapshotSpec, policy: ExactnessPolicy,
+            graph_outputs: _GraphOutputs = None) -> dict:
+    """Every number of a block range, one key per quantity, in snapshots.csv's
+    order. Distances run before clustering, both after the weighted graph is dropped."""
+    stamps: list[int] = []
+    simple, comps = _snapshot(_tap_timestamps(_load_blocks(cfg, spec), stamps), graph_outputs)
+    summary = distance_summary(simple, comps, policy)
+    report = general_metrics(simple, comps)
+    return {"start_block": spec.start_block, "num_blocks": spec.count, "nodes": report.n,
+            "nodes_main": report.largest_component_nodes, "edges": report.m,
+            "edges_main": report.largest_component_edges, "components": report.num_components,
+            "avg_distance": summary.average_distance, "avg_clus_coeff": report.avg_clustering,
+            "transitivity": report.transitivity, "diameter": summary.diameter,
+            "l_method": summary.l_method, "diameter_method": summary.diameter_method,
+            "sample_sources": summary.sample_sources, "seed": summary.seed,
+            "first_timestamp": stamps[0], "last_timestamp": stamps[-1]}
+
+
+# analyze's files: each header, then the record key it reads.
+_METRICS_CSV = {"blocks": "num_blocks", "nodes": "nodes", "edges": "edges",
+                "avg_clus_coeff": "avg_clus_coeff", "transitivity": "transitivity",
+                "components": "components", "nodes_largest_comp": "nodes_main",
+                "edges_largest_comp": "edges_main"}
+_DISTANCES_CSV = {"nodes_main_comp": "nodes_main", "avg_distance": "avg_distance",
+                  "diameter": "diameter", "l_method": "l_method",
+                  "diameter_method": "diameter_method", "sample_sources": "sample_sources",
+                  "seed": "seed"}
+
+
+def _why(exc: Exception, offline: bool) -> str:
+    """The error's text; a cache miss also says why nothing was fetched."""
+    hint = "--offline is on" if offline else f"no --rpc-url or ${RPC_URL_ENV} is set"
+    return f"{exc} ({hint})" if isinstance(exc, OfflineMissError) else str(exc)
 
 
 def cmd_fetch(cfg: RunConfig) -> int:
@@ -172,8 +211,6 @@ def cmd_fetch(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    policy = cfg.policy()
-
     def graph_outputs(g: TransactionGraph) -> None:
         hist, weighted = degree_distribution(g)
         degrees = sorted(hist.items())
@@ -185,24 +222,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         _write_csv(cfg, "degree_weighted.csv", ["degree", "count"], sorted(weighted.items()))
         _write_file(cfg, "graph.net", lambda sink: export_pajek(g, sink), comment="%")
 
-    spec = cfg.snapshots[0]
-    simple, comps = _snapshot(cfg, spec, graph_outputs)
-    summary = distance_summary(simple, comps, policy)
-    dist_row = [comps.largest_size[0], summary.average_distance, summary.diameter,
-                summary.l_method, summary.diameter_method, summary.sample_sources, summary.seed]
-    report = general_metrics(simple, comps)
-    metrics_cols = ["blocks", "nodes", "edges", "avg_clus_coeff", "transitivity",
-                    "components", "nodes_largest_comp", "edges_largest_comp"]
-    metrics_row = [spec.count, report.n, report.m, report.avg_clustering,
-                   report.transitivity, report.num_components,
-                   report.largest_component_nodes, report.largest_component_edges]
-    _write_csv(cfg, "metrics.csv", metrics_cols, [metrics_row])
-    _write_csv(cfg, "distances.csv",
-               ["nodes_main_comp", "avg_distance", "diameter", "l_method",
-                "diameter_method", "sample_sources", "seed"], [dist_row])
-
-    if cfg.pretty:
-        _print_table(metrics_cols, [metrics_row])
+    record = _record(cfg, cfg.snapshots[0], cfg.policy(), graph_outputs)
+    _write_csv(cfg, "metrics.csv", list(_METRICS_CSV),
+               [[record[key] for key in _METRICS_CSV.values()]], pretty=True)
+    _write_csv(cfg, "distances.csv", list(_DISTANCES_CSV),
+               [[record[key] for key in _DISTANCES_CSV.values()]])
     return 0
 
 
@@ -211,17 +235,14 @@ def cmd_smallworld(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     spec = cfg.snapshots[0]
-    simple, comps = _snapshot(cfg, spec)
+    simple, comps = _snapshot(_load_blocks(cfg, spec))
     if comps.largest_size[1] == 0:
         raise ValueError(f"block range {spec.label()} has no edge to compare")
     report = small_world_report(simple, comps, cfg.trials, cfg.seed, policy)
-    columns = ["blocks", "nodes", "edges", "cc", "L", "cc_RG", "L_RG", "sigma",
-               "trials", "seed"]
+    columns = ["blocks", "nodes", "edges", "cc", "L", "cc_RG", "L_RG", "sigma", "trials", "seed"]
     row = [spec.count, report.n, report.m, report.cc, report.avg_distance,
            report.cc_rg, report.l_rg, report.sigma, report.trials, report.seed]
-    _write_csv(cfg, "smallworld.csv", columns, [row])
-    if cfg.pretty:
-        _print_table(columns, [row])
+    _write_csv(cfg, "smallworld.csv", columns, [row], pretty=True)
     return 0
 
 
@@ -230,35 +251,24 @@ def cmd_snapshots(cfg: RunConfig) -> int:
         print("error: snapshots needs at least two --snapshot specs", file=sys.stderr)
         return 1
     policy = cfg.policy()
-    columns = ["start_block", "num_blocks", "nodes", "nodes_main", "edges",
-               "edges_main", "components", "avg_distance"]
-    rows: list[list] = []
+    records: list[dict] = []
     for spec in cfg.snapshots:
         try:
-            simple, comps = _snapshot(cfg, spec)
-            nodes_main, edges_main = comps.largest_size
-            summary = distance_summary(simple, comps, policy)
-            rows.append([spec.start_block, spec.count, simple.n, nodes_main, simple.m,
-                         edges_main, comps.num_components, summary.average_distance])
-            del simple, comps  # not held while the next range is built
+            records.append(_record(cfg, spec, policy))
         except (IngestError, ValueError, OSError) as exc:
-            print(f"snapshot {spec.label()} failed: {exc}", file=sys.stderr)
-    if not rows:  # like every command that fails, write nothing
+            print(f"snapshot {spec.label()} failed: {_why(exc, cfg.offline)}", file=sys.stderr)
+    if not records:  # like every command that fails, write nothing
         return 1
-    _write_csv(cfg, "snapshots.csv", columns, rows)
-    if cfg.pretty:
-        _print_table(columns, rows)
+    _write_csv(cfg, "snapshots.csv", list(records[0]),
+               [list(record.values()) for record in records], pretty=True)
     return 0
 
 
 def cmd_miners(cfg: RunConfig) -> int:
     per_miner, distribution = miner_distribution(_load_blocks(cfg, cfg.snapshots[0]))
     _write_csv(cfg, "miners.csv", ["miner", "blocks"], sorted(per_miner.items()))
-    columns = ["blocks_mined", "num_miners"]
-    rows = sorted(distribution.items())
-    _write_csv(cfg, "miner_histogram.csv", columns, rows)
-    if cfg.pretty:
-        _print_table(columns, rows)
+    _write_csv(cfg, "miner_histogram.csv", ["blocks_mined", "num_miners"],
+               sorted(distribution.items()), pretty=True)
     return 0
 
 
@@ -271,14 +281,8 @@ def cmd_export(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fetch": cmd_fetch,
-    "analyze": cmd_analyze,
-    "smallworld": cmd_smallworld,
-    "snapshots": cmd_snapshots,
-    "miners": cmd_miners,
-    "export": cmd_export,
-}
+_COMMANDS = {"fetch": cmd_fetch, "analyze": cmd_analyze, "smallworld": cmd_smallworld,
+             "snapshots": cmd_snapshots, "miners": cmd_miners, "export": cmd_export}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,12 +367,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
-    except OfflineMissError as exc:
-        hint = "--offline is on" if cfg.offline else f"no --rpc-url or ${RPC_URL_ENV} is set"
-        print(f"error: {exc} ({hint})", file=sys.stderr)
-        return 1
     except (IngestError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_why(exc, args.offline)}", file=sys.stderr)
         return 1
 
 

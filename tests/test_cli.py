@@ -102,17 +102,25 @@ class TestFetch:
         assert run(["fetch", "--start-block", "5", "--num-blocks", "1"], tmp_path) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags,hint", [
-        ([], "no --rpc-url or $CHAINGRAPH_RPC_URL is set"),
-        (["--offline"], "--offline is on"),
-    ], ids=["no-endpoint", "offline"])
-    def test_miss_without_endpoint_says_why(self, tmp_path, capsys, monkeypatch, flags, hint):
+    @pytest.mark.parametrize("command,flags,hint", [
+        ("analyze", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set"),
+        ("analyze", ["--offline"], "--offline is on"),
+        ("snapshots", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set"),
+        ("snapshots", ["--offline"], "--offline is on"),
+    ], ids=["no-endpoint", "offline", "snapshots-no-endpoint", "snapshots-offline"])
+    def test_miss_without_endpoint_says_why(self, tmp_path, capsys, monkeypatch, command,
+                                            flags, hint):
         monkeypatch.delenv("CHAINGRAPH_RPC_URL", raising=False)
-        argv = ["analyze", "--start-block", "1", "--cache-dir", str(tmp_path / "cache"),
+        ranges = {"analyze": ["--start-block", "1"],
+                  "snapshots": ["--snapshot", "1:1", "--snapshot", "2:1"]}[command]
+        argv = [command, *ranges, "--cache-dir", str(tmp_path / "cache"),
                 "--out-dir", str(tmp_path / "out")] + flags
         assert main(argv) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: block 1 not in cache and no RPC endpoint to fetch it from ({hint})"]
+        miss = "not in cache and no RPC endpoint to fetch it from"
+        expected = {"analyze": [f"error: block 1 {miss} ({hint})"],
+                    "snapshots": [f"snapshot {n}:1 failed: block {n} {miss} ({hint})"
+                                  for n in (1, 2)]}[command]
+        assert capsys.readouterr().err.splitlines() == expected
         # A command that only reads writes nothing: a mistyped --cache-dir
         # is not made.
         assert not (tmp_path / "cache").exists()
@@ -206,7 +214,9 @@ class TestSnapshots:
         assert run(args, forest_cache) == 0
         body = strip_header(forest_cache / "out" / "snapshots.csv")
         assert body[0] == ("start_block,num_blocks,nodes,nodes_main,edges,"
-                           "edges_main,components,avg_distance")
+                           "edges_main,components,avg_distance,avg_clus_coeff,"
+                           "transitivity,diameter,l_method,diameter_method,"
+                           "sample_sources,seed,first_timestamp,last_timestamp")
         assert len(body) == 3
 
     def test_single_snapshot_rejected(self, forest_cache, capsys):
@@ -219,6 +229,79 @@ class TestSnapshots:
         assert "900:1 failed" in capsys.readouterr().err
         body = strip_header(forest_cache / "out" / "snapshots.csv")
         assert len(body) == 2  # header + the snapshot that worked
+
+    # analyze's headers, by the snapshots.csv column each one repeats.
+    ANALYZE_COLUMNS = {
+        "metrics.csv": {"blocks": "num_blocks", "nodes": "nodes", "edges": "edges",
+                        "avg_clus_coeff": "avg_clus_coeff", "transitivity": "transitivity",
+                        "components": "components", "nodes_largest_comp": "nodes_main",
+                        "edges_largest_comp": "edges_main"},
+        "distances.csv": {"nodes_main_comp": "nodes_main", "avg_distance": "avg_distance",
+                          "diameter": "diameter", "l_method": "l_method",
+                          "diameter_method": "diameter_method",
+                          "sample_sources": "sample_sources", "seed": "seed"},
+    }
+
+    @staticmethod
+    def table(path):
+        """A one-row-per-range table as (header, rows): an int cell as an
+        int, another number as its float.hex, any other cell as text."""
+        def cell(text):
+            for parse in (int, lambda t: float(t).hex()):
+                try:
+                    return parse(text)
+                except ValueError:
+                    pass
+            return text
+
+        header, *rows = (line.split(",") for line in strip_header(path))
+        return header, [[cell(text) for text in row] for row in rows]
+
+    @pytest.mark.parametrize("policy", [[], ["--exact-threshold", "1", "--sample-sources", "3"]],
+                             ids=["default", "sampled"])
+    @pytest.mark.parametrize("fixture,specs", [("forest", ["1:1", "2:2", "1:3"]),
+                                               ("star", ["1:1", "1:1"]),
+                                               ("mixed", ["1:1", "1:3"])],
+                             ids=["forest", "star", "mixed"])
+    def test_rows_are_the_analyze_record(self, tmp_path, fixture, specs, policy):
+        # Each row holds, under snapshots.csv's names, the values analyze
+        # writes for the same range: both come from one record. Only the
+        # mixed fixture closes triangles.
+        make_pairs, count = {"forest": (forest_pairs, 3), "star": (star_pairs, 1),
+                             "mixed": (TestPinnedOutputs.mixed_pairs, 3)}[fixture]
+        seed_cache(tmp_path / "cache",
+                   pairs_to_raw_blocks(make_pairs(), start=1, num_blocks=count))
+        argv = ["snapshots"] + [arg for spec in specs for arg in ("--snapshot", spec)]
+        assert run(argv + policy, tmp_path) == 0
+        header, rows = self.table(tmp_path / "out" / "snapshots.csv")
+        assert len(rows) == len(specs)
+        for spec, row in zip(specs, rows):
+            start, num = spec.split(":")
+            out = f"analyze-{start}-{num}"
+            argv = ["analyze", "--start-block", start, "--num-blocks", num]
+            assert run(argv + policy, tmp_path, out=out) == 0
+            snapshot = dict(zip(header, row))
+            assert (snapshot["start_block"], snapshot["num_blocks"]) == (int(start), int(num))
+            covered = {"start_block", "first_timestamp", "last_timestamp"}
+            for name, columns in self.ANALYZE_COLUMNS.items():
+                analyze_header, [analyze_row] = self.table(tmp_path / out / name)
+                assert analyze_header == list(columns)
+                assert [snapshot[columns[h]] for h in analyze_header] == analyze_row, name
+                covered.update(columns.values())
+            assert covered == set(header)
+
+    def test_timestamps_are_the_header_timestamps(self, tmp_path):
+        raw_blocks = pairs_to_raw_blocks(forest_pairs(), start=1, num_blocks=3)
+        for number, raw in raw_blocks.items():
+            raw["timestamp"] = hex(1_600_000_000 + 13 * number * number)
+        seed_cache(tmp_path / "cache", raw_blocks)
+        args = ["snapshots", "--snapshot", "1:3", "--snapshot", "2:1", "--snapshot", "1:2"]
+        assert run(args, tmp_path) == 0
+        header, *rows = strip_header(tmp_path / "out" / "snapshots.csv")
+        assert header.endswith(",first_timestamp,last_timestamp")
+        stamp = {n: parse_block_json(raw).timestamp for n, raw in raw_blocks.items()}
+        assert [row.split(",")[-2:] for row in rows] == [
+            [str(stamp[1]), str(stamp[3])], [str(stamp[2])] * 2, [str(stamp[1]), str(stamp[2])]]
 
     def test_every_snapshot_failed_writes_nothing(self, forest_cache, capsys):
         args = ["snapshots", "--snapshot", "900:1", "--snapshot", "901:2"]
@@ -248,7 +331,8 @@ class TestDegenerateRanges:
         args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:1"]
         assert run(args, degenerate_cache) == 0
         body = strip_header(degenerate_cache / "out" / "snapshots.csv")
-        assert body[1:] == ["1,1,1,1,0,0,1,0.0", "2,1,0,0,0,0,0,0.0"]
+        new = "0.0,0.0,0,exact,exact,-,-,1500000000,1500000000"
+        assert body[1:] == [f"1,1,1,1,0,0,1,0.0,{new}", f"2,1,0,0,0,0,0,0.0,{new}"]
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_smallworld_refused(self, degenerate_cache, capsys, block):
@@ -373,6 +457,37 @@ class TestGraphReleased:
         args = ["smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "2"]
         assert run(args, star_cache) == 0
         assert alive_at_distances == [[False]]
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--start-block", "1", "--num-blocks", "3"],
+        ["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"],
+    ], ids=["analyze", "snapshots"])
+    def test_timestamp_tap_keeps_no_block(self, forest_cache, monkeypatch, args):
+        # A BlockRecord is a tuple and takes no weak reference, so each
+        # block's sender column is swapped for a list that does: the
+        # column lives as long as its block.
+        class Column(list):
+            pass
+
+        columns = []
+        alive = []
+        load_blocks, build_graph = cli._load_blocks, cli.build_graph
+
+        def watched_load_blocks(cfg, spec, on_block=None):
+            for block in load_blocks(cfg, spec, on_block):
+                senders = Column(block.senders)
+                columns.append(weakref.ref(senders))
+                yield block._replace(senders=senders)
+
+        def watched_build_graph(blocks):
+            g = build_graph(blocks)
+            alive.append([ref() is not None for ref in columns])
+            return g
+
+        monkeypatch.setattr(cli, "_load_blocks", watched_load_blocks)
+        monkeypatch.setattr(cli, "build_graph", watched_build_graph)
+        assert run(args, forest_cache) == 0
+        assert alive and all(refs and not any(refs) for refs in alive)
 
     def test_snapshots_drop_each_range_before_the_next(self, forest_cache, monkeypatch):
         projections = []
@@ -758,7 +873,7 @@ class TestPinnedOutputs:
             "export-pajek/graph.net":
                 "cdee791c58d27fe640e13461d2722616c4cf2fa4d3408a08c07fdd1dc529e703",
             "snapshots/snapshots.csv":
-                "ea7f0826678f5e3dc084c059dd152ff997a39d698fae16521eed563a52e6dd2a",
+                "591d79356451b6c4abf14be8c1f1685354169b630846fb255455c5b05f24d6d9",
         },
         "forest": {
             "analyze-exact/degree.csv":
@@ -796,7 +911,7 @@ class TestPinnedOutputs:
             "export-pajek/graph.net":
                 "745235acf38da008123697ae29d0b346618d4171fb20887067a88efafe2a3281",
             "snapshots/snapshots.csv":
-                "f77e7aee2456ea5446778a8cd208849559b6db23a28cfb1d15b8004e9df35396",
+                "55d1d637efe073b029c925731b72339f68c1ead7bd78c5281bf30837d4cebdb4",
         },
         "mixed": {
             "analyze-exact/degree.csv":
@@ -834,7 +949,7 @@ class TestPinnedOutputs:
             "export-pajek/graph.net":
                 "d495aa9b67f4652b9d5d9098efcaf3058e6e0b213f74972ba4c1b1ba09192812",
             "snapshots/snapshots.csv":
-                "5360481ad0eac89394d2fa8165161a646875202bde81277677a1d469d656f2a8",
+                "1876ce78972cdf345f3dcf442346852db69b4a03dcdb7c0bc30488a05a5b7607",
         },
     }
 
