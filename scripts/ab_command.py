@@ -4,10 +4,13 @@
 Runs the command from BASE's and CHANGE's ``src/`` in alternating fresh
 interpreters (the side that goes first alternates too) and times
 ``chaingraph.cli.main(argv)`` there, imports excluded. Prints each side's
-median time and median peak resident memory (VmHWM of the interpreter,
-read where /proc is), the base side's interquartile range, how many
-pairs each side won, and whether the two sides wrote byte-identical files
-on every pair.
+median time and its peak resident memory (VmHWM of the interpreter, read
+where /proc is) as a median and a min-max range, the base side's
+interquartile range, how many pairs each side won on time and on peak
+memory, and whether the two sides wrote byte-identical files on every
+pair. Peak memory moves with heap layout by a few hundred KiB between
+runs of one tree, so a memory claim shows the ranges and the pair count,
+not one median.
 Each run writes into an emptied output directory of its own side, so give
 the command no --out-dir. Exits 1 if a run fails or the outputs differ.
 Every ``{side}`` in COMMAND ARGS becomes ``base`` or ``change`` in that
@@ -80,10 +83,20 @@ def differing_files(a: Path, b: Path) -> list[str]:
     return sorted(map(str, differ))
 
 
-def median_peak(peaks: list[Optional[int]]) -> str:
-    """Median VmHWM of one side's runs, or n/a where it was not read."""
+def peak_spread(peaks: list[Optional[int]]) -> str:
+    """Median and min-max VmHWM of one side's runs, or n/a where it was not read."""
     known = [p for p in peaks if p is not None]
-    return f"{statistics.median(known):,.0f} KiB" if known else "n/a"
+    if not known:
+        return "n/a"
+    return f"{statistics.median(known):,.0f} KiB (min-max {min(known):,}-{max(known):,})"
+
+
+def lower_in(base: list, change: list, what: str) -> str:
+    """How many pairs each side read lower on ``what``; pairs where either
+    side has no reading are not counted."""
+    pairs = [(b, c) for b, c in zip(base, change) if b is not None and c is not None]
+    return (f"change {what} in {sum(c < b for b, c in pairs)} of {len(pairs)} pairs, "
+            f"base {what} in {sum(b < c for b, c in pairs)}")
 
 
 def main() -> int:
@@ -128,11 +141,11 @@ def main() -> int:
     base, change = times["base"], times["change"]
     q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
     print(f"base   median {statistics.median(base) * 1e3:.1f} ms, "
-          f"peak RSS {median_peak(peaks['base'])}, IQR {(q3 - q1) * 1e3:.1f} ms")
+          f"IQR {(q3 - q1) * 1e3:.1f} ms, peak RSS {peak_spread(peaks['base'])}")
     print(f"change median {statistics.median(change) * 1e3:.1f} ms, "
-          f"peak RSS {median_peak(peaks['change'])}")
-    print(f"change faster in {sum(c < b for b, c in zip(base, change))} of "
-          f"{args.pairs} pairs, base faster in {sum(b < c for b, c in zip(base, change))}")
+          f"peak RSS {peak_spread(peaks['change'])}")
+    print(lower_in(base, change, "faster"))
+    print(lower_in(peaks["base"], peaks["change"], "peak RSS lower"))
     if mismatches:
         print(f"outputs DIFFER: {', '.join(sorted(mismatches))}")
         return 1

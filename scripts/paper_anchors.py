@@ -33,7 +33,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    simple = project_simple(build_graph(forest_blocks()))
+    g = build_graph(forest_blocks())
+    simple = project_simple(g.n, g.edges)
     components = connected_components(simple)
     report = general_metrics(simple, components)
     print("General metrics (fixture vs. published 1-block row):")

@@ -145,13 +145,17 @@ def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
 
 def _snapshot(blocks: Iterator[BlockRecord],
               graph_outputs: _GraphOutputs = None) -> tuple[SimpleGraph, ComponentSet]:
-    """A block range as a network. Only graph_outputs reads the weighted graph;
-    it is dropped before this returns, so no metric runs while it is held."""
+    """A block range as a network. graph_outputs, the only reader of the
+    weighted graph's weights and labels, runs first; the graph is then dropped
+    but for its node count and edge keys, so the projection is never built
+    while the labels are held, and no metric runs while any of it is."""
     g = build_graph(blocks)
-    simple = project_simple(g)
     if graph_outputs is not None:
         graph_outputs(g)
-    del g
+    n, edges = g.n, g.edges
+    del g  # with it go the labels and the loops
+    simple = project_simple(n, edges)
+    del edges
     return simple, connected_components(simple)
 
 
@@ -166,7 +170,8 @@ def _tap_timestamps(blocks: Iterator[BlockRecord], stamps: list[int]) -> Iterato
 def _record(cfg: RunConfig, spec: SnapshotSpec, policy: ExactnessPolicy,
             graph_outputs: _GraphOutputs = None) -> dict:
     """Every number of a block range, one key per quantity, in snapshots.csv's
-    order. Distances run before clustering, both after the weighted graph is dropped."""
+    order. _snapshot builds and projects the range; distances then run before
+    clustering, on the projection alone."""
     stamps: list[int] = []
     simple, comps = _snapshot(_tap_timestamps(_load_blocks(cfg, spec), stamps), graph_outputs)
     summary = distance_summary(simple, comps, policy)

@@ -25,7 +25,7 @@ only the Pajek and edge-CSV writers read names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Collection, Iterable, Sequence, TextIO
 
 from chaingraph.ingest import BlockRecord, _creations
 
@@ -135,11 +135,13 @@ def build_graph(blocks: Iterable[BlockRecord]) -> TransactionGraph:
     return TransactionGraph(list(index), edges, loops)
 
 
-def project_simple(g: TransactionGraph) -> SimpleGraph:
-    """Drop weights and loops; same node indices."""
+def project_simple(n: int, edges: Collection[tuple[int, int]]) -> SimpleGraph:
+    """The projection of a TransactionGraph ``g`` with ``g.n`` nodes and
+    edge keys ``g.edges``: weights and loops dropped, same node indices.
+    It reads no label, so a caller may drop ``g`` and keep only these two."""
     # Edge keys are distinct index pairs without loops, so the adjacency
     # lists need no de-duplication, and m is the number of keys.
-    return SimpleGraph(_sorted_adjacency(g.n, g.edges), len(g.edges))
+    return SimpleGraph(_sorted_adjacency(n, edges), len(edges))
 
 
 def export_pajek(g: TransactionGraph, sink: TextIO) -> None:

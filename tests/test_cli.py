@@ -419,8 +419,9 @@ class TestExport:
 
 
 class TestGraphReleased:
-    """The weighted TransactionGraph is dropped before distances run: only
-    the degree and Pajek outputs read it."""
+    """Each range's weighted TransactionGraph is read by the degree and Pajek
+    outputs only, then dropped with its account labels before the projection
+    is built, so neither the projection nor any metric runs while it is held."""
 
     @pytest.fixture
     def alive_at_distances(self, monkeypatch):
@@ -457,6 +458,61 @@ class TestGraphReleased:
         args = ["smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "2"]
         assert run(args, star_cache) == 0
         assert alive_at_distances == [[False]]
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """The calls, in order, of the weighted graph's outputs and of the
+        projection; at each projection, whether each TransactionGraph from
+        build_graph, and each of their label lists, is still alive."""
+        # A list takes no weak reference, so each graph's labels are
+        # swapped for a list subclass that does.
+        class Labels(list):
+            pass
+
+        refs = []
+        events = []
+        build_graph = cli.build_graph
+        project_simple = cli.project_simple
+
+        def watched_build_graph(blocks):
+            g = build_graph(blocks)
+            g.labels = Labels(g.labels)
+            refs.extend((weakref.ref(g), weakref.ref(g.labels)))
+            return g
+
+        def watched_project_simple(*args):
+            events.append(("project_simple", [ref() is not None for ref in refs]))
+            return project_simple(*args)
+
+        def called(name):
+            fn = getattr(cli, name)
+
+            def call(*args):
+                events.append(name)
+                return fn(*args)
+            monkeypatch.setattr(cli, name, call)
+
+        monkeypatch.setattr(cli, "build_graph", watched_build_graph)
+        monkeypatch.setattr(cli, "project_simple", watched_project_simple)
+        called("degree_distribution")
+        called("export_pajek")
+        return events
+
+    def test_analyze_projects_after_outputs_without_labels(self, forest_cache, events):
+        assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 0
+        assert events == ["degree_distribution", "export_pajek",
+                          ("project_simple", [False, False])]
+
+    def test_snapshots_project_without_labels(self, forest_cache, events):
+        args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:2"]
+        assert run(args, forest_cache) == 0
+        assert events == [("project_simple", [False, False]),
+                          ("project_simple", [False, False, False, False])]
+
+    def test_smallworld_projects_without_labels(self, star_cache, events):
+        args = ["smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "2"]
+        assert run(args, star_cache) == 0
+        assert events == [("project_simple", [False, False])]
 
     @pytest.mark.parametrize("args", [
         ["analyze", "--start-block", "1", "--num-blocks", "3"],
@@ -498,8 +554,8 @@ class TestGraphReleased:
             alive.append([ref() is not None for ref in projections])
             return build_graph(blocks)
 
-        def watched_project_simple(g):
-            simple = project_simple(g)
+        def watched_project_simple(n, edges):
+            simple = project_simple(n, edges)
             projections.append(weakref.ref(simple))
             return simple
 
@@ -770,6 +826,11 @@ class TestAbCommand:
                                           "--offline"])
         assert proc.returncode == 0, proc.stderr
         assert "change faster in" in proc.stdout
+        # Each side's peak memory as a median and a range, and a pair count.
+        assert len(re.findall(r"peak RSS [\d,]+ KiB \(min-max [\d,]+-[\d,]+\)",
+                              proc.stdout)) == 2
+        assert re.search(r"change peak RSS lower in [0-2] of 2 pairs, "
+                         r"base peak RSS lower in [0-2]\n", proc.stdout)
         assert "outputs byte-identical: 6 files on every pair" in proc.stdout
 
     def test_caches_of_different_blocks_differ(self, tmp_path):

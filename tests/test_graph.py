@@ -122,17 +122,17 @@ class TestRecipientNodes:
 class TestProjectSimple:
     def test_weight_collapses(self):
         g = graph_from_pairs([(addr(1), addr(2))] * 7)
-        s = project_simple(g)
+        s = project_simple(g.n, g.edges)
         assert (s.n, s.m) == (2, 1)
 
     def test_loop_dropped(self):
         g = graph_from_pairs([(addr(1), addr(1))])
-        s = project_simple(g)
+        s = project_simple(g.n, g.edges)
         assert (s.n, s.m) == (1, 0)
 
     def test_edge_count_preserved(self):
         g = build_graph(forest_blocks())
-        assert project_simple(g).m == g.m
+        assert project_simple(g.n, g.edges).m == g.m
 
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 3)),
@@ -143,7 +143,7 @@ class TestProjectSimple:
         for u, v, count in raw:
             add_interaction(g, f"n{u}", f"n{v}", count=count)
         pairs = [(index_of(g, f"n{u}"), index_of(g, f"n{v}")) for u, v, _ in raw]
-        assert project_simple(g) == set_from_edges(g.n, pairs)
+        assert project_simple(g.n, g.edges) == set_from_edges(g.n, pairs)
 
 
 def random_graph_pairs(rng, n_nodes, n_txs):

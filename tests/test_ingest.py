@@ -583,7 +583,7 @@ class TestCache:
             assert loaded == block
             assert cache.path(block.number).read_bytes() == before
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, print_blob=True)
     @given(block=block_records(), data=st.data())
     def test_accepted_body_reencodes_to_itself(self, block, data):
         # A body changed in any way, with its checksum made to match,

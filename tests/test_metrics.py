@@ -664,7 +664,7 @@ class TestDoubleSweep:
 
 
 def general_metrics_of(g):
-    projected = project_simple(g)
+    projected = project_simple(g.n, g.edges)
     return general_metrics(projected, connected_components(projected))
 
 
