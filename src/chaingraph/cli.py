@@ -30,6 +30,7 @@ from chaingraph.graph import (SimpleGraph, TransactionGraph, build_graph, export
 from chaingraph.ingest import (
     BlockCache,
     BlockRecord,
+    CacheCorruptError,
     IngestError,
     JsonRpcEndpoint,
     OfflineMissError,
@@ -198,9 +199,12 @@ _DISTANCES_CSV = {"nodes_main_comp": "nodes_main", "avg_distance": "avg_distance
 
 
 def _why(exc: Exception, offline: bool) -> str:
-    """The error's text; a cache miss also says why nothing was fetched."""
+    """The error's text; a cache miss or a corrupt entry, which reach here
+    only when there is no endpoint, also says why nothing was fetched."""
     hint = "--offline is on" if offline else f"no --rpc-url or ${RPC_URL_ENV} is set"
-    return f"{exc} ({hint})" if isinstance(exc, OfflineMissError) else str(exc)
+    if isinstance(exc, (OfflineMissError, CacheCorruptError)):
+        return f"{exc} ({hint})"
+    return str(exc)
 
 
 def cmd_fetch(cfg: RunConfig) -> int:

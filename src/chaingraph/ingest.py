@@ -13,8 +13,7 @@ write), and nothing turns a record back into bytes.
 The cache keeps only the fields of ``BlockRecord``, in a binary
 fixed-width format (see ``CACHE_FORMAT``): hashes and addresses are held
 as raw bytes, so a load checks lengths, not every hex character. An entry
-of format 4, which also held every tx hash, is read through
-``_format4_body``; one in any other format is corrupt, and a read never
+in any other format, an older one included, is corrupt, and a read never
 writes.
 
 A ``BlockRecord`` holds its transactions column-wise, in the cache's own
@@ -100,11 +99,9 @@ MAX_UINT64 = 2**64 - 1
 # exactly what n and c imply, and the creation list. It accepts exactly
 # the bodies that _block_body writes. A changed byte of a hash leaves the
 # body of another block, which only the checksum tells apart. This is the
-# only format _unpack reads; a format-4 body, which put every tx hash in a
-# column after _HEAD, is converted to it first (_format4_body). An entry
-# in any other format is corrupt.
+# only format read: an entry in any other, an older one included, is
+# corrupt.
 CACHE_FORMAT = b"chaingraph-block/5"
-_FORMAT_4 = b"chaingraph-block/4"
 _HEAD = struct.Struct(">QQI32s20s")
 _U32 = struct.Struct(">I")
 _NO_RECIPIENT = "0x" + "00" * 20
@@ -420,7 +417,9 @@ def _fetch_block_result(endpoint, number: int) -> dict:
 
 
 def _hex_column(data: bytes, width: int) -> list[str]:
-    """Split a column of ``width``-byte fields (at least one) into 0x hex."""
+    """Split a column of ``width``-byte fields into 0x hex."""
+    if not data:
+        return []
     return ("0x" + data.hex(" ", width).replace(" ", " 0x")).split(" ")
 
 
@@ -434,10 +433,6 @@ def _unpack(body: bytes) -> BlockRecord:
     number, timestamp, n, block_hash, miner = _HEAD.unpack_from(body)
     block_hash = "0x" + block_hash.hex()
     miner = "0x" + miner.hex()
-    if n == 0:
-        if body[_HEAD.size:] != bytes(_U32.size):
-            raise ValueError("a block without transactions has more than its header")
-        return BlockRecord(number, block_hash, timestamp, miner, (), (), b"")
     creations_at = _HEAD.size + 40 * n
     if size < creations_at + _U32.size:
         raise ValueError(f"body too short for {n} transactions")
@@ -462,27 +457,6 @@ def _unpack(body: bytes) -> BlockRecord:
                        tuple(recipients), body[hashes_at:])
 
 
-def _format4_body(body: bytes) -> bytes:
-    # The format-5 body of a format-4 one, which held a tx-hash column of
-    # 32 * n bytes between _HEAD and the address columns, and ended at the
-    # creation indices: the column is dropped but for the creations'
-    # hashes, which move to the end. ValueError if the sizes do not fit
-    # format 4; a body that does fit converts to one that _unpack accepts
-    # if and only if the format-4 body was valid.
-    if len(body) < _HEAD.size:
-        raise ValueError("body shorter than its header")
-    n = _HEAD.unpack_from(body)[2]
-    creations_at = _HEAD.size + 72 * n
-    if len(body) < creations_at + _U32.size:
-        raise ValueError(f"body too short for {n} transactions")
-    (created,) = _U32.unpack_from(body, creations_at)
-    if len(body) != creations_at + _U32.size * (1 + created):
-        raise ValueError(f"body is not {n} transactions and {created} creations")
-    creations = struct.unpack_from(f">{created}I", body, creations_at + _U32.size)
-    hashes = [body[_HEAD.size + 32 * i:_HEAD.size + 32 * i + 32] for i in creations]
-    return body[:_HEAD.size] + body[_HEAD.size + 32 * n:] + b"".join(hashes)
-
-
 class BlockCache:
     """One file per block, named by zero-padded decimal height.
 
@@ -491,10 +465,9 @@ class BlockCache:
     resume and replays never hit the network. ``store`` checks a JSON-RPC
     result straight into the body it writes and returns the record that
     body loads as; ``get`` is the one read, and returns None on a miss.
-    Every read checks the entry, and a read never writes: a format-4 entry
-    is converted on each read (``_format4_body``) and left as it is, and an
-    entry in any other format but ``CACHE_FORMAT`` is corrupt, to be
-    refetched by ``fetch_range`` or refused offline. Writes are atomic:
+    Every read checks the entry, and a read never writes: an entry in any
+    format but ``CACHE_FORMAT`` is corrupt, to be refetched by
+    ``fetch_range`` or refused offline. Writes are atomic:
     each writer writes a temp file of its own, then renames it. The
     directory is made by the first store, so a command that only reads
     leaves nothing behind. Files keep the ``.json`` name of the oldest
@@ -561,13 +534,13 @@ class BlockCache:
         except FileNotFoundError:
             return None
         name, _, checksum = header.partition(b" ")
-        if name != CACHE_FORMAT and name != _FORMAT_4:
+        if name != CACHE_FORMAT:
             found = name[:40].decode("ascii", "replace")
             raise CacheCorruptError(f"{path}: unknown format {found!r}")
         if checksum != b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii"):
             raise CacheCorruptError(f"{path}: checksum mismatch")
         try:
-            block = _unpack(body if name == CACHE_FORMAT else _format4_body(body))
+            block = _unpack(body)
         except ValueError as exc:
             raise CacheCorruptError(f"{path}: malformed block fields: {exc}") from exc
         if block.number != number:

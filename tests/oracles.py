@@ -56,14 +56,17 @@ def record_encode(block):
     return out + _address_columns(block) + _creation_indices(block) + block.creation_hashes
 
 
-def format4_encode(block, payment_hashes):
-    """The format-4 body of a block, which held every transaction's hash:
-    the record's creation hashes at the creations, and ``payment_hashes``,
-    one 32-byte hash per other transaction in order, at the payments.
-    Built one field at a time from format 4's description: a tx-hash
-    column after the header, then the address columns and the creation
-    indices, with no hash after them."""
-    payments = iter(payment_hashes)
+def format4_body(raw):
+    """The format-4 body of a JSON-RPC block result whose payments name
+    their recipient under "to", which held every transaction's hash: the
+    record's creation hashes at the creations, and the payments' own at
+    the payments. Built one field at a time from format 4's description:
+    a tx-hash column after the header, then the address columns and the
+    creation indices, with no hash after them. A read refuses such an
+    entry as one of an unknown format."""
+    block = parse_block_json(raw)
+    payments = iter([bytes.fromhex(tx["hash"][2:]) for tx in raw["transactions"]
+                     if tx["to"] is not None])
     out = struct.pack(">QQI", block.number, block.timestamp, len(block.senders))
     out += bytes.fromhex(block.hash[2:]) + bytes.fromhex(block.miner[2:])
     k = 0
@@ -75,14 +78,6 @@ def format4_encode(block, payment_hashes):
             out += next(payments)
     out += _address_columns(block)
     return out + _creation_indices(block)
-
-
-def format4_body(raw):
-    """The format-4 body of a JSON-RPC block result whose payments name
-    their recipient under "to": its record, and the payments' hashes."""
-    payments = [bytes.fromhex(tx["hash"][2:]) for tx in raw["transactions"]
-                if tx["to"] is not None]
-    return format4_encode(parse_block_json(raw), payments)
 
 
 def add_node(g, label):

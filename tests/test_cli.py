@@ -44,6 +44,21 @@ def strip_header(path, comment="#"):
             and not ln.startswith(comment + " config=")]
 
 
+def write_old_cache(directory, raw_blocks, formats):
+    """Cache each block of ``raw_blocks`` in ``directory`` as an entry of
+    the old format ``formats[number]``, 4 or 3, as those formats stored
+    it: the format-4 body, then for format 3 the transactions' values in
+    hex. Returns the blocks."""
+    directory.mkdir()
+    cache = BlockCache(directory)
+    for number, raw in raw_blocks.items():
+        fmt = formats[number]
+        values = " ".join("0" for _ in raw["transactions"]).encode() if fmt == 3 else b""
+        write_entry(cache.path(number), format4_body(raw) + values,
+                    f"chaingraph-block/{fmt}".encode())
+    return raw_blocks
+
+
 def run(args, tmp_path, cache="cache", out="out", extra=()):
     argv = list(args) + ["--cache-dir", str(tmp_path / cache), "--offline"] + list(extra)
     if args[0] != "fetch":
@@ -90,6 +105,22 @@ class TestFetch:
         assert sorted(endpoint.block_calls()) == [10, 12]
         assert "2 fetched, 1 cache hits" in capsys.readouterr().out
 
+    def test_old_entries_refetched(self, tmp_path, capsys, monkeypatch):
+        # One online fetch over a range is the migration: an entry of an
+        # old format counts as a miss, and its rewrite is what a fresh
+        # fetch stores.
+        raw_blocks = pairs_to_raw_blocks(forest_pairs(), start=1)
+        write_old_cache(tmp_path / "cache", raw_blocks, {1: 4, 2: 3, 3: 4})
+        endpoint = MockEndpoint(raw_blocks)
+        monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
+        argv = ["fetch", "--start-block", "1", "--num-blocks", "3",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        assert "3 fetched, 0 cache hits" in capsys.readouterr().out
+        seed_cache(tmp_path / "fresh", raw_blocks)
+        entries = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+        assert entries == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+
     def test_rpc_url_builds_endpoint(self):
         argv = ["fetch", "--start-block", "1", "--rpc-url", "http://localhost:1"]
         cfg = _config_from_args(build_parser().parse_args(argv))
@@ -102,28 +133,39 @@ class TestFetch:
         assert run(["fetch", "--start-block", "5", "--num-blocks", "1"], tmp_path) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,flags,hint", [
-        ("analyze", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set"),
-        ("analyze", ["--offline"], "--offline is on"),
-        ("snapshots", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set"),
-        ("snapshots", ["--offline"], "--offline is on"),
-    ], ids=["no-endpoint", "offline", "snapshots-no-endpoint", "snapshots-offline"])
+    @pytest.mark.parametrize("command,flags,hint,old", [
+        ("analyze", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set", False),
+        ("analyze", ["--offline"], "--offline is on", False),
+        ("snapshots", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set", False),
+        ("snapshots", ["--offline"], "--offline is on", False),
+        ("analyze", [], "no --rpc-url or $CHAINGRAPH_RPC_URL is set", True),
+        ("snapshots", ["--offline"], "--offline is on", True),
+    ], ids=["no-endpoint", "offline", "snapshots-no-endpoint", "snapshots-offline",
+            "format-4-no-endpoint", "snapshots-format-4-offline"])
     def test_miss_without_endpoint_says_why(self, tmp_path, capsys, monkeypatch, command,
-                                            flags, hint):
+                                            flags, hint, old):
+        # A miss, or an entry of an old format, which is refused rather
+        # than refetched when there is no endpoint.
         monkeypatch.delenv("CHAINGRAPH_RPC_URL", raising=False)
+        cache = BlockCache(tmp_path / "cache")
+        if old:
+            write_old_cache(cache.directory, pairs_to_raw_blocks(forest_pairs(), start=1,
+                                                                 num_blocks=2), {1: 4, 2: 4})
         ranges = {"analyze": ["--start-block", "1"],
                   "snapshots": ["--snapshot", "1:1", "--snapshot", "2:1"]}[command]
         argv = [command, *ranges, "--cache-dir", str(tmp_path / "cache"),
                 "--out-dir", str(tmp_path / "out")] + flags
         assert main(argv) == 1
-        miss = "not in cache and no RPC endpoint to fetch it from"
-        expected = {"analyze": [f"error: block 1 {miss} ({hint})"],
-                    "snapshots": [f"snapshot {n}:1 failed: block {n} {miss} ({hint})"
+        why = {n: (f"{cache.path(n)}: unknown format 'chaingraph-block/4'" if old else
+                   f"block {n} not in cache and no RPC endpoint to fetch it from")
+               for n in (1, 2)}
+        expected = {"analyze": [f"error: {why[1]} ({hint})"],
+                    "snapshots": [f"snapshot {n}:1 failed: {why[n]} ({hint})"
                                   for n in (1, 2)]}[command]
         assert capsys.readouterr().err.splitlines() == expected
         # A command that only reads writes nothing: a mistyped --cache-dir
         # is not made.
-        assert not (tmp_path / "cache").exists()
+        assert cache.directory.exists() == old
 
     def test_non_object_reply_reported(self, tmp_path, capsys, monkeypatch):
         endpoint = stub_endpoint("<html>502 Bad Gateway</html>")
@@ -1052,50 +1094,32 @@ class TestPinnedOutputs:
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.EXPECTED[fixture]
 
-    def write_old_cache(self, directory, fmt):
-        """The mixed fixture's blocks as format ``fmt``, 4 or 3, stored
-        them: the format-4 body, then for format 3 the transactions' values
-        in hex. Returns the blocks."""
+    def write_old_mixed_cache(self, directory, fmt):
+        """The mixed fixture's blocks, each cached in format ``fmt``, 4 or
+        3. Returns the blocks."""
         raw_blocks = pairs_to_raw_blocks(self.mixed_pairs(), start=1, num_blocks=3)
-        directory.mkdir()
-        cache = BlockCache(directory)
-        for number, raw in raw_blocks.items():
-            values = " ".join("0" for _ in raw["transactions"]).encode() if fmt == 3 else b""
-            write_entry(cache.path(number), format4_body(raw) + values,
-                        f"chaingraph-block/{fmt}".encode())
-        return raw_blocks
+        return write_old_cache(directory, raw_blocks, dict.fromkeys(raw_blocks, fmt))
 
+    @pytest.mark.parametrize("fmt", [4, 3])
     @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
-    def test_format_4_cache_read_offline(self, name, tmp_path):
-        # Format 4 is read as it is: offline, every command gives the
-        # pinned outputs and leaves each entry's bytes unchanged.
-        self.write_old_cache(tmp_path / "cache", 4)
-        before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
-        assert run(self.runs("mixed")[name], tmp_path, out=name) == 0
-        digests = {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in (tmp_path / name).iterdir()}
-        assert digests == {key: digest for key, digest in self.EXPECTED["mixed"].items()
-                           if key.startswith(name + "/")}
-        assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
-
-    @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
-    def test_format_3_cache_refused_offline(self, name, tmp_path, capsys):
-        # Format 3 is no longer read: offline, every command names the
-        # first entry and fails, writes no output and leaves the cache as
-        # it is.
-        self.write_old_cache(tmp_path / "cache", 3)
+    def test_old_cache_refused_offline(self, name, fmt, tmp_path, capsys):
+        # Formats 4 and 3 are no longer read: offline, every command names
+        # the first entry and fails, writes no output and leaves the cache
+        # as it is.
+        self.write_old_mixed_cache(tmp_path / "cache", fmt)
         before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
         assert run(self.runs("mixed")[name], tmp_path, out=name) == 1
         path = BlockCache(tmp_path / "cache").path(1)
-        assert f"{path}: unknown format 'chaingraph-block/3'" in capsys.readouterr().err
+        assert f"{path}: unknown format 'chaingraph-block/{fmt}'" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
         assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
 
+    @pytest.mark.parametrize("fmt", [4, 3])
     @pytest.mark.parametrize("name", [*COMMANDS, "snapshots"])
-    def test_format_3_cache_refetched(self, name, tmp_path, monkeypatch):
-        # Online, every command refetches each format-3 entry once, gives
-        # the pinned outputs, and leaves the cache as a fresh fetch does.
-        raw_blocks = self.write_old_cache(tmp_path / "cache", 3)
+    def test_old_cache_refetched(self, name, fmt, tmp_path, monkeypatch):
+        # Online, every command refetches each old entry once, gives the
+        # pinned outputs, and leaves the cache as a fresh fetch does.
+        raw_blocks = self.write_old_mixed_cache(tmp_path / "cache", fmt)
         endpoint = MockEndpoint(raw_blocks)
         monkeypatch.setattr("chaingraph.cli._endpoint", lambda cfg: endpoint)
         argv = self.runs("mixed")[name] + ["--cache-dir", str(tmp_path / "cache"),

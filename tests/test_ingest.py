@@ -36,7 +36,7 @@ from chaingraph.ingest import (
 from conftest import (FIXTURES, MockEndpoint, StubSession, TxDict, addr, block_from_rows,
                       creation_rows, raw_block, raw_tx, rpc_transactions, stub_endpoint, tx_hash,
                       tx_rows)
-from oracles import chain_head, format4_body, format4_encode, record_encode, write_entry
+from oracles import chain_head, format4_body, record_encode, write_entry
 
 FORMAT_4 = b"chaingraph-block/4"
 
@@ -445,26 +445,26 @@ def cache_body(fmt=5, number=12, n=3, recipients=(b"\x21", b"\x00", b"\x00"),
     return head + columns + b"".join(hashes[i] if i < 3 else bytes(32) for i in creations)
 
 
-def malformed_bodies(fmt):
-    """Bodies in format ``fmt`` that a read must refuse for block 12, by
-    what is wrong with them."""
+def malformed_bodies():
+    """Format-5 bodies that a read must refuse for block 12, by what is
+    wrong with them."""
     return {
-        "extended-space": cache_body(fmt) + b" ",
-        "extended-digit": cache_body(fmt) + b"0",
-        "extended-newline": cache_body(fmt) + b"\n",
-        "extended-u32": cache_body(fmt) + bytes(4),
-        "values-as-format-3": cache_body(fmt) + b"ff 0 1",
-        "tx-count-0": cache_body(fmt, n=0),
-        "tx-count-2": cache_body(fmt, n=2),
-        "tx-count-4": cache_body(fmt, n=4),
-        "byte-without-tx": cache_body(fmt, n=0)[:72] + bytes(4) + b"0",
-        "unsorted": cache_body(fmt, recipients=(b"\x00",) * 3, creations=(1, 0)),
-        "duplicated": cache_body(fmt, creations=(1, 1)),
-        "out-of-range": cache_body(fmt, creations=(3,)),
-        "out-of-range-u32-max": cache_body(fmt, creations=(1, 2**32 - 1)),
-        "non-zero-slot": cache_body(fmt, creations=(0,)),
-        "another-block": cache_body(fmt, number=13),
-        "other-format": cache_body(9 - fmt),
+        "extended-space": cache_body() + b" ",
+        "extended-digit": cache_body() + b"0",
+        "extended-newline": cache_body() + b"\n",
+        "extended-u32": cache_body() + bytes(4),
+        "values-as-format-3": cache_body() + b"ff 0 1",
+        "tx-count-0": cache_body(n=0),
+        "tx-count-2": cache_body(n=2),
+        "tx-count-4": cache_body(n=4),
+        "byte-without-tx": cache_body(n=0)[:72] + bytes(4) + b"0",
+        "unsorted": cache_body(recipients=(b"\x00",) * 3, creations=(1, 0)),
+        "duplicated": cache_body(creations=(1, 1)),
+        "out-of-range": cache_body(creations=(3,)),
+        "out-of-range-u32-max": cache_body(creations=(1, 2**32 - 1)),
+        "non-zero-slot": cache_body(creations=(0,)),
+        "another-block": cache_body(number=13),
+        "other-format": cache_body(4),
     }
 
 
@@ -538,11 +538,12 @@ class TestCache:
         assert hashlib.sha256(entry).hexdigest() == (
             "61532cb5ca96c7bd4493310c27c3558bd66ec9dc3680ea70ce6c670f77278b9f")
         # The format-4 reference gives the entry that format 4 stored, as
-        # pinned when it was the format written; it loads as the same record.
+        # pinned when it was the format written; a read refuses it.
         write_entry(cache.path(68943), format4_body(raw), FORMAT_4)
         assert hashlib.sha256(cache.path(68943).read_bytes()).hexdigest() == (
             "cf81998c88afaa13cdfc31d46ee8c03ad2e163c74b60b8120ac00bfb22a5eed3")
-        assert cache.get(68943) == block
+        with pytest.raises(CacheCorruptError, match="unknown format 'chaingraph-block/4'"):
+            cache.get(68943)
 
     @given(block=block_records())
     def test_stored_record_loads_unchanged(self, block):
@@ -564,24 +565,6 @@ class TestCache:
             cache.store(block.number, rpc_result(block))
             body = cache.path(block.number).read_bytes().partition(b"\n")[2]
             assert len(body) == 72 + 40 * n + 4 + 36 * created
-
-    @given(block=block_records(), data=st.data())
-    def test_format_4_entry_loads_as_its_record(self, block, data):
-        # A format-4 entry, whatever the hashes of its payments, loads as
-        # the record it was written from, and is left as it is.
-        paid = len(block.senders) - block.recipients.count(None)
-        payments = data.draw(st.lists(st.binary(min_size=32, max_size=32),
-                                      min_size=paid, max_size=paid))
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = BlockCache(tmp)
-            write_entry(cache.path(block.number), format4_encode(block, payments), FORMAT_4)
-            before = cache.path(block.number).read_bytes()
-            loaded = cache.get(block.number)
-            assert type(loaded) is BlockRecord
-            assert (loaded.senders, loaded.recipients, loaded.creation_hashes) == (
-                block.senders, block.recipients, block.creation_hashes)
-            assert loaded == block
-            assert cache.path(block.number).read_bytes() == before
 
     @settings(max_examples=200, print_blob=True)
     @given(block=block_records(), data=st.data())
@@ -636,9 +619,7 @@ class TestCache:
         (CACHE_FORMAT + b" sha256:" + _DIGEST + b"\r", "checksum mismatch"),
         (CACHE_FORMAT + b" sha256:" + hashlib.sha256(cache_body(number=13)).hexdigest().encode(),
          "checksum mismatch"),
-        (FORMAT_4, "checksum mismatch"),
-        (FORMAT_4 + b" sha256:" + _DIGEST,
-         "malformed block fields: body too short for 3 transactions"),
+        (FORMAT_4 + b" sha256:" + _DIGEST, "unknown format 'chaingraph-block/4'"),
         (b"", "unknown format ''"),
         (b"Chaingraph-block/5 sha256:" + _DIGEST, "unknown format 'Chaingraph-block/5'"),
         (b"chaingraph-block/50 sha256:" + _DIGEST, "unknown format 'chaingraph-block/50'"),
@@ -648,7 +629,7 @@ class TestCache:
         (b"chaingraph-block/\xff sha256:" + _DIGEST, "unknown format 'chaingraph-block/�'"),
     ], ids=["no-checksum", "bare-digest", "sha1", "uppercase-digest", "short-digest",
             "two-spaces", "trailing-space", "crlf", "digest-of-another-body",
-            "format-4-no-checksum", "format-5-body-as-format-4", "no-header",
+            "format-5-body-as-format-4", "no-header",
             "uppercase-name", "longer-name", "tab-separated", "name-cut-at-40", "non-ascii-name"])
     def test_malformed_header_refused(self, tmp_path, header, message):
         # Only the exact header that store writes is read: any other is
@@ -662,24 +643,20 @@ class TestCache:
             cache.get(12)
         assert cache.path(12).read_bytes() == before
 
-    @pytest.mark.parametrize("fmt,name", [(5, CACHE_FORMAT), (4, FORMAT_4)], ids=["5", "4"])
-    def test_every_cut_refused(self, tmp_path, fmt, name):
+    def test_every_cut_refused(self, tmp_path):
         cache = BlockCache(tmp_path)
-        body = cache_body(fmt)
+        body = cache_body()
         for size in range(len(body)):
-            write_entry(cache.path(12), body[:size], name)
+            write_entry(cache.path(12), body[:size], CACHE_FORMAT)
             with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
                 cache.get(12)
 
-    @pytest.mark.parametrize("name,body", [
-        pytest.param(name, body, id=f"format-{fmt}-{case}")
-        for fmt, name in ((5, CACHE_FORMAT), (4, FORMAT_4))
-        for case, body in malformed_bodies(fmt).items()])
-    def test_malformed_body_with_valid_checksum(self, tmp_path, name, body):
-        # Refused, and left as it is. A format-4 body is refused exactly
-        # where it was when format 4 was the only format read.
+    @pytest.mark.parametrize("body", [
+        pytest.param(body, id=f"format-5-{case}") for case, body in malformed_bodies().items()])
+    def test_malformed_body_with_valid_checksum(self, tmp_path, body):
+        # Refused, and left as it is.
         cache = BlockCache(tmp_path)
-        write_entry(cache.path(12), body, name)
+        write_entry(cache.path(12), body, CACHE_FORMAT)
         before = cache.path(12).read_bytes()
         with pytest.raises(CacheCorruptError, match=str(cache.path(12))):
             cache.get(12)
@@ -694,9 +671,9 @@ class TestCache:
 
     def test_reads_never_write(self, tmp_path, monkeypatch):
         # A read opens no file for writing and renames none, whatever it
-        # finds: a miss, a valid entry, a corrupt one, one of an old format
-        # or a format-4 one, which is read as it is, not migrated. A miss
-        # does not make a mistyped directory either.
+        # finds: a miss, a valid entry, a corrupt one or one of an old
+        # format (3 or 4), which is refused, not migrated. A miss does not
+        # make a mistyped directory either.
         cache = BlockCache(tmp_path / "cache")
         cache.directory.mkdir()
         write_entry(cache.path(12), cache_body(), CACHE_FORMAT)
@@ -724,7 +701,8 @@ class TestCache:
             cache.get(13)
         with pytest.raises(CacheCorruptError, match="unknown format 'chaingraph-block/3'"):
             cache.get(14)
-        assert cache.get(15) == cache.get(12)._replace(number=15)
+        with pytest.raises(CacheCorruptError, match="unknown format 'chaingraph-block/4'"):
+            cache.get(15)
         assert calls == []
         assert not mistyped.directory.exists()
         assert {p.name: p.read_bytes() for p in cache.directory.iterdir()} == before
@@ -863,7 +841,7 @@ class TestFetchRange:
         with pytest.raises(CacheCorruptError, match=str(path)):
             list(fetch_range(None, SnapshotSpec(100, 3), cache))
 
-    @pytest.mark.parametrize("old", ["format-3", "format-2", "legacy-json"])
+    @pytest.mark.parametrize("old", ["format-4", "format-3", "format-2", "legacy-json"])
     def test_entry_of_an_old_format_refetched(self, tmp_path, old):
         # Such an entry is corrupt: named offline and left as it is,
         # refetched online and stored as a fresh fetch stores the block.
@@ -871,7 +849,10 @@ class TestFetchRange:
         (tmp_path / "cache").mkdir()
         cache = BlockCache(tmp_path / "cache")
         path = cache.path(12)
-        if old == "format-3":
+        if old == "format-4":
+            write_entry(path, format4_body(raw), FORMAT_4)
+            found = "chaingraph-block/4"
+        elif old == "format-3":
             write_entry(path, format4_body(raw) + b"ff 0", b"chaingraph-block/3")
             found = "chaingraph-block/3"
         elif old == "format-2":
