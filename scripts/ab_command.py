@@ -10,7 +10,14 @@ interquartile range, how many pairs each side won on time and on peak
 memory, and whether the two sides wrote byte-identical files on every
 pair. Peak memory moves with heap layout by a few hundred KiB between
 runs of one tree, so a memory claim shows the ranges and the pair count,
-not one median.
+not one median. Next to each side's peak it prints the largest peak of
+any worker process a run forked and reaped (``ru_maxrss`` of
+RUSAGE_CHILDREN), which the run's own VmHWM does not count.
+It also prints how many CPUs the runs may use, and a spin check before
+and after the pairs: a short counting loop timed alone, then two copies
+of it at once. When two copies take much longer than one, the machine
+did not give a second CPU-bound process a core of its own, and a command
+that forks workers is timed under contention.
 Each run writes into an emptied output directory of its own side, so give
 the command no --out-dir. Exits 1 if a run fails or the outputs differ.
 Every ``{side}`` in COMMAND ARGS becomes ``base`` or ``change`` in that
@@ -37,7 +44,9 @@ from pathlib import Path
 from typing import Optional
 
 # Prints one JSON line last: the exit code, the timed wall, the peak
-# resident KiB (None without /proc) and where chaingraph was imported from.
+# resident KiB (None without /proc), the largest peak resident KiB of a
+# reaped child process (0 if none, None without the resource module) and
+# where chaingraph was imported from.
 _CHILD = """
 import json, sys, time
 import chaingraph, chaingraph.cli
@@ -49,14 +58,60 @@ try:
         hwm_kib = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 except (OSError, StopIteration):
     hwm_kib = None
+try:
+    import resource
+    worker_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+except ImportError:
+    worker_kib = None
 print(json.dumps({"rc": rc, "wall_s": wall_s, "hwm_kib": hwm_kib,
-                  "origin": chaingraph.__file__}))
+                  "worker_kib": worker_kib, "origin": chaingraph.__file__}))
+"""
+
+# A counting loop of about 0.1-0.2 s; prints its seconds. With an argument
+# it first prints "ready" and waits for a line on stdin, so that a second
+# copy starts its loop together with this script's own.
+_SPIN = """
+import sys, time
+if len(sys.argv) > 1:
+    print("ready", flush=True)
+    sys.stdin.readline()
+t0 = time.perf_counter()
+n = 0
+for _ in range(1_500_000):
+    n += 1
+print(time.perf_counter() - t0, flush=True)
 """
 
 
-def run_once(tree: Path, argv: list[str], out: Path) -> tuple[float, Optional[int]]:
-    """Wall seconds and peak resident KiB of one run of argv from tree/src,
-    writing into out."""
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def spin_check() -> str:
+    """The spin loop's seconds in one process alone, then in two at once."""
+    def spin(*args):
+        return subprocess.Popen([sys.executable, "-c", _SPIN, *args], text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+    with spin() as alone:
+        alone_s = float(alone.communicate()[0])
+    with spin("paired") as first, spin("paired") as second:
+        for proc in (first, second):
+            proc.stdout.readline()
+        for proc in (first, second):
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        paired_s = [float(proc.communicate()[0]) for proc in (first, second)]
+    return (f"one loop alone {alone_s:.3f} s, "
+            f"two at once {paired_s[0]:.3f} s and {paired_s[1]:.3f} s")
+
+
+def run_once(tree: Path, argv: list[str], out: Path) -> dict:
+    """Wall seconds, peak resident KiB and largest worker peak KiB of one
+    run of argv from tree/src, writing into out."""
     shutil.rmtree(out, ignore_errors=True)
     src = (tree / "src").resolve()
     # A fixed string hash seed makes repeats on one input do the same work.
@@ -71,7 +126,7 @@ def run_once(tree: Path, argv: list[str], out: Path) -> tuple[float, Optional[in
         raise RuntimeError(f"{tree}: chaingraph imported from {result['origin']}")
     if result["rc"] != 0:
         raise RuntimeError(f"{tree}: command exited with {result['rc']}\n{proc.stderr}")
-    return result["wall_s"], result["hwm_kib"]
+    return result
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -89,6 +144,16 @@ def peak_spread(peaks: list[Optional[int]]) -> str:
     if not known:
         return "n/a"
     return f"{statistics.median(known):,.0f} KiB (min-max {min(known):,}-{max(known):,})"
+
+
+def worker_peak(peaks: list[Optional[int]]) -> str:
+    """The largest peak of any worker process over one side's runs."""
+    known = [p for p in peaks if p is not None]
+    if not known:
+        return "worker peak n/a"
+    if max(known) == 0:
+        return "no worker process"
+    return f"largest worker peak {max(known):,} KiB"
 
 
 def lower_in(base: list, change: list, what: str) -> str:
@@ -124,26 +189,32 @@ def main() -> int:
     argvs = {side: [arg.replace("{side}", side) for arg in argv] for side in sides}
     times: dict[str, list[float]] = {"base": [], "change": []}
     peaks: dict[str, list[Optional[int]]] = {"base": [], "change": []}
+    workers: dict[str, list[Optional[int]]] = {"base": [], "change": []}
     mismatches: set[str] = set()
+    print(f"usable CPUs: {usable_cpus()}")
+    print(f"spin check before: {spin_check()}", flush=True)
     with tempfile.TemporaryDirectory() as work:
         outs = {side: Path(work) / side for side in sides}
         for i in range(args.pairs):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             for side in order:
-                wall_s, hwm_kib = run_once(sides[side], argvs[side], outs[side])
-                times[side].append(wall_s)
-                peaks[side].append(hwm_kib)
+                result = run_once(sides[side], argvs[side], outs[side])
+                times[side].append(result["wall_s"])
+                peaks[side].append(result["hwm_kib"])
+                workers[side].append(result["worker_kib"])
             mismatches.update(differing_files(outs["base"], outs["change"]))
             print(f"pair {i + 1}: base {times['base'][-1] * 1e3:.1f} ms, "
                   f"change {times['change'][-1] * 1e3:.1f} ms", flush=True)
         files = sum(1 for p in outs["base"].rglob("*") if p.is_file())
+    print(f"spin check after: {spin_check()}")
 
     base, change = times["base"], times["change"]
     q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
     print(f"base   median {statistics.median(base) * 1e3:.1f} ms, "
-          f"IQR {(q3 - q1) * 1e3:.1f} ms, peak RSS {peak_spread(peaks['base'])}")
+          f"IQR {(q3 - q1) * 1e3:.1f} ms, peak RSS {peak_spread(peaks['base'])}, "
+          f"{worker_peak(workers['base'])}")
     print(f"change median {statistics.median(change) * 1e3:.1f} ms, "
-          f"peak RSS {peak_spread(peaks['change'])}")
+          f"peak RSS {peak_spread(peaks['change'])}, {worker_peak(workers['change'])}")
     print(lower_in(base, change, "faster"))
     print(lower_in(peaks["base"], peaks["change"], "peak RSS lower"))
     if mismatches:

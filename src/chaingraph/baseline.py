@@ -9,9 +9,12 @@ well above 1.
 from __future__ import annotations
 
 import math
+import os
 import random
+import struct
+import threading
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from chaingraph.graph import SimpleGraph, _sorted_adjacency
 from chaingraph.metrics import (
@@ -32,6 +35,16 @@ from chaingraph.metrics import (
 _ENUMERATE_LIMIT = 500_000
 
 _TRIAL_SEED_STRIDE = 1_000_003
+
+# One trial's result as a worker reports it: its index and two exact
+# doubles. A record is far below PIPE_BUF, so each write reaches the pipe
+# whole, and a read of a multiple of its size returns whole records.
+_RECORD = struct.Struct("=qdd")
+_READ_SIZE = _RECORD.size * 128
+
+# POSIX's SIGKILL; importing the signal module would add about 1.5 ms to
+# every command's start-up.
+_SIGKILL = 9
 
 
 class _Undefined:
@@ -150,13 +163,17 @@ def small_world_report(g: SimpleGraph, components: ComponentSet, trials: int, se
     cc = _average_local_clustering(g, _neighbour_links(g),
                                    components.members(components.largest_id))
 
+    def trial(i: int) -> tuple[float, float]:
+        instance = gnm_random_graph(GnmParams(n, m, trial_seed(seed, i)))
+        return (average_local_clustering(instance),
+                distance_summary(instance, connected_components(instance),
+                                 policy).average_distance)
+
     cc_total = 0.0
     l_total = 0.0
-    for i in range(trials):
-        instance = gnm_random_graph(GnmParams(n, m, trial_seed(seed, i)))
-        cc_total += average_local_clustering(instance)
-        l_total += distance_summary(instance, connected_components(instance),
-                                    policy).average_distance
+    for cc_i, l_i in _map_trials(trial, trials):
+        cc_total += cc_i
+        l_total += l_i
     cc_rg = cc_total / trials
     l_rg = l_total / trials
 
@@ -172,3 +189,82 @@ def small_world_report(g: SimpleGraph, components: ComponentSet, trials: int, se
         seed=seed,
         l_method=summary.l_method,
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_trials(trial: Callable[[int], tuple[float, float]],
+                trials: int) -> list[tuple[float, float]]:
+    """[trial(i) for i in range(trials)], the trials spread over
+    W = min(trials, usable CPUs) processes. Worker k of W, forked from this
+    one, computes trials k, k + W, ... and writes a record per trial to its
+    own pipe; this process computes trials 0, W, 2W, ..., then, from the
+    back, every trial no worker has reported yet, draining the pipes before
+    each. So a worker that dies, raises or gets no CPU costs time only, and
+    a trial's exception is raised here. The results are exact doubles
+    either way. Every worker is killed and reaped before this returns or
+    raises."""
+    # W is 1 where os.fork is missing, and while another thread is alive,
+    # since a fork copies only the calling thread.
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = min(trials, _usable_cpus())
+    results: list = [None] * trials
+    pipes: dict[int, int] = {}
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # No process to spare: the trials of workers k.. stay here.
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                # The worker never returns into the caller's stack, nor runs
+                # its atexit handlers or flushes its stdio buffers.
+                code = 1
+                try:
+                    os.close(read_fd)
+                    for i in range(k, trials, workers):
+                        os.write(write_fd, _RECORD.pack(i, *trial(i)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            os.set_blocking(read_fd, False)
+            pipes[pid] = read_fd
+        for i in range(0, trials, workers):
+            results[i] = trial(i)
+        for i in reversed(range(trials)):
+            if results[i] is None:
+                _drain(pipes, results)
+            if results[i] is None:
+                results[i] = trial(i)
+    finally:
+        for pid, read_fd in pipes.items():
+            os.close(read_fd)
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _drain(pipes: dict[int, int], results: list) -> None:
+    """Store every record the workers have written so far."""
+    for read_fd in pipes.values():
+        while True:
+            try:
+                data = os.read(read_fd, _READ_SIZE)
+            except BlockingIOError:
+                break
+            if not data:
+                break
+            for i, cc, l_rg in _RECORD.iter_unpack(data):
+                results[i] = (cc, l_rg)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from chaingraph import baseline
 from chaingraph.ingest import (
     BlockRecord,
     JsonRpcEndpoint,
@@ -14,6 +15,13 @@ from chaingraph.ingest import (
 from chaingraph.metrics import ExactnessPolicy, connected_components, distance_summary
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def at_most_three_trial_workers(monkeypatch):
+    """No test runs more than three G(n,m) trial workers, on any machine."""
+    usable_cpus = baseline._usable_cpus
+    monkeypatch.setattr(baseline, "_usable_cpus", lambda: min(3, usable_cpus()))
 
 
 def addr(i: int) -> str:

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
 import math
+import os
 import random
 import statistics
+import threading
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaingraph import baseline
 from chaingraph.baseline import (
     _ENUMERATE_LIMIT,
     UNDEFINED,
@@ -229,3 +233,168 @@ class TestSmallWorldReport:
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(7, i) for i in range(100)}
         assert len(seeds) == 100
+
+
+def report_fields(report):
+    values = (getattr(report, f.name) for f in dataclasses.fields(report))
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@st.composite
+def edge_graphs(draw):
+    """Up to 60 random pairs on 25 nodes, at least one of them an edge."""
+    node = st.integers(0, 24)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=60))
+    return set_from_edges(25, edges)
+
+
+class TestTrialWorkers:
+    """The G(n,m) trials run in up to min(trials, usable CPUs) forked
+    workers; the report is that of the serial loop, float for float."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def use(count):
+            monkeypatch.setattr(baseline, "_usable_cpus", lambda: count)
+        return use
+
+    @staticmethod
+    def fields_by_workers(g, trials, seed, policy=ExactnessPolicy()):
+        reports = []
+        for count in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(baseline, "_usable_cpus", lambda: count)
+                reports.append(report_fields(report_of(g, trials, seed, policy)))
+        return reports
+
+    @pytest.mark.parametrize("g,trials,policy", [
+        (star_graph(18), 5, ExactnessPolicy()),
+        (complete_graph(4), 3, ExactnessPolicy()),
+        (ring_lattice_rewired(300, 4, rewire_every=10, seed=8), 5, ExactnessPolicy()),
+        (ring_lattice_rewired(300, 4, rewire_every=10, seed=8), 4,
+         ExactnessPolicy(exact_threshold=100, sample_sources=20, seed=3)),
+        (set_from_edges(8, [(0, 2), (1, 3), (3, 5), (1, 5), (5, 6), (4, 7)]), 7,
+         ExactnessPolicy()),
+        (star_graph(18), 1, ExactnessPolicy()),
+        (complete_graph(5), 2, ExactnessPolicy()),
+    ], ids=["star", "k4", "ring", "ring-sampled", "disconnected", "one-trial", "two-trials"])
+    def test_same_report_with_any_worker_count(self, g, trials, policy):
+        one, two, three = self.fields_by_workers(g, trials, 9, policy)
+        assert one == two == three
+        assert no_child_left()
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=edge_graphs(), trials=st.integers(1, 5), seed=st.integers(0, 1000))
+    def test_same_report_on_random_graphs(self, g, trials, seed):
+        one, two, three = self.fields_by_workers(g, trials, seed)
+        assert one == two == three
+
+    def test_workers_report_their_trials(self, workers, monkeypatch):
+        # Before its first trial, this process waits, without reaping, until
+        # every worker has exited: it then computes its own share alone and
+        # reads the rest from the workers' records.
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        caller = os.getpid()
+        pids = []
+        here = []
+        fork, gnm = os.fork, baseline.gnm_random_graph
+
+        def recorded_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        def waits_for_workers(params):
+            if os.getpid() == caller:
+                if not here:
+                    for pid in pids:
+                        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                here.append(params.seed)
+            return gnm(params)
+
+        workers(2)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(baseline, "gnm_random_graph", waits_for_workers)
+        assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert len(pids) == 1
+        assert here == [trial_seed(4, i) for i in (0, 2, 4)]
+        assert no_child_left()
+
+    def test_dead_worker_leaves_no_trial_out(self, workers, monkeypatch):
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        caller = os.getpid()
+        gnm = baseline.gnm_random_graph
+
+        def dies_in_worker(params):
+            if os.getpid() != caller:
+                os._exit(3)
+            return gnm(params)
+
+        workers(3)
+        monkeypatch.setattr(baseline, "gnm_random_graph", dies_in_worker)
+        assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing", [0, 1, 4], ids=["own", "worker", "last"])
+    def test_trial_error_raised_here(self, workers, monkeypatch, failing):
+        gnm = baseline.gnm_random_graph
+
+        def fails(params):
+            if params.seed == trial_seed(2, failing):
+                raise ValueError(f"trial {failing} failed")
+            return gnm(params)
+
+        workers(2)
+        monkeypatch.setattr(baseline, "gnm_random_graph", fails)
+        with pytest.raises(ValueError, match=f"trial {failing} failed"):
+            report_of(star_graph(18), trials=5, seed=2)
+        assert no_child_left()
+
+    @pytest.fixture
+    def fork_fails(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+
+    def test_no_fork_while_a_thread_is_alive(self, workers, fork_fails):
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        workers(1)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        workers(3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_no_fork_without_os_fork(self, workers, monkeypatch):
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        workers(3)
+        monkeypatch.delattr(os, "fork")
+        assert report_fields(report_of(g, trials=5, seed=4)) == serial
+
+    def test_failed_fork_keeps_the_trials_here(self, workers, monkeypatch):
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+
+        def no_process():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        workers(3)
+        monkeypatch.setattr(os, "fork", no_process)
+        assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert no_child_left()

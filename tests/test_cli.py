@@ -698,14 +698,18 @@ def test_offline_commands_never_load_http_stack(forest_cache):
 def traced_run(cache_root, argv):
     """Run the CLI under the benchmark's tracer; its counts, firsts and
     calls per span. A fresh interpreter, since install() rebinds names in
-    every chaingraph module."""
+    every chaingraph module. It may use one CPU, so the G(n,m) trials run
+    in it and its tracer sees every call: a forked worker's spans are not
+    reported."""
     script = textwrap.dedent("""
         import json
+        import os
         import sys
         import chaingraph
         import chaingraph.cli
         import tracing
 
+        os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
         tracer = tracing.Tracer()
         tracing.install(tracer)
         rc = chaingraph.cli.main(sys.argv[1:])
@@ -874,6 +878,23 @@ class TestAbCommand:
         assert re.search(r"change peak RSS lower in [0-2] of 2 pairs, "
                          r"base peak RSS lower in [0-2]\n", proc.stdout)
         assert "outputs byte-identical: 6 files on every pair" in proc.stdout
+        # The CPUs the runs may use, the spin check on both sides of the
+        # pairs, and each side's worker peak: analyze forks no worker.
+        assert re.search(r"^usable CPUs: [1-9]\d*$", proc.stdout, re.MULTILINE)
+        for when in ("before", "after"):
+            assert re.search(rf"^spin check {when}: one loop alone \d+\.\d{{3}} s, "
+                             r"two at once \d+\.\d{3} s and \d+\.\d{3} s$",
+                             proc.stdout, re.MULTILINE)
+        assert len(re.findall(r"\), no worker process$", proc.stdout, re.MULTILINE)) == 2
+
+    def test_smallworld_worker_peak(self, star_cache):
+        proc = self.ab(["--pairs", "1"], ["smallworld", "--start-block", "1", "--num-blocks",
+                                          "1", "--trials", "2", "--cache-dir",
+                                          str(star_cache / "cache"), "--offline"])
+        assert proc.returncode == 0, proc.stderr
+        cpus = int(re.search(r"^usable CPUs: (\d+)$", proc.stdout, re.MULTILINE).group(1))
+        worker = r"largest worker peak [\d,]+ KiB" if cpus > 1 else "no worker process"
+        assert len(re.findall(rf"\), {worker}$", proc.stdout, re.MULTILINE)) == 2
 
     def test_caches_of_different_blocks_differ(self, tmp_path):
         seed_cache(tmp_path / "cache_base", pairs_to_raw_blocks(forest_pairs(), start=1))
