@@ -38,9 +38,8 @@ _TRIAL_SEED_STRIDE = 1_000_003
 
 # One trial's result as a worker reports it: its index and two exact
 # doubles. A record is far below PIPE_BUF, so each write reaches the pipe
-# whole, and a read of a multiple of its size returns whole records.
+# whole, and a read of one record's size returns one whole record.
 _RECORD = struct.Struct("=qdd")
-_READ_SIZE = _RECORD.size * 128
 
 # POSIX's SIGKILL; importing the signal module would add about 1.5 ms to
 # every command's start-up.
@@ -204,12 +203,14 @@ def _map_trials(trial: Callable[[int], tuple[float, float]],
     """[trial(i) for i in range(trials)], the trials spread over
     W = min(trials, usable CPUs) processes. Worker k of W, forked from this
     one, computes trials k, k + W, ... and writes a record per trial to its
-    own pipe; this process computes trials 0, W, 2W, ..., then, from the
-    back, every trial no worker has reported yet, draining the pipes before
-    each. So a worker that dies, raises or gets no CPU costs time only, and
-    a trial's exception is raised here. The results are exact doubles
-    either way. Every worker is killed and reaped before this returns or
-    raises."""
+    own pipe. This process computes trials 0, W, 2W, ..., reads each pipe
+    to its end, which comes when that worker exits or dies, and then
+    computes, in trial order, every trial that no worker reported. So a
+    live worker is waited for, never raced, and no trial is computed
+    twice; a worker that dies or raises, or a pipe or fork that fails,
+    costs time only, and a trial's exception is raised here. The results
+    are exact doubles either way. Every worker is killed and reaped before
+    this returns or raises."""
     # W is 1 where os.fork is missing, and while another thread is alive,
     # since a fork copies only the calling thread.
     workers = 1
@@ -219,11 +220,15 @@ def _map_trials(trial: Callable[[int], tuple[float, float]],
     pipes: dict[int, int] = {}
     try:
         for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
+            # With no descriptor or process to spare, the trials of
+            # workers k.. stay here.
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:
-                # No process to spare: the trials of workers k.. stay here.
                 os.close(read_fd)
                 os.close(write_fd)
                 break
@@ -238,14 +243,17 @@ def _map_trials(trial: Callable[[int], tuple[float, float]],
                     code = 0
                 finally:
                     os._exit(code)
+            # Closed before the next fork, so only worker k holds the
+            # write end, and the pipe ends when worker k does.
             os.close(write_fd)
-            os.set_blocking(read_fd, False)
             pipes[pid] = read_fd
         for i in range(0, trials, workers):
             results[i] = trial(i)
-        for i in reversed(range(trials)):
-            if results[i] is None:
-                _drain(pipes, results)
+        for read_fd in pipes.values():
+            while record := os.read(read_fd, _RECORD.size):
+                i, cc, l_rg = _RECORD.unpack(record)
+                results[i] = (cc, l_rg)
+        for i in range(trials):
             if results[i] is None:
                 results[i] = trial(i)
     finally:
@@ -254,17 +262,3 @@ def _map_trials(trial: Callable[[int], tuple[float, float]],
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
     return results
-
-
-def _drain(pipes: dict[int, int], results: list) -> None:
-    """Store every record the workers have written so far."""
-    for read_fd in pipes.values():
-        while True:
-            try:
-                data = os.read(read_fd, _READ_SIZE)
-            except BlockingIOError:
-                break
-            if not data:
-                break
-            for i, cc, l_rg in _RECORD.iter_unpack(data):
-                results[i] = (cc, l_rg)

@@ -1,10 +1,12 @@
 import dataclasses
+import errno
 import hashlib
 import math
 import os
 import random
 import statistics
 import threading
+import time
 from itertools import combinations
 
 import pytest
@@ -328,20 +330,53 @@ class TestTrialWorkers:
         assert here == [trial_seed(4, i) for i in (0, 2, 4)]
         assert no_child_left()
 
-    def test_dead_worker_leaves_no_trial_out(self, workers, monkeypatch):
+    def test_caller_waits_for_a_live_worker(self, workers, monkeypatch):
+        # The worker's two trials take longer than the caller's three: the
+        # caller reads the worker's records rather than computing its trials.
         g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
         serial = report_fields(report_of(g, trials=5, seed=4))
         caller = os.getpid()
+        here = []
+        gnm = baseline.gnm_random_graph
+
+        def slow_in_worker(params):
+            if os.getpid() == caller:
+                here.append(params.seed)
+            else:
+                time.sleep(0.2)
+            return gnm(params)
+
+        workers(2)
+        monkeypatch.setattr(baseline, "gnm_random_graph", slow_in_worker)
+        assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert here == [trial_seed(4, i) for i in (0, 2, 4)]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("count,dies_in,here_in", [
+        (3, (1, 2, 4), (0, 3, 1, 2, 4)),
+        (2, (3,), (0, 2, 4, 3)),
+    ], ids=["first-trial", "after-a-record"])
+    def test_dead_worker_leaves_no_trial_out(self, workers, monkeypatch,
+                                             count, dies_in, here_in):
+        # A worker dies in each trial of dies_in; the caller computes its own
+        # share, then only the trials no worker reported, in trial order.
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        caller = os.getpid()
+        here = []
         gnm = baseline.gnm_random_graph
 
         def dies_in_worker(params):
-            if os.getpid() != caller:
+            if os.getpid() == caller:
+                here.append(params.seed)
+            elif params.seed in {trial_seed(4, i) for i in dies_in}:
                 os._exit(3)
             return gnm(params)
 
-        workers(3)
+        workers(count)
         monkeypatch.setattr(baseline, "gnm_random_graph", dies_in_worker)
         assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert here == [trial_seed(4, i) for i in here_in]
         assert no_child_left()
 
     @pytest.mark.parametrize("failing", [0, 1, 4], ids=["own", "worker", "last"])
@@ -397,4 +432,24 @@ class TestTrialWorkers:
         workers(3)
         monkeypatch.setattr(os, "fork", no_process)
         assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert no_child_left()
+
+    def test_failed_pipe_keeps_the_trials_here(self, workers, monkeypatch):
+        # The first worker is forked; the second pipe fails, and that
+        # worker's trials stay here.
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        pipe = os.pipe
+        made = []
+
+        def one_pipe():
+            if made:
+                raise OSError(errno.EMFILE, "Too many open files")
+            made.append(pipe())
+            return made[-1]
+
+        workers(3)
+        monkeypatch.setattr(os, "pipe", one_pipe)
+        assert report_fields(report_of(g, trials=5, seed=4)) == serial
+        assert len(made) == 1
         assert no_child_left()
