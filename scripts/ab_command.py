@@ -18,6 +18,10 @@ and after the pairs: a short counting loop timed alone, then two copies
 of it at once. When two copies take much longer than one, the machine
 did not give a second CPU-bound process a core of its own, and a command
 that forks workers is timed under contention.
+With --contend, one CPU spinner, a counting loop that ends by itself
+after a bounded time or when this script is gone, runs while the pairs do:
+a command that forks workers is then timed with one CPU taken. The spinner
+is killed and reaped when the pairs end, before the second spin check.
 Each run writes into an emptied output directory of its own side, so give
 the command no --out-dir. Exits 1 if a run fails or the outputs differ.
 Every ``{side}`` in COMMAND ARGS becomes ``base`` or ``change`` in that
@@ -25,7 +29,7 @@ side's runs, so each tree can read an input of its own: with
 ``--cache-dir cache_{side}``, each reads a cache written in its own
 format, and neither times a read of the other's.
 
-Usage: python3 scripts/ab_command.py BASE CHANGE [--pairs N] -- COMMAND ARGS...
+Usage: python3 scripts/ab_command.py BASE CHANGE [--pairs N] [--contend] -- COMMAND ARGS...
 
     python3 scripts/ab_command.py ../parent . --pairs 20 -- smallworld \\
         --start-block 5000000 --num-blocks 14 --cache-dir cache_{side} --offline \\
@@ -40,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Optional
 
@@ -81,6 +86,30 @@ for _ in range(1_500_000):
     n += 1
 print(time.perf_counter() - t0, flush=True)
 """
+
+
+# Spins for at most an hour, or until its parent is gone, so that no
+# spinner outlives the script by much even if the script is killed.
+_SPINNER = """
+import os, time
+parent = os.getppid()
+deadline = time.monotonic() + 3600
+while time.monotonic() < deadline and os.getppid() == parent:
+    for _ in range(100_000):
+        pass
+"""
+
+
+@contextmanager
+def spinner():
+    """One CPU-bound process for the body's duration, at most an hour;
+    killed and reaped when the body ends, however it ends. Yields its pid."""
+    proc = subprocess.Popen([sys.executable, "-c", _SPINNER])
+    try:
+        yield proc.pid
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def usable_cpus() -> int:
@@ -167,10 +196,12 @@ def lower_in(base: list, change: list, what: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n")[0],
-        usage="%(prog)s BASE CHANGE [--pairs N] -- COMMAND ARGS...")
+        usage="%(prog)s BASE CHANGE [--pairs N] [--contend] -- COMMAND ARGS...")
     parser.add_argument("base", type=Path, help="source tree of the reference side")
     parser.add_argument("change", type=Path, help="source tree of the changed side")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--contend", action="store_true",
+                        help="run the pairs beside one CPU spinner")
     own = sys.argv[1:]
     split = own.index("--") if "--" in own else len(own)
     args = parser.parse_args(own[:split])
@@ -193,7 +224,10 @@ def main() -> int:
     mismatches: set[str] = set()
     print(f"usable CPUs: {usable_cpus()}")
     print(f"spin check before: {spin_check()}", flush=True)
-    with tempfile.TemporaryDirectory() as work:
+    with tempfile.TemporaryDirectory() as work, \
+            (spinner() if args.contend else nullcontext()) as spinner_pid:
+        if spinner_pid is not None:
+            print(f"contending: spinner pid {spinner_pid}", flush=True)
         outs = {side: Path(work) / side for side in sides}
         for i in range(args.pairs):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]

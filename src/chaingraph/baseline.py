@@ -9,18 +9,17 @@ well above 1.
 from __future__ import annotations
 
 import math
-import os
 import random
-import struct
-import threading
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from chaingraph.graph import SimpleGraph, _sorted_adjacency
 from chaingraph.metrics import (
+    _DOUBLES,
     ComponentSet,
     ExactnessPolicy,
     _average_local_clustering,
+    _fork_map,
     _neighbour_links,
     average_local_clustering,
     connected_components,
@@ -35,15 +34,6 @@ from chaingraph.metrics import (
 _ENUMERATE_LIMIT = 500_000
 
 _TRIAL_SEED_STRIDE = 1_000_003
-
-# One trial's result as a worker reports it: its index and two exact
-# doubles. A record is far below PIPE_BUF, so each write reaches the pipe
-# whole, and a read of one record's size returns one whole record.
-_RECORD = struct.Struct("=qdd")
-
-# POSIX's SIGKILL; importing the signal module would add about 1.5 ms to
-# every command's start-up.
-_SIGKILL = 9
 
 
 class _Undefined:
@@ -147,8 +137,9 @@ def small_world_report(g: SimpleGraph, components: ComponentSet, trials: int, se
     instances; `components` is connected_components(g). A node's clustering
     depends on its neighbours alone, so cc, averaged over the members in
     ascending order, and L are those of largest_component(g). cc_RG and L_RG
-    average the instances' clustering and largest-component distance. Trial
-    seeds derive from (seed, trial index), so trials can run in any order.
+    average the instances' clustering and largest-component distance, summed
+    in trial order. Trial seeds derive from (seed, trial index), so the
+    trials run as the tasks of one _fork_map, in any order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -162,15 +153,15 @@ def small_world_report(g: SimpleGraph, components: ComponentSet, trials: int, se
     cc = _average_local_clustering(g, _neighbour_links(g),
                                    components.members(components.largest_id))
 
-    def trial(i: int) -> tuple[float, float]:
+    def trial(i: int) -> bytes:
         instance = gnm_random_graph(GnmParams(n, m, trial_seed(seed, i)))
-        return (average_local_clustering(instance),
-                distance_summary(instance, connected_components(instance),
-                                 policy).average_distance)
+        return _DOUBLES.pack(average_local_clustering(instance),
+                             distance_summary(instance, connected_components(instance),
+                                              policy).average_distance)
 
     cc_total = 0.0
     l_total = 0.0
-    for cc_i, l_i in _map_trials(trial, trials):
+    for cc_i, l_i in map(_DOUBLES.unpack, _fork_map(trial, trials)):
         cc_total += cc_i
         l_total += l_i
     cc_rg = cc_total / trials
@@ -188,77 +179,3 @@ def small_world_report(g: SimpleGraph, components: ComponentSet, trials: int, se
         seed=seed,
         l_method=summary.l_method,
     )
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_trials(trial: Callable[[int], tuple[float, float]],
-                trials: int) -> list[tuple[float, float]]:
-    """[trial(i) for i in range(trials)], the trials spread over
-    W = min(trials, usable CPUs) processes. Worker k of W, forked from this
-    one, computes trials k, k + W, ... and writes a record per trial to its
-    own pipe. This process computes trials 0, W, 2W, ..., reads each pipe
-    to its end, which comes when that worker exits or dies, and then
-    computes, in trial order, every trial that no worker reported. So a
-    live worker is waited for, never raced, and no trial is computed
-    twice; a worker that dies or raises, or a pipe or fork that fails,
-    costs time only, and a trial's exception is raised here. The results
-    are exact doubles either way. Every worker is killed and reaped before
-    this returns or raises."""
-    # W is 1 where os.fork is missing, and while another thread is alive,
-    # since a fork copies only the calling thread.
-    workers = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = min(trials, _usable_cpus())
-    results: list = [None] * trials
-    pipes: dict[int, int] = {}
-    try:
-        for k in range(1, workers):
-            # With no descriptor or process to spare, the trials of
-            # workers k.. stay here.
-            try:
-                read_fd, write_fd = os.pipe()
-            except OSError:
-                break
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                # The worker never returns into the caller's stack, nor runs
-                # its atexit handlers or flushes its stdio buffers.
-                code = 1
-                try:
-                    os.close(read_fd)
-                    for i in range(k, trials, workers):
-                        os.write(write_fd, _RECORD.pack(i, *trial(i)))
-                    code = 0
-                finally:
-                    os._exit(code)
-            # Closed before the next fork, so only worker k holds the
-            # write end, and the pipe ends when worker k does.
-            os.close(write_fd)
-            pipes[pid] = read_fd
-        for i in range(0, trials, workers):
-            results[i] = trial(i)
-        for read_fd in pipes.values():
-            while record := os.read(read_fd, _RECORD.size):
-                i, cc, l_rg = _RECORD.unpack(record)
-                results[i] = (cc, l_rg)
-        for i in range(trials):
-            if results[i] is None:
-                results[i] = trial(i)
-    finally:
-        for pid, read_fd in pipes.items():
-            os.close(read_fd)
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-    return results

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from chaingraph import __version__
+from chaingraph import __version__, metrics
 from chaingraph.baseline import UNDEFINED, small_world_report
 from chaingraph.graph import (SimpleGraph, TransactionGraph, build_graph, export_edge_csv,
                               export_pajek, project_simple)
@@ -43,7 +43,6 @@ from chaingraph.metrics import (
     connected_components,
     degree_distribution,
     distance_summary,
-    general_metrics,
 )
 from chaingraph.miners import miner_distribution
 
@@ -144,15 +143,75 @@ def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
     return fetch_range(_endpoint(cfg), spec, BlockCache(cfg.cache_dir), on_block=on_block)
 
 
-def _snapshot(blocks: Iterator[BlockRecord],
-              graph_outputs: _GraphOutputs = None) -> tuple[SimpleGraph, ComponentSet]:
+def _fork_writer(graph_outputs: Callable[[TransactionGraph], None],
+                 g: TransactionGraph) -> Callable[..., None]:
+    """Start graph_outputs(g) in a writer forked from this process, and
+    return a function that waits for the writer to end and, unless called
+    with check=False, raises its failure as an OSError: the text of the
+    writer's exception, or else its exit status or the signal that killed
+    it. Where metrics._workers(2) gives one process, or no pipe or process
+    can be made, graph_outputs(g) runs here instead, and the function does
+    nothing."""
+    pid = -1
+    if metrics._workers(2) > 1:
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:
+            pass
+        else:
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+    if pid == 0:
+        # Like a _fork_map worker, the writer never returns into the
+        # caller's stack, runs its atexit handlers or flushes its stdio.
+        code = 1
+        try:
+            metrics._in_map = True
+            try:
+                graph_outputs(g)
+                code = 0
+            except Exception as exc:
+                os.write(write_fd, str(exc).encode("utf-8", "replace"))
+        finally:
+            os._exit(code)
+    if pid < 0:
+        graph_outputs(g)
+        return lambda check=True: None
+    os.close(write_fd)
+
+    def wait(check: bool = True) -> None:
+        try:
+            why = b""
+            while chunk := os.read(read_fd, 4096):
+                why += chunk
+        finally:
+            os.close(read_fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not check:
+            return
+        if code > 0:
+            raise OSError(why.decode("utf-8", "replace")
+                          or f"graph outputs: the writer exited with status {code}")
+        if code < 0:
+            raise OSError(f"graph outputs: the writer was killed by signal {-code}")
+    return wait
+
+
+def _snapshot(blocks: Iterator[BlockRecord], graph_outputs: _GraphOutputs = None,
+              waits: Optional[list] = None) -> tuple[SimpleGraph, ComponentSet]:
     """A block range as a network. graph_outputs, the only reader of the
-    weighted graph's weights and labels, runs first; the graph is then dropped
-    but for its node count and edge keys, so the projection is never built
-    while the labels are held, and no metric runs while any of it is."""
+    weighted graph's weights and labels, gets the graph first, through
+    _fork_writer, which appends its wait function to `waits`: the caller
+    calls it before it returns or raises, and checks the writer only if
+    nothing else failed. The graph is then dropped here but for its node
+    count and edge keys, so the projection is never built while the labels
+    are held here, and no metric runs while any of it is."""
     g = build_graph(blocks)
     if graph_outputs is not None:
-        graph_outputs(g)
+        waits.append(_fork_writer(graph_outputs, g))
     n, edges = g.n, g.edges
     del g  # with it go the labels and the loops
     simple = project_simple(n, edges)
@@ -171,18 +230,32 @@ def _tap_timestamps(blocks: Iterator[BlockRecord], stamps: list[int]) -> Iterato
 def _record(cfg: RunConfig, spec: SnapshotSpec, policy: ExactnessPolicy,
             graph_outputs: _GraphOutputs = None) -> dict:
     """Every number of a block range, one key per quantity, in snapshots.csv's
-    order. _snapshot builds and projects the range; distances then run before
-    clustering, on the projection alone."""
+    order. _snapshot builds and projects the range, while a forked writer
+    writes the weighted graph's outputs; the distance pieces and the
+    clustering pass then run side by side, on the projection alone."""
     stamps: list[int] = []
-    simple, comps = _snapshot(_tap_timestamps(_load_blocks(cfg, spec), stamps), graph_outputs)
-    summary = distance_summary(simple, comps, policy)
-    report = general_metrics(simple, comps)
-    return {"start_block": spec.start_block, "num_blocks": spec.count, "nodes": report.n,
-            "nodes_main": report.largest_component_nodes, "edges": report.m,
-            "edges_main": report.largest_component_edges, "components": report.num_components,
-            "avg_distance": summary.average_distance, "avg_clus_coeff": report.avg_clustering,
-            "transitivity": report.transitivity, "diameter": summary.diameter,
-            "l_method": summary.l_method, "diameter_method": summary.diameter_method,
+    waits: list = []
+    try:
+        simple, comps = _snapshot(_tap_timestamps(_load_blocks(cfg, spec), stamps),
+                                  graph_outputs, waits)
+        # with_clustering, passed by position, as a wrapper taking
+        # (g, *args) passes it on.
+        summary = distance_summary(simple, comps, policy, True)
+    except BaseException:
+        # The writer is reaped, but this failure, not the writer's, is
+        # raised: on Ctrl-C the writer gets the SIGINT too.
+        for wait in waits:
+            wait(check=False)
+        raise
+    for wait in waits:
+        wait()
+    nodes_main, edges_main = comps.largest_size
+    return {"start_block": spec.start_block, "num_blocks": spec.count, "nodes": simple.n,
+            "nodes_main": nodes_main, "edges": simple.m, "edges_main": edges_main,
+            "components": comps.num_components, "avg_distance": summary.average_distance,
+            "avg_clus_coeff": summary.avg_clustering, "transitivity": summary.transitivity,
+            "diameter": summary.diameter, "l_method": summary.l_method,
+            "diameter_method": summary.diameter_method,
             "sample_sources": summary.sample_sources, "seed": summary.seed,
             "first_timestamp": stamps[0], "last_timestamp": stamps[-1]}
 

@@ -11,17 +11,26 @@ The BFS folds leaves: a degree-1 node lies on no shortest path between
 two other nodes, so it is never visited. A leaf is counted one level
 after its neighbour is reached, and a leaf source starts at its
 neighbour one level in. Account networks are mostly such leaves. The
-fold is computed once per distance_summary and serves both the
-multi-source BFS and the double sweep behind the sampled diameter.
+fold is computed once per process that runs a piece of distance_summary
+and serves both the multi-source BFS and the double sweep behind the
+sampled diameter.
+
+The independent pieces of a stage (MS-BFS batches, the double sweep, the
+clustering pass, G(n,m) trials) run side by side through _fork_map, in
+processes forked from the caller, and are combined in task order from
+exact ints and doubles, so the results do not depend on the split.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import struct
+import threading
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from chaingraph.graph import SimpleGraph, TransactionGraph
 
@@ -29,10 +38,34 @@ EXACT = "exact"
 SAMPLED = "sampled"
 LOWER_BOUND = "lower_bound"
 
-# Sources per multi-source BFS batch. A batch holds three lists of g.n
-# entries (seen, new, gains); in them each node that is not a leaf holds up
-# to three bitsets of this many bits, about 3 * n_core * _MSBFS_BATCH / 8 bytes.
+# Sources per multi-source BFS batch, at most. A batch holds three lists of
+# g.n entries (seen, new, gains); in them each node that is not a leaf holds
+# up to three bitsets of this many bits, about 3 * n_core * _MSBFS_BATCH / 8
+# bytes.
 _MSBFS_BATCH = 4096
+
+# A task's result as _fork_map passes it on: the task's index, then 16 bytes
+# that the task packed, two exact ints (_INTS) or two doubles (_DOUBLES).
+# A record is far below PIPE_BUF, so each write reaches the pipe whole, and
+# a read of one record's size returns one whole record.
+_INTS = struct.Struct("=qq")
+_DOUBLES = struct.Struct("=dd")
+_RESULT = struct.Struct("=q16s")
+
+# A queue record names the tasks start..stop-1. The whole queue is written
+# into an empty pipe at once, in at most POSIX's least PIPE_BUF bytes, so
+# the write is whole and never blocks.
+_RANGE = struct.Struct("=II")
+_PIPE_BUF = 512
+
+# POSIX's SIGKILL; importing the signal module would add about 1.5 ms to
+# every command's start-up.
+_SIGKILL = 9
+
+# True in a process forked by _fork_map or by the graph-outputs writer, and
+# in a map's caller while its workers run: a map started there runs in
+# process, so a worker never forks and no map forks inside another.
+_in_map = False
 
 
 @dataclass(frozen=True)
@@ -92,6 +125,9 @@ class DistanceSummary:
     diameter_method: str
     sample_sources: Optional[int] = None
     seed: Optional[int] = None
+    # Set only with_clustering: general_metrics's two clustering values.
+    avg_clustering: Optional[float] = None
+    transitivity: Optional[float] = None
 
 
 def degree_distribution(g: TransactionGraph) -> tuple[dict[int, int], dict[int, int]]:
@@ -238,6 +274,103 @@ def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
 _Fold = tuple[list[int], list[int], list[list[int]]]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(tasks: int) -> int:
+    """How many processes may share `tasks` independent tasks: min(tasks,
+    usable CPUs), but 1 where os.fork is missing, while another thread is
+    alive (a fork copies only the calling thread), and where _in_map is set."""
+    if tasks < 2 or _in_map or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(tasks, _usable_cpus())
+
+
+def _queue(count: int) -> bytes:
+    """Every task index of a map, as at most _PIPE_BUF bytes of ranges:
+    one task per range up to _PIPE_BUF // _RANGE.size tasks."""
+    step = -(-count // (_PIPE_BUF // _RANGE.size))
+    return b"".join(_RANGE.pack(i, min(i + step, count)) for i in range(0, count, step))
+
+
+def _fork_map(task: Callable[[int], bytes], count: int) -> list[bytes]:
+    """[task(i) for i in range(count)], each result 16 packed bytes, spread
+    over W = _workers(count) processes: this one and W - 1 workers forked
+    from it. Before the first fork every task index goes into one queue
+    pipe; this process and the workers then pull ranges of indices from it
+    until it is empty, so whoever is free takes the next task, and a worker
+    that gets no CPU holds one range at most. A worker writes a _RESULT per
+    task to one shared result pipe. This process, its queue empty, reads that
+    pipe to its end, which comes when every worker has exited or died, and
+    then computes, in task order, each task that no worker reported. So a
+    live worker is waited for, never raced, and no task is computed twice;
+    a worker that dies or fails, or a pipe or fork that fails, costs time
+    only, and a task's exception is raised here. Every worker is killed and
+    reaped before this returns or raises."""
+    global _in_map
+    results: list = [None] * count
+    workers = _workers(count)
+    fds: list[int] = []
+    pids: list[int] = []
+    try:
+        if workers > 1:
+            # With no pipe to spare, every task stays here.
+            try:
+                queue, tail = os.pipe()
+                fds += (queue, tail)
+                done, sink = os.pipe()
+                fds += (done, sink)
+                os.write(tail, _queue(count))
+            except OSError:
+                workers = 1
+        if workers > 1:
+            # Closed before the first fork, so the queue ends once drained;
+            # the result pipe ends when the last worker does.
+            os.close(fds.pop(1))
+            _in_map = True
+            for _ in range(1, workers):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break
+                if pid == 0:
+                    # The worker never returns into the caller's stack, nor
+                    # runs its atexit handlers or flushes its stdio buffers.
+                    code = 1
+                    try:
+                        while chunk := os.read(queue, _RANGE.size):
+                            for i in range(*_RANGE.unpack(chunk)):
+                                os.write(sink, _RESULT.pack(i, task(i)))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            os.close(fds.pop())
+            while chunk := os.read(queue, _RANGE.size):
+                for i in range(*_RANGE.unpack(chunk)):
+                    results[i] = task(i)
+            while record := os.read(done, _RESULT.size):
+                i, result = _RESULT.unpack(record)
+                results[i] = result
+        for i in range(count):
+            if results[i] is None:
+                results[i] = task(i)
+    finally:
+        if workers > 1:
+            _in_map = False
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def _fold_leaves(g: SimpleGraph) -> _Fold:
     """(hub, leaves, core_adj) for leaf-folded BFS.
 
@@ -262,10 +395,11 @@ def _fold_leaves(g: SimpleGraph) -> _Fold:
 
 def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int], n: int,
                               fold: _Fold) -> tuple[int, int]:
-    """Total distance and eccentricity max over BFS runs from `sources`.
+    """Total distance and eccentricity max over BFS runs from `sources`,
+    one batch of at most _MSBFS_BATCH.
 
     Bit-parallel multi-source BFS (Then et al., PVLDB 2014): bit i of
-    seen[v] means batch source i has reached v, and one level ORs the
+    seen[v] means source i has reached v, and one level ORs the
     bits each frontier node v gained, new[v], into gains[u] of its
     neighbours. The BFS runs over core nodes only (``fold`` is
     _fold_leaves(g)): a core node that gains bits at level l puts its
@@ -277,53 +411,50 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int], n: int,
     """
     hub, leaves, core_adj = fold
     core = [v for v, p in enumerate(hub) if p < 0]
-    # gains[u] is cleared as u is settled, so it is all zero when a batch
-    # ends and the next batch reuses it; new[v] is cleared as v is pushed,
-    # so no spent bitset stays alive.
-    new, gains = [0] * g.n, [0] * g.n
+    # new[v] is cleared as v is pushed, and gains[u] as u is settled, so no
+    # spent bitset stays alive.
+    seen, new, gains = [0] * g.n, [0] * g.n, [0] * g.n
     total = longest = reached = 0
-    for start in range(0, len(sources), _MSBFS_BATCH):
-        seen = [0] * g.n
+    frontier = []
+    leaf_sources = 0
+    for i, s in enumerate(sources):
+        p = hub[s]
+        if p < 0:
+            seen[s] = new[s] = 1 << i
+            frontier.append(s)
+        else:
+            gains[p] |= 1 << i
+            leaf_sources += 1
+    # Leaves reached at the next level.
+    next_leaves = sum(leaves[v] * new[v].bit_count() for v in frontier if leaves[v])
+    level = 0
+    while frontier or leaf_sources or next_leaves:
+        level += 1
+        for v in frontier:
+            bits = new[v]
+            new[v] = 0
+            for u in core_adj[v]:
+                gains[u] |= bits
         frontier = []
+        for u in compress(core, map(gains.__getitem__, core)):
+            # gains | old, unlike gains & ~old, builds no negative int.
+            old = seen[u]
+            grown = gains[u] | old
+            gains[u] = 0
+            if grown != old:
+                seen[u] = grown
+                new[u] = grown ^ old
+                frontier.append(u)
+        added = next_leaves + sum(map(int.bit_count, map(new.__getitem__, frontier)))
+        # At level 2 each leaf source is among its hub's leaves, but a
+        # source does not reach itself.
+        next_leaves = sum(leaves[u] * new[u].bit_count() for u in frontier
+                          if leaves[u]) - leaf_sources
         leaf_sources = 0
-        for i, s in enumerate(sources[start:start + _MSBFS_BATCH]):
-            p = hub[s]
-            if p < 0:
-                seen[s] = new[s] = 1 << i
-                frontier.append(s)
-            else:
-                gains[p] |= 1 << i
-                leaf_sources += 1
-        # Leaves reached at the next level.
-        next_leaves = sum(leaves[v] * new[v].bit_count() for v in frontier if leaves[v])
-        level = 0
-        while frontier or leaf_sources or next_leaves:
-            level += 1
-            for v in frontier:
-                bits = new[v]
-                new[v] = 0
-                for u in core_adj[v]:
-                    gains[u] |= bits
-            frontier = []
-            for u in compress(core, map(gains.__getitem__, core)):
-                # gains | old, unlike gains & ~old, builds no negative int.
-                old = seen[u]
-                grown = gains[u] | old
-                gains[u] = 0
-                if grown != old:
-                    seen[u] = grown
-                    new[u] = grown ^ old
-                    frontier.append(u)
-            added = next_leaves + sum(map(int.bit_count, map(new.__getitem__, frontier)))
-            # At level 2 each leaf source is among its hub's leaves, but a
-            # source does not reach itself.
-            next_leaves = sum(leaves[u] * new[u].bit_count() for u in frontier
-                              if leaves[u]) - leaf_sources
-            leaf_sources = 0
-            if added:
-                total += level * added
-                reached += added
-                longest = max(longest, level)
+        if added:
+            total += level * added
+            reached += added
+            longest = max(longest, level)
     if reached != len(sources) * (n - 1):
         raise ValueError("distance_summary: components are not connected_components(g)")
     return total, longest
@@ -358,8 +489,16 @@ def _double_sweep_lower_bound(fold: _Fold, start: int) -> int:
     return max(_folded_distances(fold, dist.index(max(dist))))
 
 
+def _clustering(g: SimpleGraph) -> tuple[float, float]:
+    """Mean local clustering over all nodes, and transitivity, from one
+    triangle count."""
+    links = _neighbour_links(g)
+    return _average_local_clustering(g, links, range(g.n)), _transitivity(g, links)
+
+
 def distance_summary(g: SimpleGraph, components: ComponentSet,
-                     policy: ExactnessPolicy = ExactnessPolicy()) -> DistanceSummary:
+                     policy: ExactnessPolicy = ExactnessPolicy(),
+                     with_clustering: bool = False) -> DistanceSummary:
     """Average shortest-path length and diameter of the largest component
     of g, in place; `components` is connected_components(g). Its nodes keep
     their ascending order, so the result is that on largest_component(g).
@@ -368,24 +507,56 @@ def distance_summary(g: SimpleGraph, components: ComponentSet,
     Below policy.exact_threshold nodes, both come from all-pairs BFS.
     Above it, L is averaged over policy.sample_sources seeded sources and
     the diameter is a double-sweep lower bound; both are labeled as such.
+
+    The sources are cut into the fewest batches of at most _MSBFS_BATCH,
+    of even sizes; each batch, and the double sweep, is one task of a
+    _fork_map. with_clustering, the mean local clustering and the
+    transitivity of g, as general_metrics gives them, are one more task of
+    the same map, its first, and fill the summary's fields of those names;
+    the process that runs it holds no leaf fold while it does.
     """
-    members = components.members(components.largest_id)
-    n = len(members)
+    sources = components.members(components.largest_id)
+    n = len(sources)
+    start = sources[0] if sources else -1
+    sampled = n > max(1, policy.exact_threshold)
+    if sampled:
+        k = min(policy.sample_sources, n)
+        rng = random.Random(policy.seed)
+        sources = [sources[i] for i in sorted(rng.sample(range(n), k))]
+    elif n <= 1:
+        sources = []
+    batches = -(-len(sources) // _MSBFS_BATCH)
+    first = int(with_clustering)
+    folds: list[_Fold] = []
+
+    def task(i: int) -> bytes:
+        if i < first:
+            return _DOUBLES.pack(*_clustering(g))
+        # Each process folds the graph once, at its first distance piece:
+        # after the clustering pass, which it then no longer holds.
+        if not folds:
+            folds.append(_fold_leaves(g))
+        fold = folds[0]
+        b = i - first
+        if b < batches:
+            batch = sources[len(sources) * b // batches:len(sources) * (b + 1) // batches]
+            return _INTS.pack(*_sum_and_max_from_sources(g, batch, n, fold))
+        return _INTS.pack(0, _double_sweep_lower_bound(fold, start))
+
+    parts = _fork_map(task, first + batches + sampled)
+    pieces = [_INTS.unpack(part) for part in parts[first:]]
+    total = sum(t for t, _ in pieces[:batches])
     if n <= 1:
-        return DistanceSummary(0.0, 0, EXACT, EXACT)
-
-    fold = _fold_leaves(g)
-    if n <= policy.exact_threshold:
-        total, longest = _sum_and_max_from_sources(g, members, n, fold)
-        return DistanceSummary(total / (n * (n - 1)), longest, EXACT, EXACT)
-
-    rng = random.Random(policy.seed)
-    k = min(policy.sample_sources, n)
-    sources = [members[i] for i in sorted(rng.sample(range(n), k))]
-    total, _ = _sum_and_max_from_sources(g, sources, n, fold)
-    avg = total / (k * (n - 1))
-    return DistanceSummary(avg, _double_sweep_lower_bound(fold, members[0]),
-                           SAMPLED, LOWER_BOUND, sample_sources=k, seed=policy.seed)
+        summary = DistanceSummary(0.0, 0, EXACT, EXACT)
+    elif not sampled:
+        summary = DistanceSummary(total / (n * (n - 1)), max(d for _, d in pieces),
+                                  EXACT, EXACT)
+    else:
+        summary = DistanceSummary(total / (k * (n - 1)), pieces[-1][1], SAMPLED, LOWER_BOUND,
+                                  sample_sources=k, seed=policy.seed)
+    if with_clustering:
+        summary.avg_clustering, summary.transitivity = _DOUBLES.unpack(parts[0])
+    return summary
 
 
 def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsReport:
@@ -393,12 +564,12 @@ def general_metrics(simple: SimpleGraph, components: ComponentSet) -> MetricsRep
     `components` is connected_components(simple); the projection has the
     n and m of the TransactionGraph it came from."""
     largest_nodes, largest_edges = components.largest_size
-    links = _neighbour_links(simple)
+    avg_clustering, transitivity = _clustering(simple)
     return MetricsReport(
         n=simple.n,
         m=simple.m,
-        avg_clustering=_average_local_clustering(simple, links, range(simple.n)),
-        transitivity=_transitivity(simple, links),
+        avg_clustering=avg_clustering,
+        transitivity=transitivity,
         num_components=components.num_components,
         largest_component_nodes=largest_nodes,
         largest_component_edges=largest_edges,

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from chaingraph import baseline
+from chaingraph import metrics
 from chaingraph.ingest import (
     BlockRecord,
     JsonRpcEndpoint,
@@ -18,10 +18,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
-def at_most_three_trial_workers(monkeypatch):
-    """No test runs more than three G(n,m) trial workers, on any machine."""
-    usable_cpus = baseline._usable_cpus
-    monkeypatch.setattr(baseline, "_usable_cpus", lambda: min(3, usable_cpus()))
+def at_most_three_workers(monkeypatch):
+    """No fork map in a test runs more than three processes, on any machine."""
+    usable_cpus = metrics._usable_cpus
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: min(3, usable_cpus()))
 
 
 def addr(i: int) -> str:

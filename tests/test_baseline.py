@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaingraph import baseline
+from chaingraph import baseline, metrics
 from chaingraph.baseline import (
     _ENUMERATE_LIMIT,
     UNDEFINED,
@@ -258,21 +258,50 @@ def edge_graphs(draw):
 
 
 class TestTrialWorkers:
-    """The G(n,m) trials run in up to min(trials, usable CPUs) forked
-    workers; the report is that of the serial loop, float for float."""
+    """The G(n,m) trials run as the tasks of one fork map, in up to
+    min(trials, usable CPUs) processes that pull them from a shared queue;
+    the report is that of the serial loop, float for float."""
 
     @pytest.fixture
     def workers(self, monkeypatch):
         def use(count):
-            monkeypatch.setattr(baseline, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
         return use
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        """Lines appended by any process, each in one write, read back as
+        (pid, word) pairs."""
+        path = tmp_path / "log"
+        path.touch()
+
+        class Log:
+            @staticmethod
+            def add(word):
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+                try:
+                    os.write(fd, f"{os.getpid()} {word}\n".encode())
+                finally:
+                    os.close(fd)
+
+            @staticmethod
+            def read():
+                return [(int(pid), word) for pid, word in
+                        (line.split() for line in path.read_text().splitlines())]
+
+            @classmethod
+            def seeds(cls, pid=None):
+                """The logged seeds, sorted; with pid, only that process's."""
+                return sorted(int(word) for p, word in cls.read()
+                              if word.isdigit() and pid in (None, p))
+        return Log
 
     @staticmethod
     def fields_by_workers(g, trials, seed, policy=ExactnessPolicy()):
         reports = []
         for count in (1, 2, 3):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(baseline, "_usable_cpus", lambda: count)
+                patch.setattr(metrics, "_usable_cpus", lambda: count)
                 reports.append(report_fields(report_of(g, trials, seed, policy)))
         return reports
 
@@ -298,15 +327,15 @@ class TestTrialWorkers:
         one, two, three = self.fields_by_workers(g, trials, seed)
         assert one == two == three
 
-    def test_workers_report_their_trials(self, workers, monkeypatch):
-        # Before its first trial, this process waits, without reaping, until
-        # every worker has exited: it then computes its own share alone and
-        # reads the rest from the workers' records.
-        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
-        serial = report_fields(report_of(g, trials=5, seed=4))
+    @staticmethod
+    def logged_trials(monkeypatch, log, in_worker=None, caller_waits=False):
+        """Log each G(n,m) draw's seed; in a worker, call in_worker(draws
+        so far, seed) first. With caller_waits, this process
+        waits, without reaping, for every worker to exit before its first
+        draw."""
         caller = os.getpid()
         pids = []
-        here = []
+        draws = []
         fork, gnm = os.fork, baseline.gnm_random_graph
 
         def recorded_fork():
@@ -314,69 +343,70 @@ class TestTrialWorkers:
             pids.append(pid)
             return pid
 
-        def waits_for_workers(params):
+        def logged(params):
             if os.getpid() == caller:
-                if not here:
+                if caller_waits and not draws:
                     for pid in pids:
                         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-                here.append(params.seed)
+            elif in_worker is not None:
+                in_worker(len(draws), params.seed)
+            draws.append(params.seed)
+            log.add(params.seed)
             return gnm(params)
 
-        workers(2)
         monkeypatch.setattr(os, "fork", recorded_fork)
-        monkeypatch.setattr(baseline, "gnm_random_graph", waits_for_workers)
+        monkeypatch.setattr(baseline, "gnm_random_graph", logged)
+        return pids
+
+    def test_workers_report_their_trials(self, workers, monkeypatch, log):
+        # This process waits until the worker has exited before its first
+        # draw: the worker has then drained the queue, and every trial was
+        # drawn exactly once, in one process or the other.
+        g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
+        serial = report_fields(report_of(g, trials=5, seed=4))
+        workers(2)
+        pids = self.logged_trials(monkeypatch, log, caller_waits=True)
         assert report_fields(report_of(g, trials=5, seed=4)) == serial
         assert len(pids) == 1
-        assert here == [trial_seed(4, i) for i in (0, 2, 4)]
+        assert log.seeds() == [trial_seed(4, i) for i in range(5)]
+        assert len(log.seeds(pids[0])) >= 4
         assert no_child_left()
 
-    def test_caller_waits_for_a_live_worker(self, workers, monkeypatch):
-        # The worker's two trials take longer than the caller's three: the
-        # caller reads the worker's records rather than computing its trials.
+    def test_caller_waits_for_a_live_worker(self, workers, monkeypatch, log):
+        # The worker's draws are slow: this process takes the other tasks,
+        # then reads the worker's records rather than computing its tasks.
         g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
         serial = report_fields(report_of(g, trials=5, seed=4))
-        caller = os.getpid()
-        here = []
-        gnm = baseline.gnm_random_graph
-
-        def slow_in_worker(params):
-            if os.getpid() == caller:
-                here.append(params.seed)
-            else:
-                time.sleep(0.2)
-            return gnm(params)
-
         workers(2)
-        monkeypatch.setattr(baseline, "gnm_random_graph", slow_in_worker)
+        pids = self.logged_trials(monkeypatch, log,
+                                  in_worker=lambda done, seed: time.sleep(0.2))
         assert report_fields(report_of(g, trials=5, seed=4)) == serial
-        assert here == [trial_seed(4, i) for i in (0, 2, 4)]
+        assert log.seeds() == [trial_seed(4, i) for i in range(5)]
+        assert len(pids) == 1
         assert no_child_left()
 
-    @pytest.mark.parametrize("count,dies_in,here_in", [
-        (3, (1, 2, 4), (0, 3, 1, 2, 4)),
-        (2, (3,), (0, 2, 4, 3)),
-    ], ids=["first-trial", "after-a-record"])
-    def test_dead_worker_leaves_no_trial_out(self, workers, monkeypatch,
-                                             count, dies_in, here_in):
-        # A worker dies in each trial of dies_in; the caller computes its own
-        # share, then only the trials no worker reported, in trial order.
+    @pytest.mark.parametrize("count,draws", [(3, 0), (2, 1)],
+                             ids=["first-trial", "after-a-record"])
+    def test_dead_worker_leaves_no_trial_out(self, workers, monkeypatch, log, count, draws):
+        # A worker dies at the start of its draw number `draws`, holding that
+        # task; this process computes each task that no worker reported,
+        # and no other.
         g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
         serial = report_fields(report_of(g, trials=5, seed=4))
-        caller = os.getpid()
-        here = []
-        gnm = baseline.gnm_random_graph
 
-        def dies_in_worker(params):
-            if os.getpid() == caller:
-                here.append(params.seed)
-            elif params.seed in {trial_seed(4, i) for i in dies_in}:
+        def dies(done, seed):
+            if done == draws:
+                log.add(f"died-{seed}")
                 os._exit(3)
-            return gnm(params)
 
         workers(count)
-        monkeypatch.setattr(baseline, "gnm_random_graph", dies_in_worker)
+        pids = self.logged_trials(monkeypatch, log, in_worker=dies, caller_waits=True)
         assert report_fields(report_of(g, trials=5, seed=4)) == serial
-        assert here == [trial_seed(4, i) for i in here_in]
+        # Each trial was drawn to its end once: in a live worker, or here.
+        assert log.seeds() == [trial_seed(4, i) for i in range(5)]
+        died = [int(word[5:]) for _, word in log.read() if word.startswith("died-")]
+        assert died and set(died) <= set(log.seeds(os.getpid()))
+        assert len(pids) == count - 1
         assert no_child_left()
 
     @pytest.mark.parametrize("failing", [0, 1, 4], ids=["own", "worker", "last"])
@@ -435,8 +465,8 @@ class TestTrialWorkers:
         assert no_child_left()
 
     def test_failed_pipe_keeps_the_trials_here(self, workers, monkeypatch):
-        # The first worker is forked; the second pipe fails, and that
-        # worker's trials stay here.
+        # The queue is made; the result pipe fails, so no worker is forked,
+        # every task stays here, and the queue is closed.
         g = ring_lattice_rewired(200, 4, rewire_every=10, seed=8)
         serial = report_fields(report_of(g, trials=5, seed=4))
         pipe = os.pipe
@@ -452,4 +482,7 @@ class TestTrialWorkers:
         monkeypatch.setattr(os, "pipe", one_pipe)
         assert report_fields(report_of(g, trials=5, seed=4)) == serial
         assert len(made) == 1
+        for fd in made[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
         assert no_child_left()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import chaingraph
-from chaingraph import cli
+from chaingraph import cli, metrics
 from chaingraph.cli import _config_from_args, build_parser, main
 from chaingraph.baseline import small_world_report
 from chaingraph.graph import SimpleGraph
@@ -540,10 +540,21 @@ class TestGraphReleased:
         called("export_pajek")
         return events
 
-    def test_analyze_projects_after_outputs_without_labels(self, forest_cache, events):
+    def test_analyze_projects_after_outputs_without_labels(self, forest_cache, events,
+                                                           monkeypatch):
+        # On one CPU the outputs run in this process, before the projection.
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 1)
         assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 0
         assert events == ["degree_distribution", "export_pajek",
                           ("project_simple", [False, False])]
+
+    def test_forked_writer_leaves_no_graph_here(self, forest_cache, events, monkeypatch):
+        # With two CPUs the outputs run in the forked writer, and this
+        # process projects without the graph or its labels.
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        assert run(["analyze", "--start-block", "1", "--num-blocks", "3"], forest_cache) == 0
+        assert events == [("project_simple", [False, False])]
+        assert (forest_cache / "out" / "graph.net").is_file()
 
     def test_snapshots_project_without_labels(self, forest_cache, events):
         args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:2"]
@@ -606,6 +617,96 @@ class TestGraphReleased:
         args = ["snapshots", "--snapshot", "1:1", "--snapshot", "2:2", "--snapshot", "1:3"]
         assert run(args, forest_cache) == 0
         assert alive == [[], [False], [False, False]]
+
+
+class TestWriter:
+    """analyze writes the weighted graph's outputs in a forked writer where
+    it may use two CPUs; a failed writer fails the command as a failed
+    output would in process, and leaves no process behind."""
+
+    ARGS = ["analyze", "--start-block", "1", "--num-blocks", "3"]
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return True
+
+    def test_failed_output_same_error_in_writer_and_here(self, forest_cache, monkeypatch,
+                                                         capsys):
+        errors = []
+        for processes in (1, 2):
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda: processes)
+            out = forest_cache / f"out{processes}"
+            (out / "graph.net").mkdir(parents=True)
+            assert run(self.ARGS, forest_cache, out=out.name) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (out / "metrics.csv").exists()
+            assert not (out / "distances.csv").exists()
+            assert self.no_child_left()
+        here, forked = errors
+        assert here.startswith("error: [Errno 21] Is a directory: ")
+        assert forked == here.replace("out1", "out2")
+
+    @pytest.mark.parametrize("end,why", [
+        (lambda: os._exit(7), "the writer exited with status 7"),
+        (lambda: os.kill(os.getpid(), 9), "the writer was killed by signal 9"),
+    ], ids=["exit", "signal"])
+    def test_writer_that_ends_without_an_error(self, forest_cache, monkeypatch, capsys,
+                                               end, why):
+        caller = os.getpid()
+        export_pajek = cli.export_pajek
+
+        def ends_in_writer(g, sink):
+            if os.getpid() != caller:
+                end()
+            export_pajek(g, sink)
+
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "export_pajek", ends_in_writer)
+        assert run(self.ARGS, forest_cache) == 1
+        assert capsys.readouterr().err == f"error: graph outputs: {why}\n"
+        assert not (forest_cache / "out" / "metrics.csv").exists()
+        assert not (forest_cache / "out" / "distances.csv").exists()
+        assert self.no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt], ids=["bug", "interrupt"])
+    def test_failure_here_is_raised_over_the_writers(self, forest_cache, monkeypatch, capsys,
+                                                     error, processes):
+        # A forked writer fails too, as on Ctrl-C, whose SIGINT reaches it
+        # as well: it is reaped, and this process's own failure comes
+        # through, as it does with the outputs written here.
+        caller = os.getpid()
+        export_pajek = cli.export_pajek
+
+        def interrupted_in_writer(g, sink):
+            if os.getpid() != caller:
+                raise KeyboardInterrupt
+            export_pajek(g, sink)
+
+        def fails(*args, **kwargs):
+            raise error("raised here")
+
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: processes)
+        monkeypatch.setattr(cli, "export_pajek", interrupted_in_writer)
+        monkeypatch.setattr(cli, "distance_summary", fails)
+        with pytest.raises(error, match="raised here"):
+            run(self.ARGS, forest_cache)
+        assert capsys.readouterr().err == ""
+        assert not (forest_cache / "out" / "metrics.csv").exists()
+        assert self.no_child_left()
+
+    def test_writer_outputs_match_in_process(self, forest_cache, monkeypatch):
+        for processes in (1, 2):
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda: processes)
+            assert run(self.ARGS, forest_cache, out=f"out{processes}") == 0
+            assert self.no_child_left()
+        files = sorted(path.name for path in (forest_cache / "out1").iterdir())
+        assert files == sorted(path.name for path in (forest_cache / "out2").iterdir())
+        for name in files:
+            assert (forest_cache / "out2" / name).read_bytes() == \
+                (forest_cache / "out1" / name).read_bytes()
 
 
 @pytest.mark.parametrize("args", [
@@ -879,13 +980,15 @@ class TestAbCommand:
                          r"base peak RSS lower in [0-2]\n", proc.stdout)
         assert "outputs byte-identical: 6 files on every pair" in proc.stdout
         # The CPUs the runs may use, the spin check on both sides of the
-        # pairs, and each side's worker peak: analyze forks no worker.
-        assert re.search(r"^usable CPUs: [1-9]\d*$", proc.stdout, re.MULTILINE)
+        # pairs, and each side's worker peak: analyze forks its writer and
+        # workers where it may use more than one CPU.
+        cpus = int(re.search(r"^usable CPUs: ([1-9]\d*)$", proc.stdout, re.MULTILINE).group(1))
         for when in ("before", "after"):
             assert re.search(rf"^spin check {when}: one loop alone \d+\.\d{{3}} s, "
                              r"two at once \d+\.\d{3} s and \d+\.\d{3} s$",
                              proc.stdout, re.MULTILINE)
-        assert len(re.findall(r"\), no worker process$", proc.stdout, re.MULTILINE)) == 2
+        worker = r"largest worker peak [\d,]+ KiB" if cpus > 1 else "no worker process"
+        assert len(re.findall(rf"\), {worker}$", proc.stdout, re.MULTILINE)) == 2
 
     def test_smallworld_worker_peak(self, star_cache):
         proc = self.ab(["--pairs", "1"], ["smallworld", "--start-block", "1", "--num-blocks",
@@ -905,11 +1008,35 @@ class TestAbCommand:
         assert proc.returncode == 1, proc.stderr
         assert "outputs DIFFER: degree.csv" in proc.stdout
 
-    @pytest.mark.parametrize("pairs", ["0", "-3"])
-    def test_pairs_below_one_refused_before_any_run(self, monkeypatch, capsys, pairs):
+    def load(self):
         spec = importlib.util.spec_from_file_location("ab_command", self.SCRIPT)
         ab_command = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(ab_command)
+        return ab_command
+
+    def test_contend_leaves_no_spinner(self, star_cache):
+        proc = self.ab(["--pairs", "1", "--contend"], [
+            "smallworld", "--start-block", "1", "--num-blocks", "1", "--trials", "2",
+            "--cache-dir", str(star_cache / "cache"), "--offline"])
+        assert proc.returncode == 0, proc.stderr
+        pid = int(re.search(r"^contending: spinner pid (\d+)$", proc.stdout,
+                            re.MULTILINE).group(1))
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_spinner_killed_and_reaped(self):
+        # However the body ends, no child process is left, not even a zombie.
+        ab_command = self.load()
+        with pytest.raises(KeyError):
+            with ab_command.spinner() as pid:
+                os.kill(pid, 0)
+                raise KeyError("body failed")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairs_below_one_refused_before_any_run(self, monkeypatch, capsys, pairs):
+        ab_command = self.load()
 
         def no_process(*args, **kwargs):
             raise AssertionError("a process was started")
@@ -1102,18 +1229,39 @@ class TestPinnedOutputs:
             arg for spec in cls.SNAPSHOTS[fixture] for arg in ("--snapshot", spec)]
         return runs
 
-    @pytest.mark.parametrize("fixture", ["star", "forest", "mixed"])
-    def test_output_digests(self, fixture, tmp_path):
+    def digests(self, fixture, tmp_path, names):
+        """The sha256 of each output file of the named runs on ``fixture``."""
         pairs = {"star": star_pairs, "forest": forest_pairs,
                  "mixed": self.mixed_pairs}[fixture]()
         count = self.NUM_BLOCKS[fixture]
         seed_cache(tmp_path / "cache", pairs_to_raw_blocks(pairs, start=1, num_blocks=count))
         digests = {}
         for name, argv in self.runs(fixture).items():
+            if name not in names:
+                continue
             assert run(argv, tmp_path, out=name) == 0, name
             for path in sorted((tmp_path / name).iterdir()):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digests == self.EXPECTED[fixture]
+        return digests
+
+    @pytest.mark.parametrize("fixture", ["star", "forest", "mixed"])
+    def test_output_digests(self, fixture, tmp_path):
+        assert self.digests(fixture, tmp_path, [*self.COMMANDS, "snapshots"]) == \
+            self.EXPECTED[fixture]
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("fixture", ["star", "forest", "mixed"])
+    def test_forking_commands_keep_their_digests(self, fixture, processes, tmp_path,
+                                                 monkeypatch):
+        # The commands that fork a writer or fork-map workers give the
+        # pinned bytes whatever number of CPUs they may use.
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: processes)
+        names = ["analyze-exact", "analyze-sampled", "snapshots", "smallworld"]
+        assert self.digests(fixture, tmp_path, names) == {
+            key: digest for key, digest in self.EXPECTED[fixture].items()
+            if key.partition("/")[0] in names}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def write_old_mixed_cache(self, directory, fmt):
         """The mixed fixture's blocks, each cached in format ``fmt``, 4 or

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 from itertools import combinations
 
@@ -119,8 +120,14 @@ def disconnected_leaf_heavy(draw):
     return simple(n, [(order[u], order[v]) for u, v in edges])
 
 
-def sum_and_max_from_sources(g, sources):
-    return metrics._sum_and_max_from_sources(g, sources, g.n, metrics._fold_leaves(g))
+def sum_and_max_from_sources(g, sources, n=None):
+    """As distance_summary combines them: one _sum_and_max_from_sources
+    call per batch of at most _MSBFS_BATCH sources."""
+    fold = metrics._fold_leaves(g)
+    size = metrics._MSBFS_BATCH
+    pieces = [metrics._sum_and_max_from_sources(g, sources[i:i + size], n or g.n, fold)
+              for i in range(0, len(sources), size)]
+    return sum(t for t, _ in pieces), max(d for _, d in pieces)
 
 
 def per_source_sum_and_max(g, sources):
@@ -516,8 +523,7 @@ class TestMultiSourceBatches:
         dists = [frontier_distances(g, s) for s in sources]
         # Nodes outside the component read -1.
         expected = sum(d for dist in dists for d in dist if d > 0), max(map(max, dists))
-        assert metrics._sum_and_max_from_sources(g, sources, 15, metrics._fold_leaves(g)) == \
-            expected
+        assert sum_and_max_from_sources(g, sources, 15) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -701,3 +707,97 @@ class TestCsvWriters:
         pairs = [(addr(u), None if v is None else addr(v)) for u, v in raw_pairs]
         for hist in degree_distribution(graph_from_pairs(pairs)):
             assert all(degree > 0 and count > 0 for degree, count in hist.items()), hist
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestForkMap:
+    """_fork_map gives [task(i) for i in range(count)] with any number of
+    processes, and forks only from a caller that is in no map."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def use(count):
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
+        return use
+
+    @staticmethod
+    def task(i):
+        return metrics._INTS.pack(i * i, -i)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 64, 65, 200, 1000])
+    def test_queue_names_each_task_once_in_pipe_buf(self, count):
+        queue = metrics._queue(count)
+        assert 0 < len(queue) <= metrics._PIPE_BUF
+        ranges = list(metrics._RANGE.iter_unpack(queue))
+        assert [i for start, stop in ranges for i in range(start, stop)] == list(range(count))
+        if count <= metrics._PIPE_BUF // metrics._RANGE.size:
+            assert all(stop == start + 1 for start, stop in ranges)
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 65, 300])
+    def test_results_in_task_order(self, workers, processes, count):
+        workers(processes)
+        assert metrics._fork_map(self.task, count) == [self.task(i) for i in range(count)]
+        assert not metrics._in_map
+        assert no_child_left()
+
+    @pytest.fixture
+    def fork_fails(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+
+    def test_single_task_forks_nothing(self, workers, fork_fails):
+        workers(3)
+        assert metrics._fork_map(self.task, 1) == [self.task(0)]
+
+    def test_worker_never_forks_again(self, workers, monkeypatch, tmp_path):
+        # Every task runs a map of its own, in a worker or in the caller
+        # while its workers run: each of those runs in its own process.
+        log = tmp_path / "forks"
+        fork = os.fork
+        caller = os.getpid()
+
+        def logged_fork():
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fork()
+
+        def nested(i):
+            inner = metrics._fork_map(self.task, 3)
+            assert inner == [self.task(j) for j in range(3)]
+            return metrics._INTS.pack(os.getpid(), metrics._workers(3))
+
+        workers(3)
+        monkeypatch.setattr(os, "fork", logged_fork)
+        results = [metrics._INTS.unpack(r) for r in metrics._fork_map(nested, 6)]
+        assert {workers for _, workers in results} == {1}
+        assert log.read_text().split() == [str(caller)] * 2
+        assert no_child_left()
+
+    @pytest.mark.parametrize("policy", [
+        ExactnessPolicy(),
+        ExactnessPolicy(exact_threshold=10, sample_sources=17, seed=4),
+    ], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("batch", [3, 7, 4096])
+    def test_distance_pieces_with_any_worker_count(self, workers, monkeypatch, policy, batch):
+        # Batches of even sizes, at most `batch` sources, and the double
+        # sweep give the same summary and clustering on 1-3 processes.
+        g = hub_clique_with_neighbours()
+        comps = connected_components(g)
+        monkeypatch.setattr(metrics, "_MSBFS_BATCH", batch)
+        seen = []
+        for processes in (1, 2, 3):
+            workers(processes)
+            seen.append(distance_summary(g, comps, policy, with_clustering=True))
+        assert seen[0] == seen[1] == seen[2]
+        report = general_metrics(g, comps)
+        assert seen[0] == dataclasses.replace(summary_of(g, policy),
+                                              avg_clustering=report.avg_clustering,
+                                              transitivity=report.transitivity)
+        assert no_child_left()
