@@ -19,11 +19,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from chaingraph import __version__, metrics
+from chaingraph import __version__
 from chaingraph.baseline import UNDEFINED, small_world_report
 from chaingraph.graph import (SimpleGraph, TransactionGraph, build_graph, export_edge_csv,
                               export_pajek, project_simple)
@@ -40,6 +41,7 @@ from chaingraph.ingest import (
 from chaingraph.metrics import (
     ComponentSet,
     ExactnessPolicy,
+    _beside,
     connected_components,
     degree_distribution,
     distance_summary,
@@ -143,80 +145,23 @@ def _load_blocks(cfg: RunConfig, spec: SnapshotSpec,
     return fetch_range(_endpoint(cfg), spec, BlockCache(cfg.cache_dir), on_block=on_block)
 
 
-def _fork_writer(graph_outputs: Callable[[TransactionGraph], None],
-                 g: TransactionGraph) -> Callable[..., None]:
-    """Start graph_outputs(g) in a writer forked from this process, and
-    return a function that waits for the writer to end and, unless called
-    with check=False, raises its failure as an OSError: the text of the
-    writer's exception, or else its exit status or the signal that killed
-    it. Where metrics._workers(2) gives one process, or no pipe or process
-    can be made, graph_outputs(g) runs here instead, and the function does
-    nothing."""
-    pid = -1
-    if metrics._workers(2) > 1:
-        try:
-            read_fd, write_fd = os.pipe()
-        except OSError:
-            pass
-        else:
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-    if pid == 0:
-        # Like a _fork_map worker, the writer never returns into the
-        # caller's stack, runs its atexit handlers or flushes its stdio.
-        code = 1
-        try:
-            metrics._in_map = True
-            try:
-                graph_outputs(g)
-                code = 0
-            except Exception as exc:
-                os.write(write_fd, str(exc).encode("utf-8", "replace"))
-        finally:
-            os._exit(code)
-    if pid < 0:
-        graph_outputs(g)
-        return lambda check=True: None
-    os.close(write_fd)
-
-    def wait(check: bool = True) -> None:
-        try:
-            why = b""
-            while chunk := os.read(read_fd, 4096):
-                why += chunk
-        finally:
-            os.close(read_fd)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if not check:
-            return
-        if code > 0:
-            raise OSError(why.decode("utf-8", "replace")
-                          or f"graph outputs: the writer exited with status {code}")
-        if code < 0:
-            raise OSError(f"graph outputs: the writer was killed by signal {-code}")
-    return wait
-
-
-def _snapshot(blocks: Iterator[BlockRecord], graph_outputs: _GraphOutputs = None,
-              waits: Optional[list] = None) -> tuple[SimpleGraph, ComponentSet]:
-    """A block range as a network. graph_outputs, the only reader of the
-    weighted graph's weights and labels, gets the graph first, through
-    _fork_writer, which appends its wait function to `waits`: the caller
-    calls it before it returns or raises, and checks the writer only if
-    nothing else failed. The graph is then dropped here but for its node
-    count and edge keys, so the projection is never built while the labels
-    are held here, and no metric runs while any of it is."""
+@contextmanager
+def _snapshot(blocks: Iterator[BlockRecord],
+              graph_outputs: _GraphOutputs = None) -> Iterator[tuple[SimpleGraph, ComponentSet]]:
+    """A block range as a network, for the length of a with block.
+    graph_outputs, the only reader of the weighted graph's weights and
+    labels, gets the graph first, through a _beside block: in a writer
+    forked for the length of this block where two CPUs may be used, else
+    here at once. The graph is then dropped here but for its node count
+    and edge keys, so the projection is never built while the labels are
+    held here, and no metric runs while any of it is."""
     g = build_graph(blocks)
-    if graph_outputs is not None:
-        waits.append(_fork_writer(graph_outputs, g))
-    n, edges = g.n, g.edges
-    del g  # with it go the labels and the loops
-    simple = project_simple(n, edges)
-    del edges
-    return simple, connected_components(simple)
+    with _beside(None if graph_outputs is None else lambda: graph_outputs(g)):
+        n, edges = g.n, g.edges
+        del g  # with it go the labels and the loops, from the closure too
+        simple = project_simple(n, edges)
+        del edges
+        yield simple, connected_components(simple)
 
 
 def _tap_timestamps(blocks: Iterator[BlockRecord], stamps: list[int]) -> Iterator[BlockRecord]:
@@ -234,21 +179,9 @@ def _record(cfg: RunConfig, spec: SnapshotSpec, policy: ExactnessPolicy,
     writes the weighted graph's outputs; the distance pieces and the
     clustering pass then run side by side, on the projection alone."""
     stamps: list[int] = []
-    waits: list = []
-    try:
-        simple, comps = _snapshot(_tap_timestamps(_load_blocks(cfg, spec), stamps),
-                                  graph_outputs, waits)
-        # with_clustering, passed by position, as a wrapper taking
-        # (g, *args) passes it on.
-        summary = distance_summary(simple, comps, policy, True)
-    except BaseException:
-        # The writer is reaped, but this failure, not the writer's, is
-        # raised: on Ctrl-C the writer gets the SIGINT too.
-        for wait in waits:
-            wait(check=False)
-        raise
-    for wait in waits:
-        wait()
+    with _snapshot(_tap_timestamps(_load_blocks(cfg, spec), stamps),
+                   graph_outputs) as (simple, comps):
+        summary = distance_summary(simple, comps, policy, with_clustering=True)
     nodes_main, edges_main = comps.largest_size
     return {"start_block": spec.start_block, "num_blocks": spec.count, "nodes": simple.n,
             "nodes_main": nodes_main, "edges": simple.m, "edges_main": edges_main,
@@ -317,10 +250,10 @@ def cmd_smallworld(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     spec = cfg.snapshots[0]
-    simple, comps = _snapshot(_load_blocks(cfg, spec))
-    if comps.largest_size[1] == 0:
-        raise ValueError(f"block range {spec.label()} has no edge to compare")
-    report = small_world_report(simple, comps, cfg.trials, cfg.seed, policy)
+    with _snapshot(_load_blocks(cfg, spec)) as (simple, comps):
+        if comps.largest_size[1] == 0:
+            raise ValueError(f"block range {spec.label()} has no edge to compare")
+        report = small_world_report(simple, comps, cfg.trials, cfg.seed, policy)
     columns = ["blocks", "nodes", "edges", "cc", "L", "cc_RG", "L_RG", "sigma", "trials", "seed"]
     row = [spec.count, report.n, report.m, report.cc, report.avg_distance,
            report.cc_rg, report.l_rg, report.sigma, report.trials, report.seed]

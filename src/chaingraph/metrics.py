@@ -18,7 +18,9 @@ sampled diameter.
 The independent pieces of a stage (MS-BFS batches, the double sweep, the
 clustering pass, G(n,m) trials) run side by side through _fork_map, in
 processes forked from the caller, and are combined in task order from
-exact ints and doubles, so the results do not depend on the split.
+exact ints and doubles, so the results do not depend on the split. A
+command's weighted outputs run beside its metrics through _beside. Both
+fork through _forked, whose child never forks again and exits at once.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import random
 import struct
 import threading
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from chaingraph.graph import SimpleGraph, TransactionGraph
 
@@ -62,9 +65,9 @@ _PIPE_BUF = 512
 # every command's start-up.
 _SIGKILL = 9
 
-# True in a process forked by _fork_map or by the graph-outputs writer, and
-# in a map's caller while its workers run: a map started there runs in
-# process, so a worker never forks and no map forks inside another.
+# True in a child of _forked, and in a map's caller while its workers run:
+# a map or a _beside block started there runs in process, so a child never
+# forks and no map forks inside another.
 _in_map = False
 
 
@@ -298,6 +301,24 @@ def _queue(count: int) -> bytes:
     return b"".join(_RANGE.pack(i, min(i + step, count)) for i in range(0, count, step))
 
 
+def _forked(body: Callable[[], None]) -> int:
+    """The pid of a child forked to set _in_map and run body(), which then
+    exits at once, 0 if body returned and 1 if it raised: it never returns
+    into the caller's stack, nor runs atexit handlers or flushes stdio.
+    Raises OSError if no process can be made."""
+    global _in_map
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _in_map = True
+            body()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
 def _fork_map(task: Callable[[int], bytes], count: int) -> list[bytes]:
     """[task(i) for i in range(count)], each result 16 packed bytes, spread
     over W = _workers(count) processes: this one and W - 1 workers forked
@@ -333,23 +354,17 @@ def _fork_map(task: Callable[[int], bytes], count: int) -> list[bytes]:
             # the result pipe ends when the last worker does.
             os.close(fds.pop(1))
             _in_map = True
+
+            def work() -> None:
+                while chunk := os.read(queue, _RANGE.size):
+                    for i in range(*_RANGE.unpack(chunk)):
+                        os.write(sink, _RESULT.pack(i, task(i)))
+
             for _ in range(1, workers):
                 try:
-                    pid = os.fork()
+                    pids.append(_forked(work))
                 except OSError:
                     break
-                if pid == 0:
-                    # The worker never returns into the caller's stack, nor
-                    # runs its atexit handlers or flushes its stdio buffers.
-                    code = 1
-                    try:
-                        while chunk := os.read(queue, _RANGE.size):
-                            for i in range(*_RANGE.unpack(chunk)):
-                                os.write(sink, _RESULT.pack(i, task(i)))
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
             os.close(fds.pop())
             while chunk := os.read(queue, _RANGE.size):
                 for i in range(*_RANGE.unpack(chunk)):
@@ -369,6 +384,56 @@ def _fork_map(task: Callable[[int], bytes], count: int) -> list[bytes]:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
     return results
+
+
+@contextmanager
+def _beside(run: Optional[Callable[[], None]]) -> Iterator[None]:
+    """A with block beside which run() runs in a child of _forked, where
+    _workers(2) gives two processes and a pipe and a process can be made;
+    else run() runs here, on entry. run=None forks nothing. On exit the
+    child's pipe is read to its end and the child is reaped. If the block
+    raised nothing, a failed child then raises an OSError: its exception's
+    text, or else its exit status or the signal that killed it. If the
+    block raised, that is raised, not the child's failure: on Ctrl-C the
+    child gets the SIGINT too. The block holds run, so a caller clears
+    what its closure holds, as with `del g`."""
+    pid = -1
+    if run is not None and _workers(2) > 1:
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:
+            pass
+        else:
+            def report() -> None:
+                try:
+                    run()
+                except Exception as exc:
+                    os.write(write_fd, str(exc).encode("utf-8", "replace"))
+                    raise
+
+            try:
+                pid = _forked(report)
+            except OSError:
+                os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        if run is not None:
+            run()
+        yield
+        return
+    try:
+        yield
+    finally:
+        try:
+            with open(read_fd, "rb") as pipe:
+                why = pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code > 0:
+        raise OSError(why.decode("utf-8", "replace")
+                      or f"graph outputs: the writer exited with status {code}")
+    if code < 0:
+        raise OSError(f"graph outputs: the writer was killed by signal {-code}")
 
 
 def _fold_leaves(g: SimpleGraph) -> _Fold:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import chaingraph
-from chaingraph import cli, metrics
+from chaingraph import baseline, cli, metrics
 from chaingraph.cli import _config_from_args, build_parser, main
 from chaingraph.baseline import small_world_report
 from chaingraph.graph import SimpleGraph
@@ -477,9 +477,9 @@ class TestGraphReleased:
             return g
 
         def watched(fn):
-            def call(g, *args):
+            def call(g, *args, **kwargs):
                 alive.append([ref() is not None for ref in graphs])
-                return fn(g, *args)
+                return fn(g, *args, **kwargs)
             return call
 
         monkeypatch.setattr(cli, "build_graph", watched_build_graph)
@@ -695,6 +695,35 @@ class TestWriter:
             run(self.ARGS, forest_cache)
         assert capsys.readouterr().err == ""
         assert not (forest_cache / "out" / "metrics.csv").exists()
+        assert self.no_child_left()
+
+    def test_only_weighted_outputs_fork_a_writer(self, forest_cache, monkeypatch):
+        # With every fork map in process, snapshots and smallworld fork
+        # nothing, having no weighted outputs to write; analyze forks its
+        # writer, once.
+        def in_process(task, count):
+            return [task(i) for i in range(count)]
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(metrics, "_fork_map", in_process)
+        monkeypatch.setattr(baseline, "_fork_map", in_process)
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(["snapshots", "--snapshot", "1:1", "--snapshot", "1:3"], forest_cache) == 0
+        args = ["smallworld", "--start-block", "1", "--num-blocks", "3", "--trials", "3"]
+        assert run(args, forest_cache) == 0
+        forks = []
+
+        def logged_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        assert run(self.ARGS, forest_cache) == 0
+        assert forks == [os.getpid()]
         assert self.no_child_left()
 
     def test_writer_outputs_match_in_process(self, forest_cache, monkeypatch):

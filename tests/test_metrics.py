@@ -2,7 +2,11 @@ import dataclasses
 import math
 import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -801,3 +805,29 @@ class TestForkMap:
                                               avg_clustering=report.avg_clustering,
                                               transitivity=report.transitivity)
         assert no_child_left()
+
+
+def test_a_child_never_runs_the_exit_path():
+    # A fresh interpreter whose stdout, a pipe, is block-buffered: a child of
+    # a fork map or of a _beside block that flushed stdio or ran atexit
+    # handlers on its way out would print either text a second time.
+    script = textwrap.dedent("""
+        import atexit
+        import sys
+        from chaingraph import metrics
+
+        metrics._usable_cpus = lambda: 2
+        atexit.register(print, "at exit")
+        sys.stdout.write("unflushed\\n")
+        assert metrics._fork_map(lambda i: metrics._INTS.pack(i, 0), 3) == \\
+            [metrics._INTS.pack(i, 0) for i in range(3)]
+        with metrics._beside(lambda: None):
+            pass
+    """)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "unflushed\nat exit\n"
