@@ -21,6 +21,7 @@ from conftest import forest_blocks  # fixture builders live with the tests
 from chaingraph.baseline import small_world_report
 from chaingraph.graph import build_graph, project_simple
 from chaingraph.metrics import (
+    ExactnessPolicy,
     connected_components,
     distance_summary,
     general_metrics,
@@ -47,7 +48,8 @@ def main() -> int:
     print(f"\nMain-component distances: L={dist.average_distance:.4f} (1.89)  "
           f"diameter={dist.diameter} (2)")
 
-    sw = small_world_report(simple, components, trials=args.trials, seed=args.seed)
+    sw = small_world_report(simple, components, trials=args.trials, seed=args.seed,
+                            policy=ExactnessPolicy(seed=args.seed))
     print(f"\nSmall-world comparison over {sw.trials} G({sw.n},{sw.m}) trials, "
           f"seed {sw.seed}:")
     print(f"  cc={sw.cc} (0)  L={sw.avg_distance:.2f} (1.89)  "

@@ -11,9 +11,9 @@ The BFS folds leaves: a degree-1 node lies on no shortest path between
 two other nodes, so it is never visited. A leaf is counted one level
 after its neighbour is reached, and a leaf source starts at its
 neighbour one level in. Account networks are mostly such leaves. The
-fold is computed once per process that runs a piece of distance_summary
-and serves both the multi-source BFS and the double sweep behind the
-sampled diameter.
+fold is computed once per process that runs a multi-source BFS batch,
+and serves those batches alone: the double sweep behind the sampled
+diameter is two plain BFS, bfs_distances, and needs no fold.
 
 The independent pieces of a stage (MS-BFS batches, the double sweep, the
 clustering pass, G(n,m) trials) run side by side through _fork_map, in
@@ -258,7 +258,6 @@ def average_local_clustering(g: SimpleGraph) -> float:
     return _average_local_clustering(g, _neighbour_links(g), range(g.n))
 
 
-# Called only by tests, and by name by bench/tracing.py, which counts its calls.
 def bfs_distances(g: SimpleGraph, source: int) -> list[int]:
     """Hop distances from source; -1 for unreachable nodes."""
     dist = [-1] * g.n
@@ -525,33 +524,12 @@ def _sum_and_max_from_sources(g: SimpleGraph, sources: list[int], n: int,
     return total, longest
 
 
-def _folded_distances(fold: _Fold, source: int) -> list[int]:
-    """bfs_distances(g, source), from a BFS over core nodes only: a leaf
-    is one hop past its hub, and a leaf source starts at its hub at
-    distance 1. A node the source does not reach, leaf or not, reads -1."""
-    hub, _, core_adj = fold
-    dist = [-1] * len(hub)
-    start = source if hub[source] < 0 else hub[source]
-    dist[start] = 0 if start == source else 1
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        for u in core_adj[v]:
-            if dist[u] == -1:
-                dist[u] = dv
-                queue.append(u)
-    dist = [d if p < 0 or dist[p] < 0 else dist[p] + 1 for p, d in zip(hub, dist)]
-    dist[source] = 0
-    return dist
-
-
-def _double_sweep_lower_bound(fold: _Fold, start: int) -> int:
+def _double_sweep_lower_bound(g: SimpleGraph, start: int) -> int:
     # BFS from start to its farthest node (the smallest index among the
     # farthest), then BFS again from there; the second eccentricity
     # lower-bounds the diameter of start's component.
-    dist = _folded_distances(fold, start)
-    return max(_folded_distances(fold, dist.index(max(dist))))
+    dist = bfs_distances(g, start)
+    return max(bfs_distances(g, dist.index(max(dist))))
 
 
 def _clustering(g: SimpleGraph) -> tuple[float, float]:
@@ -575,10 +553,11 @@ def distance_summary(g: SimpleGraph, components: ComponentSet,
 
     The sources are cut into the fewest batches of at most _MSBFS_BATCH,
     of even sizes; each batch, and the double sweep, is one task of a
-    _fork_map. with_clustering, the mean local clustering and the
-    transitivity of g, as general_metrics gives them, are one more task of
-    the same map, its first, and fill the summary's fields of those names;
-    the process that runs it holds no leaf fold while it does.
+    _fork_map; only a batch folds the leaves. with_clustering, the mean
+    local clustering and the transitivity of g, as general_metrics gives
+    them, are one more task of the same map, its first, and fill the
+    summary's fields of those names; the process that runs it holds no
+    leaf fold while it does.
     """
     sources = components.members(components.largest_id)
     n = len(sources)
@@ -597,16 +576,15 @@ def distance_summary(g: SimpleGraph, components: ComponentSet,
     def task(i: int) -> bytes:
         if i < first:
             return _DOUBLES.pack(*_clustering(g))
-        # Each process folds the graph once, at its first distance piece:
-        # after the clustering pass, which it then no longer holds.
+        b = i - first
+        if b == batches:
+            return _INTS.pack(0, _double_sweep_lower_bound(g, start))
+        # Each process folds the graph once, at its first batch: after the
+        # clustering pass, which it then no longer holds.
         if not folds:
             folds.append(_fold_leaves(g))
-        fold = folds[0]
-        b = i - first
-        if b < batches:
-            batch = sources[len(sources) * b // batches:len(sources) * (b + 1) // batches]
-            return _INTS.pack(*_sum_and_max_from_sources(g, batch, n, fold))
-        return _INTS.pack(0, _double_sweep_lower_bound(fold, start))
+        batch = sources[len(sources) * b // batches:len(sources) * (b + 1) // batches]
+        return _INTS.pack(*_sum_and_max_from_sources(g, batch, n, folds[0]))
 
     parts = _fork_map(task, first + batches + sampled)
     pieces = [_INTS.unpack(part) for part in parts[first:]]

@@ -17,9 +17,9 @@ import chaingraph
 from chaingraph import baseline, cli, metrics
 from chaingraph.cli import _config_from_args, build_parser, main
 from chaingraph.baseline import small_world_report
-from chaingraph.graph import SimpleGraph
+from chaingraph.graph import SimpleGraph, build_graph, project_simple
 from chaingraph.ingest import BlockCache, BlockRecord, JsonRpcEndpoint, parse_block_json
-from chaingraph.metrics import connected_components, largest_component
+from chaingraph.metrics import ExactnessPolicy, connected_components, largest_component
 
 from conftest import (
     MockEndpoint,
@@ -880,6 +880,17 @@ def test_traced_analyze_counts_the_fixture(forest_cache):
     assert strip_header(forest_cache / "out" / "distances.csv")[1].split(",")[0] == "19"
 
 
+def test_traced_sampled_analyze_sweeps_with_two_bfs(forest_cache):
+    # Above the threshold, the diameter's double sweep is two plain BFS,
+    # run here on the one CPU, where the bench's counter sees them.
+    result = traced_run(forest_cache, [
+        "analyze", "--exact-threshold", "10", "--sample-sources", "5",
+        "--start-block", "1", "--num-blocks", "3"])
+    assert result["counts"]["metrics.bfs_sources"] == 2
+    row = strip_header(forest_cache / "out" / "distances.csv")[1].split(",")
+    assert (row[0], row[4], row[5]) == ("19", "lower_bound", "5")
+
+
 def test_traced_smallworld_counts_the_subject(star_cache):
     # The subject is read in place: its components are labelled once, with
     # the projection's, and then once per G(n,m) trial; nothing is copied.
@@ -1091,13 +1102,30 @@ def test_readme_library_snippet_runs():
     # The in-place distances and small-world row are those of the copy.
     main = largest_component(namespace["simple"])
     assert namespace["dist"] == summary_of(main)
-    assert sw == small_world_report(main, connected_components(main), trials=5, seed=42)
+    assert sw == small_world_report(main, connected_components(main), trials=5, seed=42,
+                                    policy=ExactnessPolicy(seed=42))
     # The names map back onto the 18 edges of one closed component of g.
     inside = {g.labels.index(account) for account in namespace["main_accounts"]}
     touching = [edge for edge in g.edges if inside & set(edge)]
     assert len(inside) == 19
     assert len(touching) == 18 and all(set(edge) <= inside for edge in touching)
     assert (sw.n, sw.m) == (19, 18)
+
+
+def test_smallworld_row_is_the_library_row(forest_cache):
+    # One --seed seeds both the trials and a sampled subject's sources, as
+    # the README's snippet does with ExactnessPolicy(seed=...).
+    args = ["smallworld", "--seed", "7", "--trials", "3", "--exact-threshold", "1",
+            "--sample-sources", "3", "--start-block", "1", "--num-blocks", "3"]
+    assert run(args, forest_cache) == 0
+    g = build_graph(forest_blocks())
+    simple = project_simple(g.n, g.edges)
+    sw = small_world_report(simple, connected_components(simple), 3, 7,
+                            ExactnessPolicy(1, 3, 7))
+    assert sw.l_method == "sampled"
+    row = [3, sw.n, sw.m, sw.cc, sw.avg_distance, sw.cc_rg, sw.l_rg, sw.sigma, sw.trials, sw.seed]
+    body = strip_header(forest_cache / "out" / "smallworld.csv")
+    assert body[1] == ",".join(map(cli._fmt, row))
 
 
 class TestPinnedOutputs:

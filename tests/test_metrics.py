@@ -636,35 +636,31 @@ LEAF_HEAVY_IDS = ["n2", "n3-path", "path6", "n3-triangle", "star1", "star3", "st
 
 
 class TestDoubleSweep:
-    """The sampled-mode diameter: the sweep over core nodes gives the bound
-    of two plain BFS over every node."""
+    """The sampled-mode diameter: two BFS, each the reference BFS of the
+    oracles, give the bound of the oracle's double sweep."""
 
     # On a disconnected graph the sweep stays in node 0's component, and a
     # node the source does not reach is at -1, leaves included.
     @pytest.mark.parametrize("g", LEAF_HEAVY + DISCONNECTED,
                              ids=LEAF_HEAVY_IDS + DISCONNECTED_IDS)
     def test_matches_two_bfs_oracle(self, g):
-        fold = metrics._fold_leaves(g)
-        assert metrics._double_sweep_lower_bound(fold, 0) == double_sweep_lower_bound(g)
+        assert metrics._double_sweep_lower_bound(g, 0) == double_sweep_lower_bound(g)
         for s in range(g.n):
-            assert metrics._folded_distances(fold, s) == bfs_distances(g, s)
+            assert bfs_distances(g, s) == frontier_distances(g, s)
 
     def test_far_node_is_a_leaf(self):
         g = caterpillar([0, 0, 4])
-        fold = metrics._fold_leaves(g)
-        hub = fold[0]
         dist = bfs_distances(g, 0)
         # Node 0 is a leaf too, and the sweep turns round at another leaf.
-        assert hub[0] >= 0 and hub[dist.index(max(dist))] >= 0
-        assert metrics._double_sweep_lower_bound(fold, 0) == 3
+        assert len(g.adj[0]) == len(g.adj[dist.index(max(dist))]) == 1
+        assert metrics._double_sweep_lower_bound(g, 0) == 3
 
     @settings(max_examples=200, deadline=None)
     @given(trees_with_chords())
     def test_matches_two_bfs_oracle_on_trees_with_chords(self, g):
-        fold = metrics._fold_leaves(g)
-        assert metrics._double_sweep_lower_bound(fold, 0) == double_sweep_lower_bound(g)
+        assert metrics._double_sweep_lower_bound(g, 0) == double_sweep_lower_bound(g)
         for s in (0, g.n - 1, g.n // 2):
-            assert metrics._folded_distances(fold, s) == bfs_distances(g, s)
+            assert bfs_distances(g, s) == frontier_distances(g, s)
 
     def test_sampled_diameter_uses_the_sweep(self):
         g = caterpillar([3, 0, 2, 4, 1])
